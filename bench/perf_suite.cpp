@@ -280,17 +280,13 @@ SaturationResult run_saturation(ThreadPool& pool, std::size_t clients,
     specs.push_back(std::move(job));
   }
 
-  MetricsRegistry registry;
   ResultCache cache(256);
   EngineOptions engine_options;
   engine_options.cache = &cache;
-  engine_options.metrics = &registry;
   const BatchEngine engine(pool, engine_options);
-  ServeServerOptions server_options;
-  server_options.metrics = &registry;
   ServeServer server(
       ListenSocket::bind_and_listen(SocketAddress::parse("127.0.0.1:0")),
-      engine, server_options);
+      engine);
   server.start();
 
   LatencyHistogram rtt;

@@ -39,7 +39,7 @@ DecodeReport execute(const DecodeJob& job, std::size_t index, ThreadPool& pool,
     if (cached) {
       cached->index = index;
       cached->seconds = timer.seconds();
-      if (metrics.jobs_completed != nullptr) metrics.jobs_completed->add();
+      metrics.jobs_completed.add();
       if (job.trace != nullptr) {
         job.trace->set_outcome(cached->decoder_name, true,
                                stop_reason_name(cached->stop), cached->rounds,
@@ -77,7 +77,7 @@ DecodeReport execute(const DecodeJob& job, std::size_t index, ThreadPool& pool,
   // perturbed copy is decoded (and consistency-checked) instead.
   bundle.instance = with_noise(std::move(bundle.instance), job.noise);
   const double build_seconds = build_timer.seconds();
-  if (metrics.build_seconds != nullptr) metrics.build_seconds->record(build_seconds);
+  metrics.build_seconds.record(build_seconds);
   if (job.trace != nullptr) job.trace->stage(TraceStage::Build, build_seconds);
 
   DecodeContext context(job.k, pool);
@@ -95,11 +95,17 @@ DecodeReport execute(const DecodeJob& job, std::size_t index, ThreadPool& pool,
   const Timer decode_timer;
   DecodeOutcome outcome = decoder->decode(instance, context);
   const double decode_seconds = decode_timer.seconds();
-  if (metrics.decode_seconds != nullptr) metrics.decode_seconds->record(decode_seconds);
+  metrics.decode_seconds.record(decode_seconds);
   if (job.trace != nullptr) job.trace->stage(TraceStage::Decode, decode_seconds);
   const Signal& estimate = outcome.estimate;
   report.support.assign(estimate.support().begin(), estimate.support().end());
-  report.consistent = job.check_consistency && instance.is_consistent(estimate);
+  if (job.check_consistency) {
+    const Timer consistency_timer;
+    report.consistent = instance.is_consistent(estimate);
+    if (job.trace != nullptr) {
+      job.trace->stage(TraceStage::Consistency, consistency_timer.seconds());
+    }
+  }
   report.rounds = outcome.rounds;
   report.queries = outcome.queries;
   report.stop = outcome.stop;
@@ -110,7 +116,7 @@ DecodeReport execute(const DecodeJob& job, std::size_t index, ThreadPool& pool,
     report.overlap = overlap_fraction(estimate, truth);
   }
   report.seconds = timer.seconds();
-  if (metrics.jobs_completed != nullptr) metrics.jobs_completed->add();
+  metrics.jobs_completed.add();
   if (job.trace != nullptr) {
     job.trace->set_outcome(report.decoder_name, true,
                            stop_reason_name(report.stop), report.rounds,
@@ -138,7 +144,7 @@ DecodeReport failure_report(const DecodeJob& job, std::size_t index,
     report.error = "unknown error";
   }
   if (report.error.empty()) report.error = "unknown error";
-  if (metrics.jobs_failed != nullptr) metrics.jobs_failed->add();
+  metrics.jobs_failed.add();
   if (job.trace != nullptr) {
     job.trace->set_outcome(job.decoder, false, "error", 0, 0);
   }
@@ -148,14 +154,12 @@ DecodeReport failure_report(const DecodeJob& job, std::size_t index,
 }  // namespace
 
 BatchEngine::BatchEngine(ThreadPool& pool, EngineOptions options)
-    : pool_(pool), options_(options) {
-  if (options_.metrics != nullptr) {
-    metrics_.jobs_completed = &options_.metrics->counter("engine.jobs_completed");
-    metrics_.jobs_failed = &options_.metrics->counter("engine.jobs_failed");
-    metrics_.build_seconds = &options_.metrics->histogram("engine.build_seconds");
-    metrics_.decode_seconds = &options_.metrics->histogram("engine.decode_seconds");
-  }
-}
+    : pool_(pool),
+      options_(options),
+      handles_{metrics_.counter("engine.jobs_completed"),
+               metrics_.counter("engine.jobs_failed"),
+               metrics_.histogram("engine.build_seconds"),
+               metrics_.histogram("engine.decode_seconds")} {}
 
 std::size_t BatchEngine::window() const {
   return options_.max_in_flight > 0 ? options_.max_in_flight
@@ -164,12 +168,12 @@ std::size_t BatchEngine::window() const {
 
 DecodeReport BatchEngine::run_one(const DecodeJob& job, std::size_t index) const {
   if (!options_.capture_errors) {
-    return execute(job, index, pool_, options_.cache, metrics_);
+    return execute(job, index, pool_, options_.cache, handles_);
   }
   try {
-    return execute(job, index, pool_, options_.cache, metrics_);
+    return execute(job, index, pool_, options_.cache, handles_);
   } catch (...) {
-    return failure_report(job, index, std::current_exception(), metrics_);
+    return failure_report(job, index, std::current_exception(), handles_);
   }
 }
 
@@ -191,11 +195,11 @@ std::vector<DecodeReport> BatchEngine::run(const std::vector<DecodeJob>& jobs) c
       const std::size_t index = offset + slot;
       try {
         reports[index] =
-            execute(jobs[index], index, pool_, options_.cache, metrics_);
+            execute(jobs[index], index, pool_, options_.cache, handles_);
       } catch (...) {
         if (options_.capture_errors) {
           reports[index] = failure_report(jobs[index], index,
-                                          std::current_exception(), metrics_);
+                                          std::current_exception(), handles_);
         } else {
           failures[slot] = std::current_exception();
         }

@@ -18,12 +18,10 @@
 
 #include "core/decoder.hpp"
 #include "core/serialize.hpp"
+#include "obs/metrics.hpp"
 
 namespace pooled {
 
-class Counter;
-class LatencyHistogram;
-class MetricsRegistry;
 class ResultCache;
 class ThreadPool;
 class TraceSpan;
@@ -124,11 +122,6 @@ struct EngineOptions {
   /// live report byte-for-byte except `index` and `seconds` (see
   /// engine/result_cache.hpp). Shared across engines; must outlive them.
   ResultCache* cache = nullptr;
-  /// Optional (non-owning) metrics registry. The engine resolves its
-  /// handles once at construction (engine.jobs_completed/jobs_failed
-  /// counters, engine.build_seconds/decode_seconds histograms) and
-  /// updates them lock-free per job. Must outlive the engine.
-  MetricsRegistry* metrics = nullptr;
 };
 
 class BatchEngine {
@@ -145,7 +138,7 @@ class BatchEngine {
   [[nodiscard]] DecodeReport run_one(const DecodeJob& job, std::size_t index = 0) const;
 
   /// Streaming chunk size: max_in_flight when bounded, else 4x pool
-  /// width (used by serve_stream to cap request buffering).
+  /// width (a ServeSession decodes windows of this many jobs).
   [[nodiscard]] std::size_t window() const;
 
   /// The cache this engine consults (EngineOptions::cache; may be null).
@@ -153,19 +146,25 @@ class BatchEngine {
   /// cache pointer through separately.
   [[nodiscard]] ResultCache* result_cache() const { return options_.cache; }
 
-  /// Registry handles resolved once at construction; all null when
-  /// EngineOptions::metrics is unset.
+  /// The one registry every counter of this engine and of the serving
+  /// layer around it lives in: engine.jobs_completed/jobs_failed and the
+  /// engine.build_seconds/decode_seconds histograms, plus the serve.* and
+  /// drain.* handles sessions and servers resolve. Thread-safe.
+  [[nodiscard]] MetricsRegistry& metrics() const { return metrics_; }
+
+  /// Registry handles resolved once at construction.
   struct MetricHandles {
-    Counter* jobs_completed = nullptr;
-    Counter* jobs_failed = nullptr;
-    LatencyHistogram* build_seconds = nullptr;
-    LatencyHistogram* decode_seconds = nullptr;
+    Counter& jobs_completed;
+    Counter& jobs_failed;
+    LatencyHistogram& build_seconds;
+    LatencyHistogram& decode_seconds;
   };
 
  private:
   ThreadPool& pool_;
   EngineOptions options_;
-  MetricHandles metrics_;
+  mutable MetricsRegistry metrics_;
+  MetricHandles handles_;
 };
 
 }  // namespace pooled

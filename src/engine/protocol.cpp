@@ -4,16 +4,10 @@
 #include <cctype>
 #include <cmath>
 #include <istream>
-#include <memory>
 #include <ostream>
 #include <sstream>
 
-#include "engine/result_cache.hpp"
-#include "kernels/decode_arena.hpp"
-#include "kernels/kernel_set.hpp"
-#include "obs/trace.hpp"
 #include "support/assert.hpp"
-#include "support/timer.hpp"
 
 namespace pooled {
 
@@ -421,50 +415,6 @@ std::optional<MetricsSnapshot> load_stats_snapshot(std::istream& is) {
   return load_stats_snapshot_body(is);
 }
 
-void append_stats_snapshot(MetricsSnapshot& snapshot, const CacheStats* cache,
-                           const MetricsRegistry* registry) {
-  const auto push = [&snapshot](MetricValue value) {
-    if (snapshot.find(value.name) == nullptr) {
-      snapshot.values.push_back(std::move(value));
-    }
-  };
-  if (cache != nullptr) {
-    push(MetricValue::of_counter("cache.hits", cache->hits));
-    push(MetricValue::of_counter("cache.misses", cache->misses));
-    push(MetricValue::of_counter("cache.insertions", cache->insertions));
-    push(MetricValue::of_counter("cache.evictions", cache->evictions));
-    push(MetricValue::of_counter("cache.snapshot_writes",
-                                 cache->snapshot_writes));
-    push(MetricValue::of_counter("cache.snapshot_restores",
-                                 cache->snapshot_restores));
-    push(MetricValue::of_counter("cache.snapshot_rejected",
-                                 cache->snapshot_rejected));
-    push(MetricValue::of_gauge("cache.size",
-                               static_cast<std::int64_t>(cache->size),
-                               static_cast<std::int64_t>(cache->size)));
-    push(MetricValue::of_gauge("cache.capacity",
-                               static_cast<std::int64_t>(cache->capacity),
-                               static_cast<std::int64_t>(cache->capacity)));
-  }
-  const ArenaStats arena = arena_stats();
-  push(MetricValue::of_gauge("arena.live_bytes",
-                             static_cast<std::int64_t>(arena.live_bytes),
-                             static_cast<std::int64_t>(arena.peak_bytes)));
-  push(MetricValue::of_label("build.kernels",
-                             kernel_isa_name(active_kernels().isa)));
-  if (registry != nullptr) {
-    MetricsSnapshot registered = registry->snapshot();
-    for (MetricValue& value : registered.values) push(std::move(value));
-  }
-}
-
-MetricsSnapshot build_stats_snapshot(const CacheStats* cache,
-                                     const MetricsRegistry* registry) {
-  MetricsSnapshot snapshot;
-  append_stats_snapshot(snapshot, cache, registry);
-  return snapshot;
-}
-
 void save_report(std::ostream& os, const DecodeReport& report) {
   os << kResultMagic << ' ' << kVersionV2 << '\n';
   os << "job " << report.index << '\n';
@@ -614,114 +564,6 @@ void ProgressStream::emit(std::uint64_t connection, std::size_t job_index,
   os_ << "job=" << job_index << " round=" << round << " queries=" << queries
       << '\n';
   os_.flush();
-}
-
-std::size_t serve_stream(std::istream& is, std::ostream& os,
-                         const BatchEngine& engine, std::size_t chunk,
-                         ProgressStream* progress,
-                         const std::atomic<bool>* cancel,
-                         const MetricsRegistry* metrics,
-                         TraceRecorder* trace,
-                         const std::function<void(DrainSummary&)>* on_drain) {
-  if (chunk == 0) chunk = engine.window();
-  // Bound parsed-but-unscheduled jobs: a misconfigured window cannot
-  // make the server buffer an unbounded batch before decoding starts.
-  chunk = std::min(chunk, limits::kMaxJobsPerWindow);
-  std::size_t served = 0;
-  bool more_requests = true;
-  bool draining = false;
-  while (more_requests &&
-         (cancel == nullptr || !cancel->load(std::memory_order_relaxed))) {
-    std::vector<DecodeJob> jobs;
-    std::vector<std::unique_ptr<TraceSpan>> spans;  // parallel to jobs
-    jobs.reserve(chunk);
-    spans.reserve(chunk);
-    while (jobs.size() < chunk) {
-      const Timer parse_timer;
-      std::optional<ServeRequest> request = load_request(is);
-      if (!request) {
-        more_requests = false;
-        break;
-      }
-      if (std::holds_alternative<DrainRequest>(*request)) {
-        // Graceful shutdown: the jobs parsed so far still decode and
-        // flush below, then the summary frame closes the stream.
-        draining = true;
-        more_requests = false;
-        break;
-      }
-      if (std::holds_alternative<StatsRequest>(*request)) {
-        // Answered inline, out of band of the job pipeline: no job index
-        // is consumed and pending jobs of this window are unaffected.
-        MetricsSnapshot snapshot;
-        snapshot.values.push_back(
-            MetricValue::of_counter("serve.jobs_served", served));
-        if (const ResultCache* cache = engine.result_cache()) {
-          const CacheStats cache_stats = cache->stats();
-          append_stats_snapshot(snapshot, &cache_stats, metrics);
-        } else {
-          append_stats_snapshot(snapshot, nullptr, metrics);
-        }
-        save_stats_snapshot(os, snapshot);
-        os.flush();
-        POOLED_REQUIRE(static_cast<bool>(os), "stats frame write failed");
-        continue;
-      }
-      jobs.push_back(std::get<DecodeJob>(std::move(*request)));
-      std::unique_ptr<TraceSpan> span;
-      if (trace != nullptr) {
-        span = std::make_unique<TraceSpan>(*trace, /*connection=*/0,
-                                           served + jobs.size() - 1);
-        span->stage(TraceStage::Parse, parse_timer.seconds());
-        jobs.back().trace = span.get();
-      }
-      spans.push_back(std::move(span));
-    }
-    if (jobs.empty()) break;
-    // Progress sinks are tagged with the stream-global index the result
-    // frame will carry, so a client can correlate the two.
-    std::vector<ProgressStream::JobSink> sinks;
-    sinks.reserve(jobs.size());
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      jobs[j].cancel = cancel;
-      DecodeStatsSink* sink = nullptr;
-      if (progress != nullptr) {
-        sinks.push_back(progress->sink(served + j));
-        sink = &sinks.back();
-      }
-      if (spans[j] != nullptr) {
-        // The span observes the decoder's rounds and forwards them to
-        // the progress sink, so tracing never silences --progress.
-        spans[j]->set_chain(sink);
-        jobs[j].stats = spans[j].get();
-      } else {
-        jobs[j].stats = sink;
-      }
-    }
-    std::vector<DecodeReport> reports = engine.run(jobs);
-    for (std::size_t j = 0; j < reports.size(); ++j) {
-      DecodeReport& report = reports[j];
-      report.index += served;  // global index across the stream
-      const Timer serialize_timer;
-      save_report(os, report);
-      if (spans[j] != nullptr) {
-        spans[j]->stage(TraceStage::Serialize, serialize_timer.seconds());
-      }
-    }
-    os.flush();
-    POOLED_REQUIRE(static_cast<bool>(os), "result stream write failed");
-    served += jobs.size();
-    spans.clear();  // emits the JSONL lines
-  }
-  if (draining) {
-    DrainSummary summary;
-    summary.jobs_served = served;
-    if (on_drain != nullptr && *on_drain) (*on_drain)(summary);
-    save_drain_summary(os, summary);
-    os.flush();
-    POOLED_REQUIRE(static_cast<bool>(os), "drain summary write failed");
-  }
-  return served;
 }
 
 }  // namespace pooled

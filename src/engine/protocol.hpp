@@ -65,9 +65,7 @@
 // v2-only -- a v1 stream cannot half-understand a shutdown request.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <variant>
@@ -78,9 +76,6 @@
 #include "support/thread_annotations.hpp"
 
 namespace pooled {
-
-struct CacheStats;
-class TraceRecorder;
 
 /// Size limits every wire parser enforces, named in one place so the
 /// server, the fuzz harnesses, and the documentation agree on what
@@ -110,30 +105,31 @@ inline constexpr std::size_t kMaxSupportEntries = std::size_t{1} << 20;
 inline constexpr std::size_t kMaxInstanceBlockBytes =
     kMaxLineBytes + (std::size_t{1} << 16);
 
-/// Most jobs a serve window may buffer before decoding. serve_stream
-/// clamps its chunk to this, so a misconfigured (or hostile) window
-/// cannot make the server hold unbounded parsed-but-unscheduled jobs.
+/// Most jobs a serve window may buffer before decoding. ServeSession
+/// clamps its window to this on every transport, so a misconfigured (or
+/// hostile) window cannot make the server hold unbounded
+/// parsed-but-unscheduled jobs.
 inline constexpr std::size_t kMaxJobsPerWindow = 4096;
 
 }  // namespace limits
 
 /// Thread-safe per-round progress reporting for serve mode: one stream
 /// shared by every in-flight job, each job writing lines tagged with its
-/// global index ("progress job=3 round=2 queries=32"). The socket server
-/// additionally tags the connection ("progress conn=2 job=0 ..."), since
-/// each connection numbers its jobs from zero. `pooled_cli serve
-/// --progress` points one at stderr so long adaptive decodes are
-/// observable while the result frame is still pending.
+/// global index ("progress job=3 round=2 queries=32"). Socket
+/// connections additionally tag the connection ("progress conn=2 job=0
+/// ..."), since each connection numbers its jobs from zero.
+/// `pooled_cli serve --progress` points one at stderr so long adaptive
+/// decodes are observable while the result frame is still pending.
 class ProgressStream {
  public:
   explicit ProgressStream(std::ostream& os) : os_(os) {}
 
-  /// `connection` 0 = untagged (single-stream serve).
+  /// `connection` 0 = untagged (stdin serve).
   void emit(std::uint64_t connection, std::size_t job_index,
             std::uint32_t round, std::uint64_t queries);
 
   /// Sink tagging every round callback with one job's global index (and
-  /// its connection, under the socket server). Value type so serve loops
+  /// its connection, under the socket server). Value type so a session
   /// can hold one per job of a window; the ProgressStream must outlive
   /// it.
   class JobSink final : public DecodeStatsSink {
@@ -150,10 +146,6 @@ class ProgressStream {
     std::uint64_t connection_;
     std::size_t job_index_;
   };
-
-  [[nodiscard]] JobSink sink(std::size_t job_index) {
-    return JobSink(*this, 0, job_index);
-  }
 
   [[nodiscard]] JobSink connection_sink(std::uint64_t connection,
                                         std::size_t job_index) {
@@ -249,45 +241,5 @@ void save_stats_snapshot(std::ostream& os, const MetricsSnapshot& snapshot);
 /// Reads the next `pooled-stats-result` frame; std::nullopt at (clean)
 /// end of stream. Throws ContractError on malformed input.
 std::optional<MetricsSnapshot> load_stats_snapshot(std::istream& is);
-
-/// Appends the shared snapshot tail every exporter agrees on: cache
-/// counters (when `cache` is non-null), arena high-water marks, the
-/// active kernel tier, and finally every metric in `registry` (when
-/// non-null). Names already present in `snapshot` are skipped, so a
-/// caller's authoritative values win over registry duplicates.
-void append_stats_snapshot(MetricsSnapshot& snapshot, const CacheStats* cache,
-                           const MetricsRegistry* registry);
-
-/// Convenience: an empty snapshot plus append_stats_snapshot.
-[[nodiscard]] MetricsSnapshot build_stats_snapshot(
-    const CacheStats* cache, const MetricsRegistry* registry);
-
-/// The serve loop: reads requests from `is` in windows of `chunk` jobs
-/// (0 = the engine's window), runs each window through `engine`, and
-/// writes responses to `os` as each window completes -- results stream
-/// out while later requests are still unread. Job indices are global
-/// across the stream. A non-null `progress` receives per-round callbacks
-/// tagged with those global indices; a non-null `cancel` is forwarded to
-/// every job (and stops the loop between windows once set). Returns the
-/// number of jobs served.
-///
-/// Observability: a `pooled-stats` request is answered inline with a
-/// snapshot frame (jobs served so far, the engine's cache counters, and
-/// `metrics` when non-null) without consuming a job index. A non-null
-/// `trace` gets one JSONL span per job (connection 0).
-///
-/// Graceful shutdown: a `pooled-drain` request finishes the current
-/// window, invokes `on_drain` (the caller's chance to spill the cache
-/// and fill the summary's snapshot fields), answers the summary frame,
-/// and returns -- the stream-serve analogue of the socket server's
-/// drain path.
-std::size_t serve_stream(std::istream& is, std::ostream& os,
-                         const BatchEngine& engine, std::size_t chunk = 0,
-                         ProgressStream* progress = nullptr,
-                         const std::atomic<bool>* cancel = nullptr,
-                         const MetricsRegistry* metrics = nullptr,
-                         TraceRecorder* trace = nullptr,
-                         const std::function<void(DrainSummary&)>* on_drain =
-                             nullptr);
 
 }  // namespace pooled

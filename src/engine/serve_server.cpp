@@ -1,80 +1,76 @@
 #include "engine/serve_server.hpp"
 
 #include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <exception>
 #include <memory>
-#include <string>
+#include <optional>
 #include <utility>
-#include <vector>
 
-#include "engine/result_cache.hpp"
-#include "obs/trace.hpp"
 #include "support/assert.hpp"
-#include "support/timer.hpp"
 
 namespace pooled {
 
-/// Per-connection state shared by the handler thread, its reader thread,
-/// and the reaper.
-struct ServeServer::Connection {
-  Connection(Socket socket, std::size_t chunk_, std::uint64_t serial_)
-      : stream(std::move(socket)), chunk(chunk_), serial(serial_) {}
+/// One accepted connection: its socket, the session serving it, and the
+/// session's window onto the server (drain, barrier, socket shutdown).
+/// The reaper and stop() reach the session through cancel() and
+/// write_mutex() only.
+struct ServeServer::Connection final : SessionHost {
+  Connection(ServeServer& owner, Socket socket, std::uint64_t serial)
+      : server(owner),
+        stream(std::move(socket)),
+        session(stream.in(), stream.out(), owner.engine_, owner.options_, this,
+                serial) {}
 
+  void begin_drain() override { server.begin_drain(); }
+
+  void wait_for_quiesce() override {
+    // Every live session must itself be a drain owner (its queue is
+    // flushed by then). Atomics only: taking connections_mutex_ here
+    // would deadlock against stop(), which joins sessions while holding
+    // it.
+    server.drain_owners_active_.fetch_add(1);
+    while (server.handlers_active_.load() > server.drain_owners_active_.load() &&
+           !server.stop_.load() && !session.cancelled()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    server.drain_owners_active_.fetch_sub(1);
+  }
+
+  void shutdown(bool linger) override {
+    if (!linger) {
+      stream.socket().shutdown_both();  // unblocks a waiting reader
+      return;
+    }
+    // Lingering close: a router liveness probe racing the drain frame
+    // can land after the session's reader stopped (at that frame), and
+    // close() with those bytes unread makes the kernel RST the
+    // connection -- destroying the summary just written. Send our FIN,
+    // then discard late bytes until the peer reads the summary and
+    // closes (bounded wait).
+    stream.socket().shutdown_write();
+    stream.socket().discard_until_eof(5.0);
+  }
+
+  [[nodiscard]] int read_errno() const override { return stream.read_errno(); }
+
+  ServeServer& server;
   SocketStream stream;
-  const std::size_t chunk;
-  const std::uint64_t serial;  ///< 1-based accept order; tags progress lines
-
-  /// Serializes result frames and liveness probes so a probe newline
-  /// never lands inside a frame (frames are always flushed whole under
-  /// this mutex). The stream itself is deliberately unannotated: its
-  /// read side belongs to the reader thread alone, only the write side
-  /// is shared (handler, reaper, stats answers) and every writer takes
-  /// this mutex.
-  AnnotatedMutex write_mutex;
-
-  /// The connection's cancel token; every in-flight DecodeContext points
-  /// here. Set by the reaper (dropped peer) or by stop().
-  std::atomic<bool> cancel{false};
+  ServeSession session;
   std::atomic<bool> done{false};
-
-  // Reader -> handler pipeline. Bounded at two windows so a fast client
-  // cannot buffer an unbounded backlog server-side. `spans` stays
-  // parallel to `queue` (null entries when tracing is off).
-  AnnotatedMutex queue_mutex;
-  std::condition_variable_any queue_cv;
-  std::deque<DecodeJob> queue POOLED_GUARDED_BY(queue_mutex);
-  std::deque<std::unique_ptr<TraceSpan>> spans POOLED_GUARDED_BY(queue_mutex);
-  bool reader_done POOLED_GUARDED_BY(queue_mutex) = false;
-  /// This connection sent `pooled-drain` and is owed the summary frame
-  /// once the fleet quiesces. Reader sets it, handler reads it after the
-  /// queue drains.
-  bool drain_owed POOLED_GUARDED_BY(queue_mutex) = false;
-  std::string parse_error POOLED_GUARDED_BY(queue_mutex);
-  std::uint64_t jobs_parsed = 0;  ///< reader-only span index
-
-  std::thread handler;
+  std::thread thread;
 };
 
 ServeServer::ServeServer(ListenSocket listener, const BatchEngine& engine,
                          ServeServerOptions options)
-    : listener_(std::move(listener)), engine_(engine), options_(options) {
+    : listener_(std::move(listener)),
+      engine_(engine),
+      options_(std::move(options)),
+      metrics_(engine.metrics()) {
   POOLED_REQUIRE(listener_.valid(), "serve server needs a bound listener");
   POOLED_REQUIRE(options_.probe_seconds > 0.0,
                  "reaper probe period must be positive");
-  if (options_.metrics != nullptr) {
-    active_gauge_ = &options_.metrics->gauge("serve.connections_active");
-    queue_gauge_ = &options_.metrics->gauge("serve.queue_depth");
-    job_seconds_ = &options_.metrics->histogram("serve.job_seconds");
-  }
 }
 
 ServeServer::~ServeServer() { stop(); }
-
-const SocketAddress& ServeServer::address() const {
-  return listener_.local_address();
-}
 
 void ServeServer::start() {
   POOLED_REQUIRE(!accept_thread_.joinable(), "serve server already started");
@@ -93,89 +89,30 @@ void ServeServer::stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   listener_.close();
   if (reaper_thread_.joinable()) reaper_thread_.join();
-  // The accept loop is gone, but a concurrent stats() may still walk the
-  // list; handlers never take connections_mutex_, so joining under it is
+  // Sessions never take connections_mutex_, so joining under it is
   // deadlock-free.
   const LockGuard lock(connections_mutex_);
   for (const auto& connection : connections_) {
-    connection->cancel.store(true);
+    connection->session.cancel();
     connection->stream.socket().shutdown_both();  // unblocks the reader
-    connection->queue_cv.notify_all();
   }
   for (const auto& connection : connections_) {
-    if (connection->handler.joinable()) connection->handler.join();
+    if (connection->thread.joinable()) connection->thread.join();
   }
   connections_.clear();
 }
 
 void ServeServer::begin_drain() {
-  // Two atomic stores only: this is called from reader threads (on a
-  // drain frame) and from signal-handling CLI loops, neither of which
-  // may touch connections_mutex_ (stop() joins handlers while holding
-  // it). The accept loop performs the actual read-shutdown sweep.
+  // Atomic stores only: this is called from reader threads (on a drain
+  // frame) and from signal-handling CLI loops, neither of which may
+  // touch connections_mutex_ (stop() joins sessions while holding it).
+  // The accept loop performs the actual read-shutdown sweep.
+  metrics_.draining.set(1);
   draining_.store(true);
-  drain_sweep_pending_.store(true);
-}
-
-ServeServerStats ServeServer::stats() const {
-  ServeServerStats stats;
-  stats.connections_accepted = connections_accepted_.load();
-  stats.connections_reaped = connections_reaped_.load();
-  stats.connections_errored = connections_errored_.load();
-  stats.jobs_served = jobs_served_.load();
-  stats.jobs_cancelled = jobs_cancelled_.load();
-  stats.jobs_failed = jobs_failed_.load();
-  stats.write_failures = write_failures_.load();
-  const LockGuard lock(connections_mutex_);
-  for (const auto& connection : connections_) {
-    if (!connection->done.load()) ++stats.active_connections;
-  }
-  return stats;
-}
-
-MetricsSnapshot ServeServer::build_snapshot() const {
-  const ServeServerStats counters = stats();
-  MetricsSnapshot snapshot;
-  auto& values = snapshot.values;
-  values.push_back(MetricValue::of_counter("serve.connections_accepted",
-                                           counters.connections_accepted));
-  values.push_back(MetricValue::of_gauge(
-      "serve.connections_active",
-      static_cast<std::int64_t>(counters.active_connections),
-      active_gauge_->peak()));
-  values.push_back(MetricValue::of_counter("serve.connections_reaped",
-                                           counters.connections_reaped));
-  values.push_back(MetricValue::of_counter("serve.connections_errored",
-                                           counters.connections_errored));
-  values.push_back(
-      MetricValue::of_counter("serve.jobs_served", counters.jobs_served));
-  values.push_back(
-      MetricValue::of_counter("serve.jobs_cancelled", counters.jobs_cancelled));
-  values.push_back(
-      MetricValue::of_counter("serve.jobs_failed", counters.jobs_failed));
-  values.push_back(
-      MetricValue::of_counter("serve.write_failures", counters.write_failures));
-  values.push_back(MetricValue::of_gauge(
-      "serve.queue_depth", queue_gauge_->value(), queue_gauge_->peak()));
-  values.push_back(MetricValue::of_histogram("serve.job_seconds",
-                                             job_seconds_->snapshot()));
-  values.push_back(
-      MetricValue::of_counter("drain.requests", drains_requested_.load()));
-  const std::int64_t draining_now = draining_.load() ? 1 : 0;
-  values.push_back(
-      MetricValue::of_gauge("drain.draining", draining_now, draining_now));
-  if (const ResultCache* cache = engine_.result_cache()) {
-    const CacheStats cache_stats = cache->stats();
-    append_stats_snapshot(snapshot, &cache_stats, options_.metrics);
-  } else {
-    append_stats_snapshot(snapshot, nullptr, options_.metrics);
-  }
-  return snapshot;
 }
 
 void ServeServer::accept_loop() {
-  const std::size_t chunk =
-      options_.chunk > 0 ? options_.chunk : engine_.window();
+  std::uint64_t serial = 0;  // 1-based admission order; tags progress lines
   while (!stop_.load()) {
     std::optional<Socket> socket = listener_.accept(/*timeout_ms=*/100);
     // Reap finished connections on every wakeup so a long-lived server
@@ -184,56 +121,57 @@ void ServeServer::accept_loop() {
       const LockGuard lock(connections_mutex_);
       for (auto it = connections_.begin(); it != connections_.end();) {
         if ((*it)->done.load()) {
-          if ((*it)->handler.joinable()) (*it)->handler.join();
+          if ((*it)->thread.joinable()) (*it)->thread.join();
           it = connections_.erase(it);
         } else {
           ++it;
         }
       }
-      if (drain_sweep_pending_.exchange(false)) {
+      if (draining_.load()) {
         // Drain: half-close the read side of every live connection so
         // blocked readers see a clean EOF, queued jobs finish, and the
-        // results still flush out the intact write side. A connection
-        // admitted after the drain flag flipped (the accept below runs
-        // outside this lock) is caught by the next sweep, because the
-        // flag stays pending until consumed here. A connection whose
-        // reader already finished (the drain owner's, typically) is
-        // skipped: there is no blocked reader to unblock, and flagging
-        // its receive side shut would make the kernel answer any
+        // results still flush out the intact write side. The sweep
+        // repeats on every wakeup while draining, so a connection
+        // admitted just before the flag flipped (the accept below runs
+        // outside this lock) is caught too. A connection whose reader
+        // already finished (the drain owner's, typically) is skipped:
+        // there is no blocked reader to unblock, and flagging its
+        // receive side shut would make the kernel answer any
         // late-arriving peer bytes (liveness probes) after our FIN with
         // an RST that can destroy the drain summary in flight.
         for (const auto& connection : connections_) {
           if (connection->done.load()) continue;
-          bool reader_done = false;
-          {
-            const LockGuard queue_lock(connection->queue_mutex);
-            reader_done = connection->reader_done;
+          if (!connection->session.reader_finished()) {
+            connection->stream.socket().shutdown_read();
           }
-          if (!reader_done) connection->stream.socket().shutdown_read();
         }
       }
     }
     if (!socket) continue;
     if (draining_.load()) continue;  // refused: the fleet is going down
-    socket->set_send_timeout(options_.write_timeout_seconds);
-    const std::uint64_t serial = connections_accepted_.fetch_add(1) + 1;
+    socket->set_send_timeout(kSendTimeoutSeconds);
+    metrics_.connections_accepted.add();
     auto connection =
-        std::make_unique<Connection>(std::move(*socket), chunk, serial);
+        std::make_unique<Connection>(*this, std::move(*socket), ++serial);
     Connection& ref = *connection;
     {
       const LockGuard lock(connections_mutex_);
       connections_.push_back(std::move(connection));
     }
-    active_gauge_->add(1);
-    // Counted at admission (not inside the handler) so the drain barrier
-    // can never observe a connection whose handler has not started yet.
+    metrics_.connections_active.add(1);
+    // Counted at admission (not inside the session) so the drain barrier
+    // can never observe a connection whose session has not started yet.
     handlers_active_.fetch_add(1);
-    ref.handler = std::thread([this, &ref] { handle_connection(ref); });
+    ref.thread = std::thread([this, &ref] {
+      (void)ref.session.run();
+      metrics_.connections_active.add(-1);
+      handlers_active_.fetch_sub(1);
+      ref.done.store(true);
+    });
   }
 }
 
 void ServeServer::reaper_loop() {
-  Timer snapshot_timer;
   while (!stop_.load()) {
     {
       // Interruptible inter-probe wait: stop() must not block for up to
@@ -244,23 +182,17 @@ void ServeServer::reaper_loop() {
                           [this] { return stop_.load(); });
     }
     if (stop_.load()) break;
-    if (options_.snapshot_seconds > 0.0 && options_.on_snapshot &&
-        snapshot_timer.seconds() >= options_.snapshot_seconds) {
-      // Periodic cache spill, outside connections_mutex_ so a slow disk
-      // never stalls accepts or probes behind this thread.
-      options_.on_snapshot();
-      snapshot_timer.reset();
-    }
     const LockGuard lock(connections_mutex_);
     for (const auto& connection : connections_) {
-      if (connection->done.load() || connection->cancel.load()) continue;
+      if (connection->done.load() || connection->session.cancelled()) continue;
       bool alive;
       {
-        // try_lock, not lock: a handler mid-write (possibly blocked in
+        // try_lock, not lock: a session mid-write (possibly blocked in
         // send against a stalled reader) must not wedge the reaper --
         // and with it connections_mutex_, accepts, and stop().
-        if (!connection->write_mutex.try_lock()) continue;  // next period
-        const LockGuard write_lock(connection->write_mutex, std::adopt_lock);
+        if (!connection->session.write_mutex().try_lock()) continue;
+        const LockGuard write_lock(connection->session.write_mutex(),
+                                   std::adopt_lock);
         alive = send_liveness_probe(connection->stream.socket());
       }
       if (alive) continue;
@@ -271,286 +203,11 @@ void ServeServer::reaper_loop() {
       // cancellation (a Cancelled report, jobs_cancelled) then implies
       // the reap is already counted, so a stats reader can reconcile
       // jobs_cancelled against connections_reaped at any instant.
-      connections_reaped_.fetch_add(1);
-      connection->cancel.store(true);
+      metrics_.connections_reaped.add();
+      connection->session.cancel();
       connection->stream.socket().shutdown_both();
-      connection->queue_cv.notify_all();
     }
   }
-}
-
-void ServeServer::read_requests(Connection& connection) {
-  std::istream& in = connection.stream.in();
-  const std::size_t queue_cap = 2 * connection.chunk;
-  try {
-    while (!connection.cancel.load()) {
-      const Timer parse_timer;
-      std::optional<ServeRequest> request = load_request(in);
-      if (!request) {
-        // A clean half-close (EOF at a frame boundary) means "no more
-        // requests": the handler finishes the queue and answers. A
-        // transport error means the peer is gone -- decoding its queued
-        // jobs would spend engine time on frames nobody can read.
-        if (connection.stream.read_errno() != 0 && !connection.cancel.load()) {
-          connections_errored_.fetch_add(1);
-          connection.cancel.store(true);
-        }
-        break;
-      }
-      if (std::holds_alternative<StatsRequest>(*request)) {
-        // Answered immediately on the reader thread, out of band of the
-        // job pipeline: a stats probe must not wait behind a window of
-        // decodes (that latency is exactly what it is trying to observe).
-        try {
-          const MetricsSnapshot snapshot = build_snapshot();
-          const LockGuard lock(connection.write_mutex);
-          save_stats_snapshot(connection.stream.out(), snapshot);
-          connection.stream.out().flush();
-          POOLED_REQUIRE(static_cast<bool>(connection.stream.out()),
-                         "stats frame write failed");
-        } catch (const std::exception&) {
-          write_failures_.fetch_add(1);
-          connection.cancel.store(true);
-        }
-        if (connection.cancel.load()) break;
-        continue;
-      }
-      if (std::holds_alternative<DrainRequest>(*request)) {
-        // This connection owns the drain: remember that it is owed the
-        // summary, flip the server into draining, and stop reading --
-        // the handler drains the queue, waits for the fleet, answers.
-        drains_requested_.fetch_add(1);
-        {
-          const LockGuard lock(connection.queue_mutex);
-          connection.drain_owed = true;
-        }
-        begin_drain();
-        break;
-      }
-      DecodeJob job = std::get<DecodeJob>(std::move(*request));
-      std::unique_ptr<TraceSpan> span;
-      if (options_.trace != nullptr) {
-        span = std::make_unique<TraceSpan>(*options_.trace, connection.serial,
-                                           connection.jobs_parsed);
-        span->stage(TraceStage::Parse, parse_timer.seconds());
-        job.trace = span.get();
-      }
-      ++connection.jobs_parsed;
-      LockGuard lock(connection.queue_mutex);
-      // Explicit wait loop (not the predicate overload): the condition
-      // reads `queue`, which the analysis can only check when the read
-      // is visibly under the lock, not inside a lambda.
-      while (connection.queue.size() >= queue_cap &&
-             !connection.cancel.load()) {
-        connection.queue_cv.wait(lock);
-      }
-      if (connection.cancel.load()) break;
-      if (span != nullptr) span->mark_enqueued();
-      connection.queue.push_back(std::move(job));
-      connection.spans.push_back(std::move(span));
-      POOLED_DCHECK(connection.queue.size() == connection.spans.size(),
-                    "span queue must stay parallel to the job queue");
-      lock.unlock();
-      queue_gauge_->add(1);
-      connection.queue_cv.notify_all();
-    }
-  } catch (const std::exception& e) {
-    // Framing is lost after a parse error; the handler reports it as the
-    // connection's final frame. A cancelled connection's read errors are
-    // teardown noise, not protocol errors -- and a frame truncated by a
-    // transport error is the transport's fault, not the client's, so it
-    // counts as an errored connection, not a protocol violation.
-    const LockGuard lock(connection.queue_mutex);
-    if (!connection.cancel.load()) {
-      if (connection.stream.read_errno() != 0) {
-        connections_errored_.fetch_add(1);
-        connection.cancel.store(true);
-      } else {
-        connection.parse_error = e.what();
-      }
-    }
-  }
-  {
-    const LockGuard lock(connection.queue_mutex);
-    connection.reader_done = true;
-  }
-  connection.queue_cv.notify_all();
-}
-
-void ServeServer::handle_connection(Connection& connection) {
-  std::thread reader([this, &connection] { read_requests(connection); });
-  std::ostream& out = connection.stream.out();
-  std::size_t served = 0;
-  bool peer_writable = true;
-  while (true) {
-    std::vector<DecodeJob> jobs;
-    std::vector<std::unique_ptr<TraceSpan>> spans;  // parallel to jobs
-    bool drained = false;
-    {
-      LockGuard lock(connection.queue_mutex);
-      while (connection.queue.empty() && !connection.reader_done &&
-             !connection.cancel.load()) {
-        connection.queue_cv.wait(lock);
-      }
-      if (connection.cancel.load()) break;
-      POOLED_DCHECK(connection.queue.size() == connection.spans.size(),
-                    "span queue must stay parallel to the job queue");
-      while (!connection.queue.empty() && jobs.size() < connection.chunk) {
-        jobs.push_back(std::move(connection.queue.front()));
-        connection.queue.pop_front();
-        spans.push_back(std::move(connection.spans.front()));
-        connection.spans.pop_front();
-      }
-      drained = connection.queue.empty() && connection.reader_done;
-    }
-    connection.queue_cv.notify_all();  // the reader may be waiting on space
-    if (!jobs.empty()) {
-      queue_gauge_->add(-static_cast<std::int64_t>(jobs.size()));
-      // The window decodes while the reader keeps parsing ahead. Every
-      // job shares the connection's cancel token; progress sinks carry
-      // the connection-global index the result frame will use.
-      std::vector<ProgressStream::JobSink> sinks;
-      sinks.reserve(jobs.size());
-      for (std::size_t j = 0; j < jobs.size(); ++j) {
-        jobs[j].cancel = &connection.cancel;
-        DecodeStatsSink* sink = nullptr;
-        if (options_.progress != nullptr) {
-          // conn-tagged: every connection numbers its jobs from zero, so
-          // the bare index would be ambiguous across clients.
-          sinks.push_back(options_.progress->connection_sink(connection.serial,
-                                                             served + j));
-          sink = &sinks.back();
-        }
-        if (spans[j] != nullptr) {
-          spans[j]->mark_dequeued();
-          // The span observes the decoder's rounds and forwards them, so
-          // tracing never silences --progress.
-          spans[j]->set_chain(sink);
-          jobs[j].stats = spans[j].get();
-        } else {
-          jobs[j].stats = sink;
-        }
-      }
-      std::vector<DecodeReport> reports = engine_.run(jobs);
-      // Account the window before touching the socket: cancelled/failed
-      // counts and latencies describe the decode, not the delivery.
-      for (DecodeReport& report : reports) {
-        report.index += served;  // global index across the connection
-        if (report.stop == StopReason::Cancelled) {
-          jobs_cancelled_.fetch_add(1);
-        }
-        if (!report.ok()) jobs_failed_.fetch_add(1);
-        job_seconds_->record(report.seconds);
-      }
-      // Delivery is all-or-nothing per window: a write exception leaves
-      // the frame boundary unknown, so nothing after it can be salvaged.
-      std::size_t delivered = 0;
-      try {
-        const LockGuard lock(connection.write_mutex);
-        for (std::size_t j = 0; j < reports.size(); ++j) {
-          const Timer serialize_timer;
-          save_report(out, reports[j]);
-          if (spans[j] != nullptr) {
-            spans[j]->stage(TraceStage::Serialize, serialize_timer.seconds());
-          }
-        }
-        out.flush();
-        POOLED_REQUIRE(static_cast<bool>(out), "result frame write failed");
-        delivered = reports.size();
-      } catch (const std::exception&) {
-        // The peer stopped reading mid-stream: nothing left to deliver.
-        peer_writable = false;
-        connection.cancel.store(true);
-      }
-      jobs_served_.fetch_add(delivered);
-      if (delivered < reports.size()) {
-        write_failures_.fetch_add(reports.size() - delivered);
-      }
-      served += jobs.size();
-      spans.clear();  // emits the JSONL trace lines
-      if (!peer_writable) break;
-    }
-    if (drained) break;
-  }
-  // A parse error ends the connection with one final error frame so the
-  // client learns why its later requests were never answered.
-  std::string parse_error;
-  {
-    const LockGuard lock(connection.queue_mutex);
-    parse_error = connection.parse_error;
-  }
-  if (!parse_error.empty() && peer_writable && !connection.cancel.load()) {
-    DecodeReport failure;
-    failure.index = served;
-    failure.error = "protocol error: " + parse_error;
-    jobs_failed_.fetch_add(1);
-    try {
-      const LockGuard lock(connection.write_mutex);
-      save_report(out, failure);
-      out.flush();
-      POOLED_REQUIRE(static_cast<bool>(out), "error frame write failed");
-    } catch (const std::exception&) {
-      // The peer is gone too; jobs_failed_ above still records the job,
-      // and the lost frame shows up as a write failure.
-      write_failures_.fetch_add(1);
-    }
-  }
-  bool drain_owed = false;
-  {
-    const LockGuard lock(connection.queue_mutex);
-    drain_owed = connection.drain_owed;
-  }
-  bool summary_sent = false;
-  if (drain_owed && peer_writable && !connection.cancel.load()) {
-    // The summary promises every in-flight job was answered, so wait
-    // until every live handler is itself a drain owner (its queue is
-    // already flushed by then). Atomics only: taking connections_mutex_
-    // here would deadlock against stop(), which joins handlers while
-    // holding it.
-    drain_owners_active_.fetch_add(1);
-    while (handlers_active_.load() > drain_owners_active_.load() &&
-           !stop_.load() && !connection.cancel.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    drain_owners_active_.fetch_sub(1);
-    DrainSummary summary;
-    summary.jobs_served = jobs_served_.load();
-    if (options_.on_drain) options_.on_drain(summary);
-    summary.write_failures = write_failures_.load();
-    try {
-      const LockGuard lock(connection.write_mutex);
-      save_drain_summary(out, summary);
-      out.flush();
-      POOLED_REQUIRE(static_cast<bool>(out), "drain summary write failed");
-      summary_sent = true;
-    } catch (const std::exception&) {
-      write_failures_.fetch_add(1);
-    }
-  }
-  if (summary_sent) {
-    // Lingering close: a router liveness probe racing the drain frame
-    // can land after our reader stopped, and close() with those bytes
-    // unread makes the kernel RST the connection -- destroying the
-    // summary queued just above. Send our FIN, then discard late bytes
-    // until the peer reads the summary and closes (bounded wait).
-    connection.stream.socket().shutdown_write();
-    reader.join();
-    connection.stream.socket().discard_until_eof(5.0);
-  } else {
-    connection.stream.socket().shutdown_both();  // unblocks a waiting reader
-    reader.join();
-  }
-  {
-    // Jobs still queued at teardown (cancel path) never decode; settle
-    // the depth gauge and emit their spans as-is.
-    const LockGuard lock(connection.queue_mutex);
-    queue_gauge_->add(-static_cast<std::int64_t>(connection.queue.size()));
-    connection.queue.clear();
-    connection.spans.clear();
-  }
-  active_gauge_->add(-1);
-  handlers_active_.fetch_sub(1);
-  connection.done.store(true);
 }
 
 }  // namespace pooled

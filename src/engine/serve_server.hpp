@@ -1,113 +1,40 @@
 // Concurrent socket serving of the decode protocol.
 //
-// `pooled_cli serve --listen <addr>` runs one of these around the same
-// BatchEngine the stdin serve loop uses. Each accepted connection gets a
-// request pipeline of its own:
-//
-//   reader thread --- load_job() ---> bounded job queue
-//   handler thread <-- pops windows -- engine.run() --> result frames
-//
-// so frame parsing overlaps with decoding: while one window decodes on
-// the shared ThreadPool, the reader is already parsing the next requests
-// (up to two windows deep). Result frames are rebased by the
-// connection-global job index, exactly as serve_stream does per window,
-// and v1/v2 frames mix freely on one connection because protocol version
-// negotiation is per frame.
-//
-// Connection lifecycle:
-//   - A client half-close (shutdown of its write side) means "no more
-//     requests": queued jobs finish, their results flush, the server
-//     half-closes its own write side, and the connection winds down.
-//   - A *dropped* connection is detected by the reaper thread, which
-//     probes every live connection with an out-of-band blank line (frame
-//     readers skip blank lines) every probe period. A probe that fails
-//     with a dead-peer error sets the connection's cancel token -- the
-//     same std::atomic that every in-flight DecodeContext::cancel points
-//     at -- so round-based decodes stop at the next round boundary and
-//     the workers go back to serving live connections instead of
-//     decoding for a ghost. Per-job deadlines (`deadline-ms`) ride the
-//     normal DecodeContext::deadline_seconds path and stop with
-//     `stop deadline`.
-//   - A malformed frame loses framing for good, so the reader stops,
-//     in-flight jobs drain, and the connection ends with a final
-//     `status error` frame naming the parse failure.
-//   - A `pooled-drain` frame (or begin_drain(), the SIGTERM path) flips
-//     the server into draining: new connections are refused, every live
-//     connection's read side is shut down so its queued jobs finish and
-//     flush, and once the fleet of handlers has quiesced the draining
-//     connection receives one `pooled-drain-result` summary. The caller
-//     (pooled_cli serve) watches draining() + active connections and
-//     exits; nothing in-flight is cancelled.
+// `pooled_cli serve --listen <addr>` runs one of these around the engine
+// the stdin serve uses. Each accepted connection runs one ServeSession
+// (engine/serve_session.hpp: pipeline, windows, stats answers, spans,
+// drain summary); the server keeps what a fleet of connections needs:
+//   - Accept, joining finished sessions on every accept wakeup.
+//   - Liveness: every probe period the reaper sends each live connection
+//     an out-of-band blank line (frame readers skip blank lines). A dead
+//     peer cancels its session, so the workers stop decoding for a ghost.
+//   - Drain: a `pooled-drain` frame or begin_drain() (the SIGTERM path)
+//     refuses new connections and shuts the read side of live ones, so
+//     their queues finish and flush. The draining session writes its
+//     summary once every live session is a drain owner (the barrier),
+//     then closes lingering. Nothing in flight is cancelled; pooled_cli
+//     watches draining() and serve.connections_active, then stops.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <thread>
 
-#include "engine/protocol.hpp"
+#include "engine/serve_session.hpp"
 #include "engine/socket_transport.hpp"
-#include "obs/metrics.hpp"
 #include "support/thread_annotations.hpp"
 
 namespace pooled {
 
-class TraceRecorder;
-
-struct ServeServerOptions {
-  /// Jobs per scheduling window (0 = the engine's window). The parsed-
-  /// job queue holds at most two windows, bounding per-connection
-  /// buffering the same way serve_stream's chunking does.
-  std::size_t chunk = 0;
+/// Session wiring (progress, trace, on_drain) shared by every
+/// connection, plus the reaper's cadence.
+struct ServeServerOptions : ServeSessionOptions {
   /// Reaper probe period. A dropped connection is detected within about
   /// two periods (the first probe after the drop may still buffer).
   double probe_seconds = 0.05;
-  /// Per-send cap on result writes (SO_SNDTIMEO; 0 = unbounded). A
-  /// connected client that stops reading stalls its writer at most this
-  /// long before the connection errors out and its jobs cancel.
-  double write_timeout_seconds = 30.0;
-  /// Per-round progress lines tagged with connection-global job indices
-  /// (`serve --progress`); may be null. Must outlive the server.
-  ProgressStream* progress = nullptr;
-  /// Optional metrics registry. When set, the server's queue-depth and
-  /// connection gauges and the per-job latency histogram live there (and
-  /// so appear on any exporter sharing the registry); the `stats` frame
-  /// works either way. Must outlive the server.
-  MetricsRegistry* metrics = nullptr;
-  /// Optional per-job trace recorder (`serve --trace`); one JSONL span
-  /// per job, tagged with the connection serial. Must outlive the
-  /// server's stop().
-  TraceRecorder* trace = nullptr;
-  /// Periodic cache-snapshot cadence in seconds (0 = off). When set
-  /// together with on_snapshot, the reaper thread invokes the callback
-  /// about every snapshot_seconds; the callback must not throw.
-  double snapshot_seconds = 0.0;
-  /// Invoked from the reaper thread on the snapshot cadence
-  /// (`serve --cache-file` wires it to ResultCache::spill). Must not
-  /// throw; must outlive the server's stop().
-  std::function<void()> on_snapshot;
-  /// Invoked exactly once per answered drain frame, after the fleet of
-  /// handlers has quiesced and before the summary is written: fills the
-  /// cache_entries / snapshot_written fields (jobs_served and
-  /// write_failures are the server's own counters). Must not throw;
-  /// must outlive the server's stop().
-  std::function<void(DrainSummary&)> on_drain;
-};
-
-/// Counter snapshot (monotonic except active_connections).
-struct ServeServerStats {
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_reaped = 0;   ///< dropped by the liveness probe
-  std::uint64_t connections_errored = 0;  ///< lost to a transport error (not
-                                          ///< a clean half-close)
-  std::uint64_t active_connections = 0;
-  std::uint64_t jobs_served = 0;     ///< result frames delivered to the peer
-  std::uint64_t jobs_cancelled = 0;  ///< served jobs that stopped on cancel
-  std::uint64_t jobs_failed = 0;     ///< `status error` frames, parse errors included
-  std::uint64_t write_failures = 0;  ///< frames lost to a dead/stalled peer
 };
 
 class ServeServer {
@@ -132,7 +59,7 @@ class ServeServer {
   /// connections get their read side shut down (queued jobs still finish
   /// and flush), nothing in-flight is cancelled. The `pooled-drain`
   /// frame takes this path too. Idempotent; callable from any thread.
-  /// Callers watch draining() + stats().active_connections reaching 0,
+  /// Callers watch draining() + serve.connections_active reaching 0,
   /// then call stop().
   void begin_drain();
 
@@ -140,42 +67,39 @@ class ServeServer {
   [[nodiscard]] bool draining() const { return draining_.load(); }
 
   /// The resolved listen address (real port when bound with port 0).
-  [[nodiscard]] const SocketAddress& address() const;
+  [[nodiscard]] const SocketAddress& address() const {
+    return listener_.local_address();
+  }
 
-  [[nodiscard]] ServeServerStats stats() const;
-
-  /// The machine-readable snapshot behind the `stats` protocol frame and
-  /// the `--metrics` endpoint: server counters first (authoritative),
-  /// then cache / arena / kernel-tier / registry metrics via
-  /// append_stats_snapshot. Callable from any thread.
-  [[nodiscard]] MetricsSnapshot build_snapshot() const;
+  /// The snapshot behind the `stats` protocol frame and the `--metrics`
+  /// endpoint (serve_snapshot of the engine). Callable from any thread.
+  [[nodiscard]] MetricsSnapshot build_snapshot() const {
+    return serve_snapshot(engine_);
+  }
 
  private:
   struct Connection;
 
   void accept_loop();
   void reaper_loop();
-  void handle_connection(Connection& connection);
-  void read_requests(Connection& connection);
 
   ListenSocket listener_;
   const BatchEngine& engine_;
   ServeServerOptions options_;
+  ServeMetrics metrics_;
 
   std::atomic<bool> stop_{false};
-  std::atomic<bool> draining_{false};
-  /// Set with draining_; the accept loop consumes it and shuts down the
-  /// read side of every live connection (readers must never touch
+  /// While set, the accept loop refuses connections and shuts down the
+  /// read side of every live one (readers must never touch
   /// connections_mutex_, so the sweep cannot run on the reader thread
   /// that parsed the drain frame).
-  std::atomic<bool> drain_sweep_pending_{false};
-  std::atomic<std::uint64_t> drains_requested_{0};
+  std::atomic<bool> draining_{false};
   /// Admission-ordered handler census for the drain barrier: bumped by
   /// the accept loop when a connection is admitted, dropped when its
-  /// handler finishes. A drain-owning handler waits until every live
-  /// handler is a drain owner before writing its summary -- via these
-  /// two atomics only, because stop() joins handlers while holding
-  /// connections_mutex_ (a handler touching that mutex would deadlock).
+  /// session finishes. A drain-owning session waits until every live
+  /// session is a drain owner before writing its summary -- via these
+  /// two atomics only, because stop() joins sessions while holding
+  /// connections_mutex_ (a session touching that mutex would deadlock).
   std::atomic<std::uint64_t> handlers_active_{0};
   std::atomic<std::uint64_t> drain_owners_active_{0};
   std::thread accept_thread_;
@@ -185,27 +109,9 @@ class ServeServer {
   AnnotatedMutex reaper_mutex_;
   std::condition_variable_any reaper_cv_;
 
-  mutable AnnotatedMutex connections_mutex_;
+  AnnotatedMutex connections_mutex_;
   std::list<std::unique_ptr<Connection>> connections_
       POOLED_GUARDED_BY(connections_mutex_);
-
-  std::atomic<std::uint64_t> connections_accepted_{0};
-  std::atomic<std::uint64_t> connections_reaped_{0};
-  std::atomic<std::uint64_t> connections_errored_{0};
-  std::atomic<std::uint64_t> jobs_served_{0};
-  std::atomic<std::uint64_t> jobs_cancelled_{0};
-  std::atomic<std::uint64_t> jobs_failed_{0};
-  std::atomic<std::uint64_t> write_failures_{0};
-
-  // Saturation metrics: held here when no registry is wired, resolved
-  // into ServeServerOptions::metrics otherwise (so one registry serves
-  // every exporter). The pointers are set once in the constructor.
-  Gauge own_active_;
-  Gauge own_queue_;
-  LatencyHistogram own_job_seconds_;
-  Gauge* active_gauge_ = &own_active_;
-  Gauge* queue_gauge_ = &own_queue_;
-  LatencyHistogram* job_seconds_ = &own_job_seconds_;
 };
 
 }  // namespace pooled

@@ -67,20 +67,19 @@ ShardRouter::ShardRouter(std::vector<SocketAddress> shards,
     shards_.push_back(std::make_unique<Shard>(std::move(shards[i]), i));
   }
   states_.resize(shards_.size());
-  MetricsRegistry& registry =
-      options_.metrics != nullptr ? *options_.metrics : own_registry_;
-  jobs_submitted_ = &registry.counter("route.jobs_submitted");
-  jobs_retried_ = &registry.counter("route.jobs_retried");
-  jobs_failed_ = &registry.counter("route.jobs_failed");
-  results_merged_ = &registry.counter("route.results_merged");
-  duplicates_dropped_ = &registry.counter("route.duplicates_dropped");
-  shards_lost_ = &registry.counter("route.shards_lost");
-  shards_readmitted_ = &registry.counter("route.shards_readmitted");
-  shards_drained_ = &registry.counter("route.shards_drained");
-  shards_alive_ = &registry.gauge("route.shards_alive");
-  shards_parked_ = &registry.gauge("route.shards_parked");
-  jobs_inflight_ = &registry.gauge("route.jobs_inflight");
-  job_seconds_ = &registry.histogram("route.job_seconds");
+  // Registration order is the order a fleet snapshot lists them in.
+  jobs_submitted_ = &registry_.counter("route.jobs_submitted");
+  results_merged_ = &registry_.counter("route.results_merged");
+  jobs_retried_ = &registry_.counter("route.jobs_retried");
+  jobs_failed_ = &registry_.counter("route.jobs_failed");
+  duplicates_dropped_ = &registry_.counter("route.duplicates_dropped");
+  shards_lost_ = &registry_.counter("route.shards_lost");
+  shards_readmitted_ = &registry_.counter("route.shards_readmitted");
+  shards_drained_ = &registry_.counter("route.shards_drained");
+  shards_alive_ = &registry_.gauge("route.shards_alive");
+  shards_parked_ = &registry_.gauge("route.shards_parked");
+  jobs_inflight_ = &registry_.gauge("route.jobs_inflight");
+  job_seconds_ = &registry_.histogram("route.job_seconds");
 }
 
 ShardRouter::~ShardRouter() { stop(); }
@@ -421,7 +420,7 @@ bool ShardRouter::try_admit(Shard& shard) {
   std::optional<Socket> socket =
       Socket::try_dial(shard.address, options_.dial_timeout_seconds);
   if (!socket) return false;
-  socket->set_send_timeout(options_.write_timeout_seconds);
+  socket->set_send_timeout(kSendTimeoutSeconds);
   {
     const LockGuard write_lock(shard.write_mutex);
     shard.stream = std::make_unique<SocketStream>(std::move(*socket));
@@ -687,33 +686,8 @@ MetricsSnapshot ShardRouter::build_snapshot() {
     }
   }
 
-  MetricsSnapshot snapshot;
+  MetricsSnapshot snapshot = registry_.snapshot();
   auto& values = snapshot.values;
-  values.push_back(
-      MetricValue::of_counter("route.jobs_submitted", jobs_submitted_->value()));
-  values.push_back(
-      MetricValue::of_counter("route.results_merged", results_merged_->value()));
-  values.push_back(
-      MetricValue::of_counter("route.jobs_retried", jobs_retried_->value()));
-  values.push_back(
-      MetricValue::of_counter("route.jobs_failed", jobs_failed_->value()));
-  values.push_back(MetricValue::of_counter("route.duplicates_dropped",
-                                           duplicates_dropped_->value()));
-  values.push_back(
-      MetricValue::of_counter("route.shards_lost", shards_lost_->value()));
-  values.push_back(MetricValue::of_counter("route.shards_readmitted",
-                                           shards_readmitted_->value()));
-  values.push_back(MetricValue::of_counter("route.shards_drained",
-                                           shards_drained_->value()));
-  values.push_back(MetricValue::of_gauge(
-      "route.shards_alive", shards_alive_->value(), shards_alive_->peak()));
-  values.push_back(MetricValue::of_gauge("route.shards_parked",
-                                         shards_parked_->value(),
-                                         shards_parked_->peak()));
-  values.push_back(MetricValue::of_gauge(
-      "route.jobs_inflight", jobs_inflight_->value(), jobs_inflight_->peak()));
-  values.push_back(
-      MetricValue::of_histogram("route.job_seconds", job_seconds_->snapshot()));
 
   const LockGuard lock(mutex_);
   for (const auto& shard : shards_) {

@@ -39,8 +39,8 @@
 //     rejoins warm without operator action -- the rolling-restart
 //     primitive.
 //
-// Observability: per-shard route.* counters and the submit-to-merge
-// latency histogram live in the (optional) MetricsRegistry; a
+// Observability: the route.* counters and the submit-to-merge latency
+// histogram live in the router's own MetricsRegistry; a
 // `pooled-stats` frame on the routed stream is answered with a fleet
 // snapshot -- the router's own route.* metrics plus every live shard's
 // snapshot, name-prefixed `shard<i>.`.
@@ -73,8 +73,6 @@ struct ShardRouterOptions {
   /// Per-attempt cap on (re)connects (Socket::try_dial); a blackholed
   /// shard costs at most this per probe tick.
   double dial_timeout_seconds = 1.0;
-  /// Per-send cap on request writes (SO_SNDTIMEO; 0 = unbounded).
-  double write_timeout_seconds = 30.0;
   /// Pending jobs fail with `status error` once the whole fleet has been
   /// dead for this long continuously (0 = park forever).
   double all_dead_fail_seconds = 30.0;
@@ -83,9 +81,6 @@ struct ShardRouterOptions {
   double stats_timeout_seconds = 2.0;
   /// Digest-affinity routing (see file comment); false = round-robin.
   bool affinity = true;
-  /// Optional metrics registry for the route.* counters/gauges/latency
-  /// histogram. Must outlive the router.
-  MetricsRegistry* metrics = nullptr;
 };
 
 /// Point-in-time view of one shard (see ShardRouter::shard_statuses).
@@ -147,9 +142,10 @@ class ShardRouter {
   std::optional<DrainSummary> drain_shard(std::size_t index,
                                           double timeout_seconds = 30.0);
 
-  /// Fleet snapshot: route.* metrics, per-shard route.shard<i>.*
-  /// counters, and every live shard's own snapshot (fetched over the
-  /// wire via a `pooled-stats` frame) with names prefixed `shard<i>.`.
+  /// Fleet snapshot: the router's registry (route.* metrics), per-shard
+  /// route.shard<i>.* counters, and every live shard's own snapshot
+  /// (fetched over the wire via a `pooled-stats` frame) with names
+  /// prefixed `shard<i>.`.
   [[nodiscard]] MetricsSnapshot build_snapshot();
 
  private:
@@ -226,9 +222,8 @@ class ShardRouter {
   std::uint64_t round_robin_ POOLED_GUARDED_BY(mutex_) = 0;
   std::vector<ShardState> states_ POOLED_GUARDED_BY(mutex_);
 
-  // Metrics: resolved into options_.metrics when set, else into
-  // own_registry_ (same pattern as ServeServer's own_* fallbacks).
-  MetricsRegistry own_registry_;
+  MetricsRegistry registry_;
+  // Handles into registry_, resolved once at construction.
   Counter* jobs_submitted_ = nullptr;
   Counter* jobs_retried_ = nullptr;
   Counter* jobs_failed_ = nullptr;

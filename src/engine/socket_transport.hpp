@@ -43,6 +43,11 @@ struct SocketAddress {
   [[nodiscard]] std::string to_string() const;
 };
 
+/// Per-send cap (Socket::set_send_timeout) on every serve result write
+/// and routed request write: a connected peer that stops reading stalls
+/// its writer at most this long before the connection errors out.
+inline constexpr double kSendTimeoutSeconds = 30.0;
+
 /// RAII wrapper of a connected (or accepted) socket fd.
 class Socket {
  public:

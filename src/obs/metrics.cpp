@@ -1,5 +1,6 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <ostream>
@@ -279,10 +280,15 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
         snap.values.push_back(
             MetricValue::of_counter(slot.name, slot.counter->value()));
         break;
-      case MetricKind::Gauge:
+      case MetricKind::Gauge: {
+        // Gauge::add raises the peak just after the value, so a racing
+        // read can see the new value with the old peak; the high-water
+        // mark is at least the level it reports alongside.
+        const std::int64_t value = slot.gauge->value();
         snap.values.push_back(MetricValue::of_gauge(
-            slot.name, slot.gauge->value(), slot.gauge->peak()));
+            slot.name, value, std::max(value, slot.gauge->peak())));
         break;
+      }
       case MetricKind::Label:
         snap.values.push_back(MetricValue::of_label(slot.name, slot.label));
         break;

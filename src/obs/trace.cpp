@@ -13,7 +13,9 @@ const char* trace_stage_name(TraceStage stage) {
     case TraceStage::CacheLookup: return "cache-lookup";
     case TraceStage::Build: return "build";
     case TraceStage::Decode: return "decode";
+    case TraceStage::Consistency: return "consistency";
     case TraceStage::Serialize: return "serialize";
+    case TraceStage::Write: return "write";
   }
   return "?";
 }

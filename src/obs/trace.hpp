@@ -3,12 +3,15 @@
 // A TraceSpan follows one DecodeJob through the serve pipeline and
 // timestamps the stages the architecture already separates:
 //
-//   parse -> queue -> cache-lookup -> build -> decode -> serialize
+//   parse -> queue -> cache-lookup -> build -> decode -> consistency
+//         -> serialize -> write
 //
 // The reader thread creates the span when it parses the request frame,
 // the handler attaches it to the job (DecodeJob::trace) so
-// engine::execute can time the cache/build/decode stages, and the writer
-// finishes it after the result frame goes out. A span doubles as a
+// engine::execute can time the cache/build/decode/consistency stages,
+// and the writer finishes it after the result frame goes out. `write`
+// is the flush of the window holding the job onto the peer, not the
+// formatting into a buffer (that is `serialize`). A span doubles as a
 // DecodeStatsSink: it captures the inner decoder's round/query
 // trajectory without stealing the slot from an existing sink (the
 // progress stream chains behind it).
@@ -18,7 +21,8 @@
 //   {"ts_us":1234,"conn":1,"job":0,"decoder":"mn","ok":true,
 //    "stop":"converged","rounds":3,"queries":48,"cache_hit":false,
 //    "stages_us":{"parse":12,"queue":3,"cache-lookup":1,"build":95,
-//                 "decode":5210,"serialize":44}}
+//                 "decode":5210,"consistency":1730,"serialize":44,
+//                 "write":21}}
 //
 // `ts_us` is microseconds since the recorder was opened (one steady
 // clock for the whole file, so spans sort and diff cleanly). Stages a
@@ -44,9 +48,11 @@ enum class TraceStage : std::uint8_t {
   CacheLookup,
   Build,
   Decode,
+  Consistency,
   Serialize,
+  Write,
 };
-inline constexpr unsigned kTraceStages = 6;
+inline constexpr unsigned kTraceStages = 8;
 
 /// Stable JSONL key for a stage ("parse", "queue", "cache-lookup", ...).
 [[nodiscard]] const char* trace_stage_name(TraceStage stage);

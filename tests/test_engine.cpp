@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <sstream>
+#include <utility>
 
 #include "binarygt/binary_instance.hpp"
 #include "core/metrics.hpp"
@@ -11,6 +12,8 @@
 #include "engine/protocol.hpp"
 #include "engine/registry.hpp"
 #include "engine/result_cache.hpp"
+#include "engine/serve_session.hpp"
+#include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/assert.hpp"
 #include "thresholdgt/threshold_instance.hpp"
@@ -33,6 +36,21 @@ DecodeJob sample_job(std::uint64_t seed, std::vector<std::uint32_t>* truth_out,
   job.k = k;
   if (truth_out) truth_out->assign(truth.support().begin(), truth.support().end());
   return job;
+}
+
+/// Serves `requests` through one stdin-style session; returns the
+/// engine's serve.jobs_served count.
+std::uint64_t serve(std::istream& requests, std::ostream& responses,
+                    const BatchEngine& engine, ServeSessionOptions options = {}) {
+  EXPECT_TRUE(ServeSession(requests, responses, engine, std::move(options)).run());
+  return serve_snapshot(engine).counter_value("serve.jobs_served");
+}
+
+/// An engine whose serve window is `window` jobs.
+EngineOptions windowed(std::size_t window) {
+  EngineOptions options;
+  options.max_in_flight = window;
+  return options;
 }
 
 TEST(Registry, CreatesEveryBuiltinSpec) {
@@ -562,7 +580,7 @@ TEST(Registry, GtAdaptersRejectChannelMismatches) {
   EXPECT_NE(report.error.find("gt:threshold"), std::string::npos);
 }
 
-TEST(ServeStream, GtDecodersServeEndToEnd) {
+TEST(ServeSession, GtDecodersServeEndToEnd) {
   // The acceptance path: gt:binary and gt:threshold:<T> requests flow
   // through the same serve loop as everything else and recover the truth
   // on their native channels.
@@ -582,9 +600,7 @@ TEST(ServeStream, GtDecodersServeEndToEnd) {
   EngineOptions options;
   options.cache = &cache;
   std::stringstream responses;
-  const std::size_t served =
-      serve_stream(requests, responses, BatchEngine(pool, options));
-  EXPECT_EQ(served, 2u);
+  EXPECT_EQ(serve(requests, responses, BatchEngine(pool, options)), 2u);
 
   const auto first = load_report(responses);
   ASSERT_TRUE(first.has_value());
@@ -602,7 +618,7 @@ TEST(ServeStream, GtDecodersServeEndToEnd) {
   EXPECT_EQ(second->support, threshold_truth);
 }
 
-TEST(ServeStream, CachedRepeatServesIdenticalFrames) {
+TEST(ServeSession, CachedRepeatServesIdenticalFrames) {
   std::vector<std::uint32_t> truth;
   DecodeJob job = sample_job(77, &truth);
   job.truth_support = truth;
@@ -617,7 +633,7 @@ TEST(ServeStream, CachedRepeatServesIdenticalFrames) {
     std::stringstream requests;
     save_job(requests, job);
     std::stringstream responses;
-    serve_stream(requests, responses, engine);
+    (void)serve(requests, responses, engine);
     return responses.str();
   };
   const std::string cold = serve_once();
@@ -637,7 +653,7 @@ TEST(ServeStream, CachedRepeatServesIdenticalFrames) {
   EXPECT_FALSE(static_cast<bool>(std::getline(warm_lines, warm_line)));
 }
 
-TEST(ServeStream, EndToEndRoundTrip) {
+TEST(ServeSession, EndToEndRoundTrip) {
   // The full serve path: requests in, engine, responses out -- exactly
   // what `pooled_cli serve` runs.
   std::vector<std::uint32_t> truth;
@@ -652,9 +668,7 @@ TEST(ServeStream, EndToEndRoundTrip) {
 
   ThreadPool pool(2);
   std::stringstream responses;
-  const std::size_t served = serve_stream(requests, responses, BatchEngine(pool),
-                                          /*chunk=*/2);
-  EXPECT_EQ(served, 3u);
+  EXPECT_EQ(serve(requests, responses, BatchEngine(pool, windowed(2))), 3u);
 
   std::vector<DecodeReport> reports;
   while (auto report = load_report(responses)) reports.push_back(std::move(*report));
@@ -671,7 +685,7 @@ TEST(ServeStream, EndToEndRoundTrip) {
   std::stringstream requests_again;
   save_job(requests_again, scored);
   std::stringstream responses_again;
-  serve_stream(requests_again, responses_again, BatchEngine(pool1));
+  (void)serve(requests_again, responses_again, BatchEngine(pool1));
   const auto again = load_report(responses_again);
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(again->support, reports[0].support);
@@ -1002,7 +1016,7 @@ TEST(DecodeV2, CancelledDecodesAreNeverCached) {
   EXPECT_EQ(cache.stats().insertions, 1u);
 }
 
-TEST(ServeStream, ProgressStreamTagsRoundsWithGlobalIndices) {
+TEST(ServeSession, ProgressStreamTagsRoundsWithGlobalIndices) {
   // serve --progress: one line per adaptive round, tagged with the same
   // stream-global job index the result frame carries.
   std::stringstream requests;
@@ -1013,9 +1027,10 @@ TEST(ServeStream, ProgressStreamTagsRoundsWithGlobalIndices) {
   std::ostringstream progress_lines;
   ProgressStream progress(progress_lines);
   std::stringstream responses;
-  const std::size_t served = serve_stream(requests, responses, BatchEngine(pool),
-                                          /*chunk=*/1, &progress);
-  EXPECT_EQ(served, 2u);
+  ServeSessionOptions options;
+  options.progress = &progress;
+  EXPECT_EQ(serve(requests, responses, BatchEngine(pool, windowed(1)), options),
+            2u);
   const std::string text = progress_lines.str();
   EXPECT_NE(text.find("progress job=0 round=1 queries=16"), std::string::npos)
       << text;
@@ -1023,7 +1038,7 @@ TEST(ServeStream, ProgressStreamTagsRoundsWithGlobalIndices) {
       << text;
 }
 
-TEST(ServeStream, AdaptiveServesWithRoundsAndQueriesInTheFrame) {
+TEST(ServeSession, AdaptiveServesWithRoundsAndQueriesInTheFrame) {
   // The acceptance path: adaptive:mn:L=16 resolves from the registry,
   // decodes through the serve loop, and its result frame reports
   // rounds/queries.
@@ -1036,8 +1051,7 @@ TEST(ServeStream, AdaptiveServesWithRoundsAndQueriesInTheFrame) {
 
   ThreadPool pool(2);
   std::stringstream responses;
-  const std::size_t served = serve_stream(requests, responses, BatchEngine(pool));
-  EXPECT_EQ(served, 1u);
+  EXPECT_EQ(serve(requests, responses, BatchEngine(pool)), 1u);
   const std::string text = responses.str();
   EXPECT_NE(text.find("rounds "), std::string::npos);
   EXPECT_NE(text.find("queries "), std::string::npos);
@@ -1052,6 +1066,42 @@ TEST(ServeStream, AdaptiveServesWithRoundsAndQueriesInTheFrame) {
   EXPECT_GT(report->queries, 0u);
   EXPECT_LT(report->queries, 280u);  // early stopping saved queries
   EXPECT_TRUE(report->exact);
+}
+
+TEST(ServeSession, TraceSpansCoverConsistencyAndWrite) {
+  // The post-decode consistency pass and the flush of the result window
+  // are stages of their own, so a span accounts for the whole job.
+  std::stringstream requests;
+  save_job(requests, sample_job(91, nullptr));
+  ThreadPool pool(2);
+  const BatchEngine engine(pool);
+  std::ostringstream log;
+  TraceRecorder recorder(log);
+  ServeSessionOptions options;
+  options.trace = &recorder;
+  std::stringstream responses;
+  EXPECT_EQ(serve(requests, responses, engine, options), 1u);
+  const std::string served_span = log.str();
+  for (const char* stage :
+       {"\"parse\":", "\"queue\":", "\"build\":", "\"decode\":",
+        "\"consistency\":", "\"serialize\":", "\"write\":"}) {
+    EXPECT_NE(served_span.find(stage), std::string::npos)
+        << stage << " in " << served_span;
+  }
+
+  // A job that skips the check never reaches the stage, so it is omitted.
+  DecodeJob unchecked = sample_job(92, nullptr);
+  unchecked.check_consistency = false;
+  {
+    TraceSpan span(recorder, 0, 1);
+    unchecked.trace = &span;
+    EXPECT_TRUE(engine.run_one(unchecked).ok());
+  }
+  const std::string unchecked_span = log.str().substr(served_span.size());
+  EXPECT_NE(unchecked_span.find("\"decode\":"), std::string::npos)
+      << unchecked_span;
+  EXPECT_EQ(unchecked_span.find("\"consistency\":"), std::string::npos)
+      << unchecked_span;
 }
 
 }  // namespace

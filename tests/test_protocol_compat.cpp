@@ -16,6 +16,7 @@
 
 #include "engine/batch_engine.hpp"
 #include "engine/protocol.hpp"
+#include "engine/serve_session.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/assert.hpp"
 
@@ -44,6 +45,14 @@ std::vector<DecodeReport> load_all_reports(std::istream& is) {
   std::vector<DecodeReport> reports;
   while (auto report = load_report(is)) reports.push_back(std::move(*report));
   return reports;
+}
+
+/// Serves `requests` through one stdin-style session; returns the
+/// engine's serve.jobs_served count.
+std::uint64_t serve(std::istream& requests, std::ostream& responses,
+                    const BatchEngine& engine) {
+  EXPECT_TRUE(ServeSession(requests, responses, engine).run());
+  return serve_snapshot(engine).counter_value("serve.jobs_served");
 }
 
 TEST(ProtocolCompat, GoldenV1RequestsLoadWithV1Semantics) {
@@ -89,8 +98,7 @@ TEST(ProtocolCompat, GoldenV1JobsDecodeByteIdentically) {
   std::istringstream requests(read_fixture("golden_v1_requests.txt"));
   ThreadPool pool(1);
   std::stringstream responses;
-  const std::size_t served = serve_stream(requests, responses, BatchEngine(pool));
-  EXPECT_EQ(served, 3u);
+  EXPECT_EQ(serve(requests, responses, BatchEngine(pool)), 3u);
   const auto now = load_all_reports(responses);
 
   std::istringstream golden_stream(read_fixture("golden_v1_responses.txt"));
@@ -126,8 +134,7 @@ TEST(ProtocolCompat, MixedV1AndV2StreamsServeTogether) {
   std::istringstream requests(mixed);
   ThreadPool pool(2);
   std::stringstream responses;
-  const std::size_t served = serve_stream(requests, responses, BatchEngine(pool));
-  EXPECT_EQ(served, 4u);
+  EXPECT_EQ(serve(requests, responses, BatchEngine(pool)), 4u);
   const auto reports = load_all_reports(responses);
   ASSERT_EQ(reports.size(), 4u);
   for (std::size_t j = 0; j < reports.size(); ++j) {

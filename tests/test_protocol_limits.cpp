@@ -10,9 +10,13 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "core/serialize.hpp"
 #include "engine/protocol.hpp"
+#include "engine/serve_server.hpp"
+#include "engine/serve_session.hpp"
+#include "engine/socket_transport.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/assert.hpp"
 
@@ -120,21 +124,75 @@ TEST(ProtocolLimits, NonFiniteDeadlinesAreRejected) {
   EXPECT_DOUBLE_EQ(*job->deadline_seconds, 1.5);
 }
 
-TEST(ProtocolLimits, ServeStreamClampsTheJobWindow) {
-  // An absurd explicit chunk is clamped to kMaxJobsPerWindow instead of
-  // buffering the whole stream; both frames still get served.
+/// A slow head job (a deadline-capped noisy adaptive decode) and then
+/// more tiny frames than two clamped windows hold: while the head job
+/// decodes, the reader parses ahead until the queue bound stops it.
+std::string clamp_probe_stream(std::size_t tiny_frames) {
   ThreadPool pool(1);
-  const BatchEngine engine(pool);
-  std::istringstream requests(tiny_job_frame() + tiny_job_frame());
-  std::ostringstream responses;
-  const std::size_t served = serve_stream(
-      requests, responses, engine,
-      /*chunk=*/std::numeric_limits<std::size_t>::max());
-  EXPECT_EQ(served, 2u);
-  std::istringstream result_stream(responses.str());
-  EXPECT_TRUE(load_report(result_stream).has_value());
-  EXPECT_TRUE(load_report(result_stream).has_value());
-  EXPECT_FALSE(load_report(result_stream).has_value());
+  DesignParams params;
+  params.n = 600;
+  params.seed = 43;
+  DecodeJob head;
+  head.spec = simulate_spec(DesignKind::RandomRegular, params, 600,
+                            Signal::random(600, 6, 43), pool);
+  head.decoder = "adaptive:mn:L=1";
+  head.k = 6;
+  head.noise = NoiseModel::symmetric(0.3, 11);
+  head.deadline_seconds = 0.3;
+  std::ostringstream stream;
+  save_job(stream, head);
+  for (std::size_t i = 0; i < tiny_frames; ++i) stream << tiny_job_frame();
+  return stream.str();
+}
+
+TEST(ProtocolLimits, ServeStreamClampsTheJobWindow) {
+  // An absurd engine window is clamped to kMaxJobsPerWindow on both
+  // transports instead of letting one stream park every parsed frame:
+  // the parsed-job queue never holds more than two clamped windows, and
+  // every frame is still served.
+  const std::size_t jobs = 2 * limits::kMaxJobsPerWindow + 64;
+  const std::string requests = clamp_probe_stream(jobs - 1);
+  EngineOptions unbounded;
+  unbounded.max_in_flight = std::numeric_limits<std::size_t>::max();
+  const auto check = [&](const BatchEngine& engine, std::istream& responses) {
+    std::size_t reports = 0;
+    while (const auto report = load_report(responses)) {
+      EXPECT_EQ(report->index, reports);
+      ++reports;
+    }
+    EXPECT_EQ(reports, jobs);
+    const MetricsSnapshot snapshot = serve_snapshot(engine);
+    EXPECT_EQ(snapshot.counter_value("serve.jobs_served"), jobs);
+    const MetricValue* depth = snapshot.find("serve.queue_depth");
+    ASSERT_NE(depth, nullptr);
+    EXPECT_LE(depth->peak,
+              static_cast<std::int64_t>(2 * limits::kMaxJobsPerWindow));
+  };
+  {
+    ThreadPool pool(2);
+    const BatchEngine engine(pool, unbounded);
+    std::istringstream in(requests);
+    std::stringstream out;
+    EXPECT_TRUE(ServeSession(in, out, engine).run());
+    check(engine, out);
+  }
+  {
+    ThreadPool pool(2);
+    const BatchEngine engine(pool, unbounded);
+    ServeServer server(
+        ListenSocket::bind_and_listen(SocketAddress::parse("127.0.0.1:0")),
+        engine);
+    server.start();
+    SocketStream client(Socket::dial(server.address()));
+    std::thread writer([&] {
+      client.out() << requests;
+      client.out().flush();
+      client.socket().shutdown_write();
+    });
+    check(engine, client.in());
+    writer.join();
+    server.stop();
+  }
 }
 
 TEST(ProtocolLimits, RealisticFramesAreNowhereNearTheLimits) {

@@ -20,6 +20,7 @@
 #include "core/serialize.hpp"
 #include "engine/protocol.hpp"
 #include "engine/registry.hpp"
+#include "engine/serve_session.hpp"
 #include "harnesses.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/assert.hpp"
@@ -199,23 +200,34 @@ TEST(ProtocolRobustness, ServeStreamRejectsGarbageWithoutServingJunk) {
   ThreadPool pool(1);
   const BatchEngine engine(pool);
   std::istringstream requests("total nonsense\nnot a frame\n");
-  std::ostringstream responses;
-  EXPECT_THROW((void)serve_stream(requests, responses, engine), ContractError);
+  std::stringstream responses;
+  EXPECT_FALSE(ServeSession(requests, responses, engine).run());
+  // The only frame is the stream's final protocol error.
+  const auto report = load_report(responses);
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->index, 0u);
+  EXPECT_NE(report->error.find("protocol error"), std::string::npos)
+      << report->error;
+  EXPECT_FALSE(load_report(responses).has_value());
 }
 
 TEST(ProtocolRobustness, ServeStreamServesValidPrefixThenRejects) {
   ThreadPool pool(1);
   const BatchEngine engine(pool);
-  // chunk=1 so the valid first frame is decoded and flushed before the
-  // malformed second frame is reached.
   std::istringstream requests(serialized_job() + "pooled-job v1\ngarbage 1\n");
-  std::ostringstream responses;
-  EXPECT_THROW((void)serve_stream(requests, responses, engine, /*chunk=*/1),
-               ContractError);
-  std::istringstream result_stream(responses.str());
-  const auto report = load_report(result_stream);
+  std::stringstream responses;
+  EXPECT_FALSE(ServeSession(requests, responses, engine).run());
+  const auto report = load_report(responses);
   ASSERT_TRUE(report.has_value());
-  EXPECT_TRUE(report->ok());
+  EXPECT_TRUE(report->ok()) << report->error;
+  const auto failure = load_report(responses);
+  ASSERT_TRUE(failure.has_value());
+  EXPECT_EQ(failure->index, 1u);
+  EXPECT_EQ(failure->error.rfind("protocol error: ", 0), 0u) << failure->error;
+  EXPECT_NE(failure->error.find("unknown job field 'garbage'"),
+            std::string::npos)
+      << failure->error;
+  EXPECT_FALSE(load_report(responses).has_value());
 }
 
 TEST(ProtocolRobustness, BlankLinesAndWhitespaceFramingAreTolerated) {

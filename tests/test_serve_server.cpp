@@ -13,9 +13,11 @@
 #include <optional>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "core/serialize.hpp"
@@ -23,6 +25,7 @@
 #include "engine/protocol.hpp"
 #include "engine/result_cache.hpp"
 #include "engine/serve_server.hpp"
+#include "engine/serve_session.hpp"
 #include "engine/socket_transport.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
@@ -69,6 +72,15 @@ std::vector<DecodeReport> drain_reports(std::istream& is) {
   std::vector<DecodeReport> reports;
   while (auto report = load_report(is)) reports.push_back(std::move(*report));
   return reports;
+}
+
+/// One counter of the server's stats snapshot.
+std::uint64_t counter(const ServeServer& server, const char* name) {
+  return server.build_snapshot().counter_value(name);
+}
+
+std::int64_t active_connections(const ServeServer& server) {
+  return server.build_snapshot().gauge_value("serve.connections_active");
 }
 
 /// Polls until `predicate` holds; fails the test on timeout.
@@ -249,7 +261,7 @@ TEST(ServeServer, StartsOnEphemeralPortAndStopsCleanly) {
   server.start();
   server.stop();
   server.stop();  // idempotent
-  EXPECT_EQ(server.stats().connections_accepted, 0u);
+  EXPECT_EQ(counter(server, "serve.connections_accepted"), 0u);
 }
 
 TEST(ServeServer, ServesOneConnectionEndToEnd) {
@@ -284,19 +296,19 @@ TEST(ServeServer, ServesOneConnectionEndToEnd) {
   EXPECT_EQ(reports[1].support, local.support);
 
   server.stop();
-  const ServeServerStats stats = server.stats();
-  EXPECT_EQ(stats.connections_accepted, 1u);
-  EXPECT_EQ(stats.jobs_served, 2u);
-  EXPECT_EQ(stats.jobs_failed, 0u);
-  EXPECT_EQ(stats.connections_reaped, 0u);
+  const MetricsSnapshot stats = server.build_snapshot();
+  EXPECT_EQ(stats.counter_value("serve.connections_accepted"), 1u);
+  EXPECT_EQ(stats.counter_value("serve.jobs_served"), 2u);
+  EXPECT_EQ(stats.counter_value("serve.jobs_failed"), 0u);
+  EXPECT_EQ(stats.counter_value("serve.connections_reaped"), 0u);
 }
 
 TEST(ServeServer, ServesConcurrentClientsWithIndependentIndices) {
   ThreadPool pool(2);
-  const BatchEngine engine(pool);
-  ServeServerOptions options;
-  options.chunk = 2;  // force multiple windows per connection
-  ServeServer server(loopback_listener(), engine, options);
+  EngineOptions engine_options;
+  engine_options.max_in_flight = 2;  // force multiple windows per connection
+  const BatchEngine engine(pool, engine_options);
+  ServeServer server(loopback_listener(), engine);
   server.start();
 
   constexpr int kClients = 4;
@@ -346,10 +358,11 @@ TEST(ServeServer, ServesConcurrentClientsWithIndependentIndices) {
     EXPECT_TRUE(failures[c].empty()) << "client " << c << ": " << failures[c];
   }
   server.stop();
-  const ServeServerStats stats = server.stats();
-  EXPECT_EQ(stats.connections_accepted, kClients);
-  EXPECT_EQ(stats.jobs_served, kClients * kJobsPerClient);
-  EXPECT_EQ(stats.jobs_failed, 0u);
+  const MetricsSnapshot stats = server.build_snapshot();
+  EXPECT_EQ(stats.counter_value("serve.connections_accepted"), kClients);
+  EXPECT_EQ(stats.counter_value("serve.jobs_served"),
+            kClients * kJobsPerClient);
+  EXPECT_EQ(stats.counter_value("serve.jobs_failed"), 0u);
 }
 
 TEST(ServeServer, MixedV1AndV2FramesShareOneConnection) {
@@ -420,7 +433,7 @@ TEST(ServeServer, RejectsV2FieldsInsideV1FramesWithAnErrorFrame) {
   EXPECT_TRUE(reports[0].ok()) << reports[0].error;
 
   server.stop();
-  EXPECT_GE(server.stats().jobs_failed, 1u);
+  EXPECT_GE(counter(server, "serve.jobs_failed"), 1u);
 }
 
 TEST(ServeServer, ClientDisconnectMidDecodeCancelsInFlightJobs) {
@@ -437,6 +450,16 @@ TEST(ServeServer, ClientDisconnectMidDecodeCancelsInFlightJobs) {
     SocketStream client(Socket::dial(server.address()));
     save_job(client.out(), long_running_job(41));
     client.out().flush();
+    // Vanish only once the job left the queue for its window: a cancel
+    // that beats the pop drops the job unscheduled (nothing to count),
+    // which a loaded machine otherwise hits now and then.
+    wait_until(
+        [&] {
+          const MetricsSnapshot snapshot = server.build_snapshot();
+          const MetricValue* depth = snapshot.find("serve.queue_depth");
+          return depth != nullptr && depth->peak >= 1 && depth->value == 0;
+        },
+        "the decode to start");
   }  // full close, no shutdown_write handshake
 
   // The dead peer must be noticed and the connection's cancel token
@@ -446,11 +469,8 @@ TEST(ServeServer, ClientDisconnectMidDecodeCancelsInFlightJobs) {
   // that same probe provokes an RST that fails the reader's recv first
   // (errored). Which one wins is pure scheduling -- under TSan the
   // reader regularly loses its clean EOF to the probe's RST.
-  wait_until([&] { return server.stats().jobs_cancelled >= 1; },
+  wait_until([&] { return counter(server, "serve.jobs_cancelled") >= 1; },
              "the in-flight decode to be cancelled");
-  EXPECT_GE(server.stats().connections_reaped +
-                server.stats().connections_errored,
-            1u);
 
   // The workers are back: a live client is served promptly.
   SocketStream next(Socket::dial(server.address()));
@@ -461,9 +481,9 @@ TEST(ServeServer, ClientDisconnectMidDecodeCancelsInFlightJobs) {
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_TRUE(reports[0].ok()) << reports[0].error;
 
-  // The observability snapshot agrees with the raw counters: the reaped
-  // connection and the cancelled (still-delivered-or-dropped) job are
-  // visible to a stats consumer, and nothing counted as a clean failure.
+  // The reaped connection and the cancelled (still-delivered-or-dropped)
+  // job are visible to a stats consumer, and nothing counted as a clean
+  // failure.
   const MetricsSnapshot snapshot = server.build_snapshot();
   EXPECT_GE(snapshot.counter_value("serve.connections_reaped") +
                 snapshot.counter_value("serve.connections_errored"),
@@ -499,10 +519,8 @@ TEST(ServeServer, ResetPeerCountsAsErroredNotCleanHalfClose) {
                  sizeof(abort_on_close));
   }  // close -> RST
 
-  wait_until([&] { return server.stats().connections_errored >= 1; },
+  wait_until([&] { return counter(server, "serve.connections_errored") >= 1; },
              "errored-connection accounting");
-  EXPECT_GE(server.build_snapshot().counter_value("serve.connections_errored"),
-            1u);
 
   // A clean half-close stays a clean half-close: served, not errored.
   SocketStream next(Socket::dial(server.address()));
@@ -512,22 +530,28 @@ TEST(ServeServer, ResetPeerCountsAsErroredNotCleanHalfClose) {
   const auto reports = drain_reports(next.in());
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_TRUE(reports[0].ok()) << reports[0].error;
-  EXPECT_EQ(server.stats().connections_errored, 1u);
+  EXPECT_EQ(counter(server, "serve.connections_errored"), 1u);
   server.stop();
 }
 
 TEST(ServeServer, StatsFrameAnswersUnderConcurrentLoad) {
   ThreadPool pool(4);
-  MetricsRegistry registry;
   ResultCache cache(64);
   EngineOptions engine_options;
   engine_options.cache = &cache;
-  engine_options.metrics = &registry;
   const BatchEngine engine(pool, engine_options);
-  ServeServerOptions options;
-  options.metrics = &registry;
-  ServeServer server(loopback_listener(), engine, options);
+  ServeServer server(loopback_listener(), engine);
   server.start();
+  // The connection gauge has one source, so no snapshot -- however it
+  // races admissions and teardowns -- reads a level above its peak.
+  const auto expect_sane_gauges = [](const MetricsSnapshot& snapshot) {
+    for (const char* name : {"serve.connections_active", "serve.queue_depth"}) {
+      const MetricValue* gauge = snapshot.find(name);
+      ASSERT_NE(gauge, nullptr) << name;
+      EXPECT_LE(gauge->value, gauge->peak) << name;
+      EXPECT_GE(gauge->value, 0) << name;
+    }
+  };
 
   // Three closed-loop clients, each sending the same spec repeatedly
   // (so the cache engages) while the main thread fires stats frames.
@@ -556,18 +580,29 @@ TEST(ServeServer, StatsFrameAnswersUnderConcurrentLoad) {
   // must parse, reconcile with completed work (monotonic counters can
   // only trail jobs_done, never exceed what clients observed + inflight)
   // and never consume a job index on the probing connection.
-  wait_until([&] { return jobs_done.load() >= kClients; },
-             "the first window of jobs");
+  wait_until(
+      [&] {
+        expect_sane_gauges(server.build_snapshot());
+        return jobs_done.load() >= kClients;
+      },
+      "the first window of jobs");
   SocketStream probe(Socket::dial(server.address()));
   save_stats_request(probe.out());
   probe.out().flush();
   const auto midload = load_stats_snapshot(probe.in());
   ASSERT_TRUE(midload.has_value());
+  expect_sane_gauges(*midload);
   EXPECT_GE(midload->counter_value("serve.jobs_served"), 1u);
   EXPECT_GE(midload->gauge_value("serve.connections_active"), 1);
   EXPECT_NE(midload->find("serve.job_seconds"), nullptr);
   EXPECT_NE(midload->find("build.kernels"), nullptr);
 
+  wait_until(
+      [&] {
+        expect_sane_gauges(server.build_snapshot());
+        return jobs_done.load() >= kClients * kJobsPerClient;
+      },
+      "every job");
   for (std::thread& client : clients) client.join();
 
   // A second frame on the same probing connection: the final snapshot
@@ -576,6 +611,7 @@ TEST(ServeServer, StatsFrameAnswersUnderConcurrentLoad) {
   probe.out().flush();
   const auto final_snapshot = load_stats_snapshot(probe.in());
   ASSERT_TRUE(final_snapshot.has_value());
+  expect_sane_gauges(*final_snapshot);
   EXPECT_EQ(final_snapshot->counter_value("serve.jobs_served"),
             static_cast<std::uint64_t>(kClients) * kJobsPerClient);
   EXPECT_EQ(final_snapshot->counter_value("serve.jobs_failed"), 0u);
@@ -587,7 +623,8 @@ TEST(ServeServer, StatsFrameAnswersUnderConcurrentLoad) {
             static_cast<std::uint64_t>(kClients) * kJobsPerClient);
   probe.socket().shutdown_write();
   server.stop();
-  EXPECT_EQ(server.stats().jobs_served,
+  expect_sane_gauges(server.build_snapshot());
+  EXPECT_EQ(counter(server, "serve.jobs_served"),
             static_cast<std::uint64_t>(kClients) * kJobsPerClient);
 }
 
@@ -612,10 +649,9 @@ TEST(ServeServer, LostPeerCountsWriteFailuresNotServedJobs) {
     client.out().flush();
   }  // full close: the result frame has nowhere to go
 
-  wait_until([&] { return server.stats().write_failures >= 1; },
+  wait_until([&] { return counter(server, "serve.write_failures") >= 1; },
              "the result write to fail");
-  const ServeServerStats stats = server.stats();
-  EXPECT_EQ(stats.jobs_served, 0u);  // a dropped frame is not "served"
+  EXPECT_EQ(counter(server, "serve.jobs_served"), 0u);  // dropped, not served
   server.stop();
 }
 
@@ -741,7 +777,7 @@ TEST(ServeServer, DrainAnswersInFlightJobsThenSendsTheSummary) {
   // A draining server refuses new connections: the handshake may still
   // complete (the kernel accepts before the server refuses), but the
   // connection closes without ever serving a job.
-  wait_until([&] { return server.stats().active_connections == 0; },
+  wait_until([&] { return active_connections(server) == 0; },
              "drain to quiesce");
   SocketStream late(Socket::dial(server.address()));
   save_job(late.out(), sample_job(79, nullptr, "random"));
@@ -750,7 +786,107 @@ TEST(ServeServer, DrainAnswersInFlightJobsThenSendsTheSummary) {
   EXPECT_TRUE(drain_reports(late.in()).empty());
 
   server.stop();
-  EXPECT_EQ(server.stats().jobs_served, 2u);
+  EXPECT_EQ(counter(server, "serve.jobs_served"), 2u);
+}
+
+std::string read_fixture(const std::string& name) {
+  std::ifstream is(std::string(POOLED_TEST_DATA_DIR) + "/" + name);
+  EXPECT_TRUE(static_cast<bool>(is)) << "missing fixture " << name;
+  std::ostringstream buffer;
+  buffer << is.rdbuf();
+  return buffer.str();
+}
+
+/// What one request stream got back: result frames (wall time zeroed,
+/// so they compare across runs), stats answers, and the drain summary.
+struct Transcript {
+  std::vector<std::string> results;
+  std::size_t stats_frames = 0;
+  std::optional<DrainSummary> drain;
+};
+
+Transcript transcribe(std::istream& responses) {
+  Transcript transcript;
+  while (std::optional<ServeResponse> response = load_response(responses)) {
+    if (auto* report = std::get_if<DecodeReport>(&*response)) {
+      report->seconds = 0.0;
+      std::ostringstream frame;
+      save_report(frame, *report);
+      transcript.results.push_back(frame.str());
+    } else if (std::holds_alternative<MetricsSnapshot>(*response)) {
+      ++transcript.stats_frames;
+    } else {
+      transcript.drain = std::get<DrainSummary>(*response);
+    }
+  }
+  return transcript;
+}
+
+Transcript serve_over_streams(const std::string& requests) {
+  ThreadPool pool(2);
+  const BatchEngine engine(pool);
+  std::istringstream in(requests);
+  std::stringstream out;
+  (void)ServeSession(in, out, engine).run();
+  return transcribe(out);
+}
+
+Transcript serve_over_socket(const std::string& requests) {
+  ThreadPool pool(2);
+  const BatchEngine engine(pool);
+  ServeServer server(loopback_listener(), engine);
+  server.start();
+  Transcript transcript;
+  {
+    SocketStream client(Socket::dial(server.address()));
+    client.out() << requests;
+    client.out().flush();
+    client.socket().shutdown_write();
+    transcript = transcribe(client.in());
+  }
+  server.stop();
+  return transcript;
+}
+
+TEST(ServeSession, OneStreamAnswersAlikeOverBothTransports) {
+  // The golden v2 jobs with a stats probe between them, ending once in a
+  // malformed frame and once in a drain: the stdin session and a socket
+  // connection run the same session, so they must answer alike.
+  const std::string golden = read_fixture("golden_v2_requests.txt");
+  const std::size_t second_job = golden.find("pooled-job", 1);
+  ASSERT_NE(second_job, std::string::npos);
+  const std::string stream = golden.substr(0, second_job) +
+                             "pooled-stats v2\nend\n" +
+                             golden.substr(second_job);
+
+  const std::string malformed = stream + "pooled-job v2\nbogus-field 1\n";
+  const Transcript local_error = serve_over_streams(malformed);
+  const Transcript socket_error = serve_over_socket(malformed);
+  ASSERT_EQ(local_error.results.size(), 3u);  // two jobs, then the error
+  EXPECT_EQ(socket_error.results, local_error.results);
+  EXPECT_NE(local_error.results.back().find("status error protocol error: "),
+            std::string::npos)
+      << local_error.results.back();
+  EXPECT_NE(local_error.results.back().find("unknown job field 'bogus-field'"),
+            std::string::npos)
+      << local_error.results.back();
+  EXPECT_EQ(local_error.stats_frames, 1u);
+  EXPECT_EQ(socket_error.stats_frames, 1u);
+
+  const std::string drained = stream + "pooled-drain v2\nend\n";
+  const Transcript local_drain = serve_over_streams(drained);
+  const Transcript socket_drain = serve_over_socket(drained);
+  ASSERT_EQ(local_drain.results.size(), 2u);
+  EXPECT_EQ(socket_drain.results, local_drain.results);
+  EXPECT_EQ(std::vector<std::string>(local_error.results.begin(),
+                                     local_error.results.end() - 1),
+            local_drain.results);
+  EXPECT_EQ(local_drain.stats_frames, 1u);
+  EXPECT_EQ(socket_drain.stats_frames, 1u);
+  ASSERT_TRUE(local_drain.drain.has_value());
+  ASSERT_TRUE(socket_drain.drain.has_value());
+  EXPECT_EQ(local_drain.drain->jobs_served, 2u);
+  EXPECT_EQ(socket_drain.drain->jobs_served, local_drain.drain->jobs_served);
 }
 
 TEST(ServeServer, BeginDrainWithoutAConnectionQuiescesTheServer) {
@@ -763,7 +899,7 @@ TEST(ServeServer, BeginDrainWithoutAConnectionQuiescesTheServer) {
   EXPECT_FALSE(server.draining());
   server.begin_drain();
   EXPECT_TRUE(server.draining());
-  wait_until([&] { return server.stats().active_connections == 0; },
+  wait_until([&] { return active_connections(server) == 0; },
              "idle server to quiesce");
   server.stop();
 }

@@ -276,10 +276,7 @@ TEST(ShardRouter, RoundRobinSpreadsWithoutAffinity) {
 
 TEST(ShardRouter, FleetStatsMergeEveryShardSnapshot) {
   LocalFleet fleet(2);
-  MetricsRegistry registry;
-  ShardRouterOptions options;
-  options.metrics = &registry;
-  ShardRouter router(fleet.addresses, options);
+  ShardRouter router(fleet.addresses);
   router.start();
   wait_until([&] { return router.alive_count() == 2; }, "fleet up");
   (void)router.route({sample_job(300), sample_job(301)});
@@ -321,9 +318,11 @@ class FakeShard {
         thread_([this] { serve(); }) {}
 
   ~FakeShard() {
+    // Join before closing: accept() polls the listener and rechecks
+    // stop_, and closing an fd another thread still polls is a race.
     stop_.store(true);
-    listener_.close();
     if (thread_.joinable()) thread_.join();
+    listener_.close();
   }
 
   [[nodiscard]] const SocketAddress& address() const {
@@ -507,10 +506,8 @@ TEST(ShardRouter, SigkilledShardFailsOverWithoutLosingJobs) {
     addresses.push_back(
         SocketAddress::parse("127.0.0.1:" + std::to_string(shard.port)));
   }
-  MetricsRegistry registry;
   ShardRouterOptions options;
   options.affinity = false;  // spread the batch over all three
-  options.metrics = &registry;
   ShardRouter router(addresses, options);
   router.start();
   wait_until([&] { return router.alive_count() == 3; }, "fleet up");
@@ -535,8 +532,9 @@ TEST(ShardRouter, SigkilledShardFailsOverWithoutLosingJobs) {
     EXPECT_TRUE(reports[i].ok()) << reports[i].error;
     EXPECT_EQ(reports[i].index, i);
   }
-  EXPECT_EQ(registry.counter("route.results_merged").value(), kJobs);
-  EXPECT_GE(registry.counter("route.shards_lost").value(), 1u);
+  const MetricsSnapshot fleet = router.build_snapshot();
+  EXPECT_EQ(fleet.counter_value("route.results_merged"), kJobs);
+  EXPECT_GE(fleet.counter_value("route.shards_lost"), 1u);
   const std::vector<ShardStatus> statuses = router.shard_statuses();
   EXPECT_FALSE(statuses[0].alive);
   EXPECT_GE(statuses[0].times_lost, 1u);
@@ -557,10 +555,8 @@ TEST(ShardRouter, RestartedShardIsReadmittedAndServesAgain) {
     addresses.push_back(
         SocketAddress::parse("127.0.0.1:" + std::to_string(shard.port)));
   }
-  MetricsRegistry registry;
   ShardRouterOptions options;
   options.affinity = false;
-  options.metrics = &registry;
   ShardRouter router(addresses, options);
   router.start();
   wait_until([&] { return router.alive_count() == 2; }, "fleet up");
@@ -579,7 +575,8 @@ TEST(ShardRouter, RestartedShardIsReadmittedAndServesAgain) {
   // close one by one, so the prober can briefly win a connection into
   // the dying listener's backlog and lose it to an RST -- the router
   // rides out that flap by design.)
-  EXPECT_GE(registry.counter("route.shards_readmitted").value(), 1u);
+  EXPECT_GE(router.build_snapshot().counter_value("route.shards_readmitted"),
+            1u);
 
   const std::uint64_t sent_before = router.shard_statuses()[0].jobs_sent;
   std::vector<DecodeJob> jobs;

@@ -47,6 +47,7 @@
 #include "engine/registry.hpp"
 #include "engine/result_cache.hpp"
 #include "engine/serve_server.hpp"
+#include "engine/serve_session.hpp"
 #include "engine/shard_router.hpp"
 #include "engine/socket_transport.hpp"
 #include "io/csv.hpp"
@@ -59,6 +60,7 @@
 #include "sim/sweep.hpp"
 #include "support/assert.hpp"
 #include "support/cli.hpp"
+#include "support/timer.hpp"
 
 namespace {
 
@@ -321,11 +323,9 @@ int cmd_serve(int argc, const char* const* argv) {
       return false;
     }
   };
-  MetricsRegistry registry;
   EngineOptions options;
   options.max_in_flight = static_cast<std::size_t>(cli.i64("batch"));
   options.cache = cache.get();
-  options.metrics = &registry;
   const BatchEngine engine(pool, options);
   std::unique_ptr<ProgressStream> progress;
   if (cli.flag("progress")) progress = std::make_unique<ProgressStream>(std::cerr);
@@ -339,25 +339,21 @@ int cmd_serve(int argc, const char* const* argv) {
   }
   const std::string metrics_arg = cli.string("metrics");
   const bool metrics_dump = metrics_arg == "-";
+  ServeServerOptions serve_options;
+  serve_options.progress = progress.get();
+  serve_options.trace = trace.get();
+  serve_options.on_drain = [&](DrainSummary& summary) {
+    if (cache) summary.cache_entries = cache->stats().size;
+    summary.snapshot_written = spill_cache();
+  };
 
-  if (!cli.string("listen").empty()) {
-    // Socket mode: concurrent connections, until SIGINT/SIGTERM.
-    ServeServerOptions server_options;
-    server_options.chunk = options.max_in_flight;
-    server_options.progress = progress.get();
-    server_options.metrics = &registry;
-    server_options.trace = trace.get();
-    if (cache && !cache_file.empty()) {
-      server_options.snapshot_seconds = cli.f64("snapshot-interval");
-      server_options.on_snapshot = [&] { (void)spill_cache(); };
-    }
-    server_options.on_drain = [&](DrainSummary& summary) {
-      if (cache) summary.cache_entries = cache->stats().size;
-      summary.snapshot_written = spill_cache();
-    };
+  const bool listen = !cli.string("listen").empty();
+  bool well_formed = true;
+  if (listen) {
+    // Socket mode: one session per connection, until SIGINT/SIGTERM.
     ServeServer server(
         ListenSocket::bind_and_listen(SocketAddress::parse(cli.string("listen"))),
-        engine, server_options);
+        engine, serve_options);
     std::unique_ptr<MetricsServer> metrics_server;
     if (!metrics_arg.empty() && !metrics_dump) {
       metrics_server = std::make_unique<MetricsServer>(
@@ -381,12 +377,17 @@ int cmd_serve(int argc, const char* const* argv) {
     std::signal(SIGTERM, handle_serve_signal);
     int ticks = 0;
     bool signalled = false;
+    Timer since_spill;
     while (true) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
       if (metrics_dump && ++ticks % 100 == 0) {  // ~every 5 seconds
         std::ostringstream body;
         write_snapshot_text(body, server.build_snapshot());
         std::fputs(body.str().c_str(), stderr);
+      }
+      if (since_spill.seconds() >= cli.f64("snapshot-interval")) {
+        (void)spill_cache();  // periodic snapshot (no-op without a file)
+        since_spill.reset();
       }
       if (g_serve_interrupted.exchange(false)) {
         // First SIGINT/SIGTERM starts the same graceful drain the
@@ -396,75 +397,69 @@ int cmd_serve(int argc, const char* const* argv) {
         signalled = true;
         server.begin_drain();
       }
-      if (server.draining() && server.stats().active_connections == 0) break;
+      if (server.draining() &&
+          server.build_snapshot().gauge_value("serve.connections_active") == 0) {
+        break;
+      }
     }
     if (metrics_server) metrics_server->stop();
     server.stop();
-    (void)spill_cache();  // final snapshot: nothing decoded after this
-    const ServeServerStats stats = server.stats();
+  } else {
+    POOLED_REQUIRE(metrics_arg.empty() || metrics_dump,
+                   "--metrics <addr> needs --listen; use --metrics - for a "
+                   "final snapshot on stream serve");
+    std::ifstream file_in;
+    std::istream* in = &std::cin;
+    if (cli.string("in") != "-") {
+      file_in.open(cli.string("in"));
+      POOLED_REQUIRE(static_cast<bool>(file_in),
+                     "cannot open '" + cli.string("in") + "' for reading");
+      in = &file_in;
+    }
+    std::ofstream file_out;
+    std::ostream* out = &std::cout;
+    if (cli.string("out") != "-") {
+      file_out.open(cli.string("out"));
+      POOLED_REQUIRE(static_cast<bool>(file_out),
+                     "cannot open '" + cli.string("out") + "' for writing");
+      out = &file_out;
+    }
+    // Stream mode: one session over --in/--out, as connection 0.
+    well_formed = ServeSession(*in, *out, engine, serve_options).run();
+  }
+  (void)spill_cache();  // final snapshot: nothing decoded after this
+  const MetricsSnapshot snapshot = serve_snapshot(engine);
+  const auto count = [&snapshot](const char* name) {
+    return static_cast<unsigned long long>(snapshot.counter_value(name));
+  };
+  if (listen) {
     std::fprintf(stderr,
                  "served %llu jobs over %llu connections "
                  "(%llu cancelled, %llu failed, %llu write-failures, "
                  "%llu snapshot-failures, %llu reaped, %llu errored)\n",
-                 static_cast<unsigned long long>(stats.jobs_served),
-                 static_cast<unsigned long long>(stats.connections_accepted),
-                 static_cast<unsigned long long>(stats.jobs_cancelled),
-                 static_cast<unsigned long long>(stats.jobs_failed),
-                 static_cast<unsigned long long>(stats.write_failures),
+                 count("serve.jobs_served"), count("serve.connections_accepted"),
+                 count("serve.jobs_cancelled"), count("serve.jobs_failed"),
+                 count("serve.write_failures"),
                  static_cast<unsigned long long>(snapshot_failures.load()),
-                 static_cast<unsigned long long>(stats.connections_reaped),
-                 static_cast<unsigned long long>(stats.connections_errored));
-    print_cache_line(server.build_snapshot());
-    // Clean drain exits 0; undelivered frames or failed snapshots mean
-    // the shutdown lost something and the caller must know.
-    return stats.write_failures > 0 || snapshot_failures.load() > 0 ? 1 : 0;
-  }
-  POOLED_REQUIRE(metrics_arg.empty() || metrics_dump,
-                 "--metrics <addr> needs --listen; use --metrics - for a "
-                 "final snapshot on stream serve");
-
-  std::ifstream file_in;
-  std::istream* in = &std::cin;
-  if (cli.string("in") != "-") {
-    file_in.open(cli.string("in"));
-    POOLED_REQUIRE(static_cast<bool>(file_in),
-                   "cannot open '" + cli.string("in") + "' for reading");
-    in = &file_in;
-  }
-  std::ofstream file_out;
-  std::ostream* out = &std::cout;
-  if (cli.string("out") != "-") {
-    file_out.open(cli.string("out"));
-    POOLED_REQUIRE(static_cast<bool>(file_out),
-                   "cannot open '" + cli.string("out") + "' for writing");
-    out = &file_out;
-  }
-
-  const std::function<void(DrainSummary&)> on_drain =
-      [&](DrainSummary& summary) {
-        if (cache) summary.cache_entries = cache->stats().size;
-        summary.snapshot_written = spill_cache();
-      };
-  const std::size_t served =
-      serve_stream(*in, *out, engine, options.max_in_flight, progress.get(),
-                   /*cancel=*/nullptr, &registry, trace.get(), &on_drain);
-  (void)spill_cache();  // final snapshot on clean exit
-  std::fprintf(stderr, "served %zu jobs over %u threads\n", served, pool.size());
-  MetricsSnapshot snapshot;
-  snapshot.values.push_back(MetricValue::of_counter("serve.jobs_served", served));
-  if (cache) {
-    const CacheStats cache_stats = cache->stats();
-    append_stats_snapshot(snapshot, &cache_stats, &registry);
+                 count("serve.connections_reaped"),
+                 count("serve.connections_errored"));
   } else {
-    append_stats_snapshot(snapshot, nullptr, &registry);
+    std::fprintf(stderr, "served %llu jobs over %u threads\n",
+                 count("serve.jobs_served"), pool.size());
   }
   print_cache_line(snapshot);
-  if (metrics_dump) {
+  if (metrics_dump && !listen) {
     std::ostringstream body;
     write_snapshot_text(body, snapshot);
     std::fputs(body.str().c_str(), stderr);
   }
-  return snapshot_failures.load() > 0 ? 1 : 0;
+  // A clean run exits 0. A malformed request (answered with a final
+  // `status error` frame), undelivered frames, or failed snapshots mean
+  // the run lost something and the caller must know.
+  return !well_formed || count("serve.write_failures") > 0 ||
+                 snapshot_failures.load() > 0
+             ? 1
+             : 0;
 }
 
 int cmd_route(int argc, const char* const* argv) {
