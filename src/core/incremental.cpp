@@ -15,12 +15,7 @@ IncrementalMn::IncrementalMn(std::shared_ptr<const PoolingDesign> design, Signal
   POOLED_REQUIRE(design_ != nullptr, "incremental MN needs a design");
   POOLED_REQUIRE(design_->num_entries() == truth_.n(),
                  "design/signal length mismatch");
-  const std::uint32_t n = truth_.n();
-  psi_.assign(n, 0);
-  psi_multi_.assign(n, 0);
-  delta_.assign(n, 0);
-  delta_star_.assign(n, 0);
-  mark_.assign(n, 0xFFFFFFFFu);
+  records_.assign(truth_.n(), EntryRecord{});
 }
 
 std::uint32_t IncrementalMn::add_query() {
@@ -28,14 +23,11 @@ std::uint32_t IncrementalMn::add_query() {
   design_->query_members(query, scratch_);
   std::uint32_t result = 0;
   for (std::uint32_t entry : scratch_) result += truth_.value(entry);
-  // Epoch marking (mark_[e] = last query that touched e) detects first
-  // occurrences without sorting the Γ draws. Queries are numbered from
-  // zero and mark_ starts at 0xFFFFFFFF, so the raw index is a valid
-  // epoch here.
-  active_kernels().accumulate_query(scratch_.data(), scratch_.size(), query,
-                                    result, mark_.data(), psi_.data(),
-                                    psi_multi_.data(), delta_.data(),
-                                    delta_star_.data());
+  // Epoch marking (a record's mark = last query that drew the entry)
+  // detects first occurrences without sorting the Γ draws; the records
+  // start zeroed, so epochs are query + 1 as in a streamed pass.
+  accumulate_query(scratch_.data(), scratch_.size(), query + 1, result,
+                   records_.data());
   y_.push_back(result);
   return result;
 }
@@ -45,22 +37,27 @@ const double* IncrementalMn::scores_into_arena() const {
   // Fig. 2 loop calls this after every appended query.
   const std::uint32_t n = truth_.n();
   const double half_k = static_cast<double>(truth_.k()) / 2.0;
-  double* scores = DecodeArena::local().scores(n);
+  DecodeArena& arena = DecodeArena::local();
+  EntryStats& stats = arena.stats();
+  stats.resize(n);
+  fold_records(records_.data(), n, /*add=*/false, stats);
+  double* scores = arena.scores(n);
   const KernelSet& kernels = active_kernels();
   switch (score_) {
     case MnScore::CentralizedPsi:
-      kernels.score_centered(psi_.data(), delta_star_.data(), 0, n, half_k,
-                             scores);
+      kernels.score_centered(stats.psi.data(), stats.delta_star.data(), 0, n,
+                             half_k, scores);
       break;
     case MnScore::RawPsi:
-      kernels.score_raw(psi_.data(), 0, n, scores);
+      kernels.score_raw(stats.psi.data(), 0, n, scores);
       break;
     case MnScore::NormalizedPsi:
-      kernels.score_normalized(psi_.data(), delta_star_.data(), 0, n, scores);
+      kernels.score_normalized(stats.psi.data(), stats.delta_star.data(), 0, n,
+                               scores);
       break;
     case MnScore::MultiEdgePsi:
-      kernels.score_multiedge(psi_multi_.data(), delta_.data(), 0, n, half_k,
-                              scores);
+      kernels.score_multiedge(stats.psi_multi.data(), stats.delta.data(), 0, n,
+                              half_k, scores);
       break;
   }
   return scores;

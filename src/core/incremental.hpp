@@ -14,6 +14,7 @@
 #include "core/mn.hpp"
 #include "core/signal.hpp"
 #include "design/design.hpp"
+#include "kernels/entry_record.hpp"
 
 namespace pooled {
 
@@ -46,19 +47,16 @@ class IncrementalMn {
 
  private:
   /// All n scores via the hoisted kernel dispatch, into the calling
-  /// thread's arena (valid until the next arena score use).
+  /// thread's arena (valid until the next arena score use); the records
+  /// are transposed into the arena's EntryStats first.
   [[nodiscard]] const double* scores_into_arena() const;
 
   std::shared_ptr<const PoolingDesign> design_;
   Signal truth_;
   MnScore score_;
-  std::vector<std::uint64_t> psi_;
-  std::vector<std::uint64_t> psi_multi_;
-  std::vector<std::uint64_t> delta_;
-  std::vector<std::uint32_t> delta_star_;
+  std::vector<EntryRecord> records_;  ///< one per entry, zeroed at start
   std::vector<std::uint32_t> y_;
   std::vector<std::uint32_t> scratch_;
-  std::vector<std::uint32_t> mark_;  ///< epoch marks for distinct detection
 };
 
 }  // namespace pooled

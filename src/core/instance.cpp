@@ -1,10 +1,8 @@
 #include "core/instance.hpp"
 
-#include <algorithm>
 #include <atomic>
 
 #include "kernels/decode_arena.hpp"
-#include "kernels/kernel_set.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/assert.hpp"
@@ -243,58 +241,29 @@ void entry_stats_atomic_fallback(const PoolingDesign& design, std::uint32_t m,
 
 void StreamedInstance::entry_stats_into(ThreadPool& pool, EntryStats& stats) const {
   const std::uint32_t num = n();
-  stats.resize(num);
   const unsigned lanes = pool.size();
   if (!DecodeArena::lane_budget_ok(lanes, num)) {
+    stats.resize(num);
     entry_stats_atomic_fallback(*design_, m_, y_, num, pool, stats);
     return;
   }
-  // Per-lane private partials (no atomics, no per-chunk allocation): each
-  // executing thread folds its queries into its lane's block via the
-  // fused accumulate kernel; the blocks are summed afterwards. Integer
-  // accumulation makes the result independent of lane count and chunking.
+  // Per-lane private records (no atomics, no per-chunk allocation): each
+  // executing thread folds its queries into its lane's block, one cache
+  // line per draw; the blocks are merged afterwards. Integer accumulation
+  // makes the result independent of lane count and chunking.
   LanePartials& partials = DecodeArena::local().lane_partials(lanes, num);
-  const KernelSet& kernels = active_kernels();
   parallel_for_chunked(pool, 0, m_, 1, [&](std::size_t lo, std::size_t hi) {
-    const LaneStats lane = partials.acquire(ThreadPool::current_lane());
+    EntryRecord* records = partials.acquire(ThreadPool::current_lane());
     std::vector<std::uint32_t>& members = DecodeArena::local().members();
     for (std::size_t q = lo; q < hi; ++q) {
       design_->query_members(static_cast<std::uint32_t>(q), members);
       // Epochs are query+1: nonzero, and unique within this pass's
-      // zeroed mark array, so first occurrences are detected in O(1).
-      kernels.accumulate_query(members.data(), members.size(),
-                               static_cast<std::uint32_t>(q) + 1, y_[q],
-                               lane.mark, lane.psi, lane.psi_multi, lane.delta,
-                               lane.delta_star);
+      // zeroed records, so first occurrences are detected in O(1).
+      accumulate_query(members.data(), members.size(),
+                       static_cast<std::uint32_t>(q) + 1, y_[q], records);
     }
   });
-  bool first = true;
-  for (unsigned slot = 0; slot < partials.slots(); ++slot) {
-    const LaneStats lane = partials.claimed(slot);
-    if (lane.psi == nullptr) continue;
-    if (first) {
-      std::copy_n(lane.psi, num, stats.psi.data());
-      std::copy_n(lane.psi_multi, num, stats.psi_multi.data());
-      std::copy_n(lane.delta, num, stats.delta.data());
-      std::copy_n(lane.delta_star, num, stats.delta_star.data());
-      first = false;
-    } else {
-      for (std::uint32_t i = 0; i < num; ++i) stats.psi[i] += lane.psi[i];
-      for (std::uint32_t i = 0; i < num; ++i) {
-        stats.psi_multi[i] += lane.psi_multi[i];
-      }
-      for (std::uint32_t i = 0; i < num; ++i) stats.delta[i] += lane.delta[i];
-      for (std::uint32_t i = 0; i < num; ++i) {
-        stats.delta_star[i] += lane.delta_star[i];
-      }
-    }
-  }
-  if (first) {  // m == 0: no lane ever claimed
-    std::fill(stats.psi.begin(), stats.psi.end(), 0);
-    std::fill(stats.psi_multi.begin(), stats.psi_multi.end(), 0);
-    std::fill(stats.delta.begin(), stats.delta.end(), 0);
-    std::fill(stats.delta_star.begin(), stats.delta_star.end(), 0);
-  }
+  partials.merge_into(stats);
 }
 
 // ---------------------------------------------------------------------------

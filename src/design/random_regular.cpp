@@ -22,7 +22,7 @@ void RandomRegularDesign::query_members(std::uint32_t query,
                                         std::vector<std::uint32_t>& out) const {
   // The dispatched kernel reproduces PhiloxStream(seed, query) +
   // sample_with_replacement bit for bit (same 32-bit consumption order,
-  // same Lemire rejection); the AVX2 variant generates eight Philox
+  // same Lemire rejection); the AVX2 variant generates sixteen Philox
   // blocks per step. The stream id mixing matches PhiloxStream's ctor.
   const std::uint64_t stream =
       splitmix64_mix(static_cast<std::uint64_t>(query) ^ 0xA5A5A5A5A5A5A5A5ull);

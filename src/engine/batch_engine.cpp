@@ -102,8 +102,10 @@ DecodeReport execute(const DecodeJob& job, std::size_t index, ThreadPool& pool,
   if (job.check_consistency) {
     const Timer consistency_timer;
     report.consistent = instance.is_consistent(estimate);
+    const double consistency_seconds = consistency_timer.seconds();
+    metrics.consistency_seconds.record(consistency_seconds);
     if (job.trace != nullptr) {
-      job.trace->stage(TraceStage::Consistency, consistency_timer.seconds());
+      job.trace->stage(TraceStage::Consistency, consistency_seconds);
     }
   }
   report.rounds = outcome.rounds;
@@ -159,7 +161,8 @@ BatchEngine::BatchEngine(ThreadPool& pool, EngineOptions options)
       handles_{metrics_.counter("engine.jobs_completed"),
                metrics_.counter("engine.jobs_failed"),
                metrics_.histogram("engine.build_seconds"),
-               metrics_.histogram("engine.decode_seconds")} {}
+               metrics_.histogram("engine.decode_seconds"),
+               metrics_.histogram("engine.consistency_seconds")} {}
 
 std::size_t BatchEngine::window() const {
   return options_.max_in_flight > 0 ? options_.max_in_flight

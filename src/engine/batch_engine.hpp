@@ -148,7 +148,8 @@ class BatchEngine {
 
   /// The one registry every counter of this engine and of the serving
   /// layer around it lives in: engine.jobs_completed/jobs_failed and the
-  /// engine.build_seconds/decode_seconds histograms, plus the serve.* and
+  /// engine.build_seconds/decode_seconds/consistency_seconds histograms
+  /// (the last only for jobs with check_consistency), plus the serve.* and
   /// drain.* handles sessions and servers resolve. Thread-safe.
   [[nodiscard]] MetricsRegistry& metrics() const { return metrics_; }
 
@@ -158,6 +159,7 @@ class BatchEngine {
     Counter& jobs_failed;
     LatencyHistogram& build_seconds;
     LatencyHistogram& decode_seconds;
+    LatencyHistogram& consistency_seconds;
   };
 
  private:

@@ -1,5 +1,6 @@
 #include "kernels/decode_arena.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "support/assert.hpp"
@@ -15,10 +16,9 @@ constexpr std::size_t round_up(std::size_t bytes) {
   return (bytes + (kAlign - 1)) & ~(kAlign - 1);
 }
 
-/// Bytes per lane of a partial block over `entries` entries.
+/// Bytes per lane of a record block over `entries` entries.
 constexpr std::size_t lane_stride_bytes(std::size_t entries) {
-  return round_up(entries * sizeof(std::uint64_t)) * 3 +   // psi, psi_multi, delta
-         round_up(entries * sizeof(std::uint32_t)) * 2;    // delta_star, mark
+  return round_up(entries * sizeof(EntryRecord));
 }
 
 std::atomic<std::uint64_t> g_arena_live{0};
@@ -69,44 +69,66 @@ void LanePartials::reset(unsigned slots, std::size_t entries) {
   slot_count_ = slots;
 }
 
-LaneStats LanePartials::slot_view(unsigned slot) const {
+EntryRecord* LanePartials::slot_records(unsigned slot) const {
   auto base = reinterpret_cast<std::uintptr_t>(block_.get());
   base = (base + (kAlign - 1)) & ~std::uintptr_t{kAlign - 1};
-  base += lane_stride_ * slot;
-  const std::size_t u64s = round_up(entries_ * sizeof(std::uint64_t));
-  const std::size_t u32s = round_up(entries_ * sizeof(std::uint32_t));
-  LaneStats view;
-  view.psi = reinterpret_cast<std::uint64_t*>(base);
-  view.psi_multi = reinterpret_cast<std::uint64_t*>(base + u64s);
-  view.delta = reinterpret_cast<std::uint64_t*>(base + 2 * u64s);
-  view.delta_star = reinterpret_cast<std::uint32_t*>(base + 3 * u64s);
-  view.mark = reinterpret_cast<std::uint32_t*>(base + 3 * u64s + u32s);
-  return view;
+  return reinterpret_cast<EntryRecord*>(base + lane_stride_ * slot);
 }
 
-LaneStats LanePartials::acquire(unsigned lane_id) {
+EntryRecord* LanePartials::acquire(unsigned lane_id) {
   const std::uint64_t token = static_cast<std::uint64_t>(lane_id) + 1;
   for (unsigned s = 0; s < slot_count_; ++s) {
     std::uint64_t seen = owners_[s].load(std::memory_order_acquire);
-    if (seen == token) return slot_view(s);
+    if (seen == token) return slot_records(s);
     if (seen == 0 && owners_[s].compare_exchange_strong(
                          seen, token, std::memory_order_acq_rel)) {
-      const LaneStats view = slot_view(s);
-      std::memset(view.psi, 0, lane_stride_);  // whole lane block at once
-      return view;
+      EntryRecord* records = slot_records(s);
+      std::memset(records, 0, lane_stride_);
+      return records;
     }
     // Claimed by another lane (before or during our CAS); keep scanning.
   }
   POOLED_REQUIRE(false, "more concurrent lanes than partial slots");
-  return LaneStats{};
+  return nullptr;
 }
 
-LaneStats LanePartials::claimed(unsigned slot) const {
-  if (slot >= slot_count_ ||
-      owners_[slot].load(std::memory_order_acquire) == 0) {
-    return LaneStats{};
+void LanePartials::merge_into(EntryStats& out) const {
+  out.resize(entries_);
+  bool add = false;
+  for (unsigned s = 0; s < slot_count_; ++s) {
+    if (owners_[s].load(std::memory_order_acquire) == 0) continue;
+    fold_records(slot_records(s), entries_, add, out);
+    add = true;
   }
-  return slot_view(slot);
+  if (!add) {  // m == 0: no lane ever claimed
+    std::fill(out.psi.begin(), out.psi.end(), 0);
+    std::fill(out.psi_multi.begin(), out.psi_multi.end(), 0);
+    std::fill(out.delta.begin(), out.delta.end(), 0);
+    std::fill(out.delta_star.begin(), out.delta_star.end(), 0);
+  }
+}
+
+void fold_records(const EntryRecord* records, std::size_t n, bool add,
+                  EntryStats& out) {
+  std::uint64_t* psi = out.psi.data();
+  std::uint64_t* psi_multi = out.psi_multi.data();
+  std::uint64_t* delta = out.delta.data();
+  std::uint32_t* delta_star = out.delta_star.data();
+  if (add) {
+    for (std::size_t i = 0; i < n; ++i) {
+      psi[i] += records[i].psi;
+      psi_multi[i] += records[i].psi_multi;
+      delta[i] += records[i].delta;
+      delta_star[i] += records[i].delta_star;
+    }
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      psi[i] = records[i].psi;
+      psi_multi[i] = records[i].psi_multi;
+      delta[i] = records[i].delta;
+      delta_star[i] = records[i].delta_star;
+    }
+  }
 }
 
 DecodeArena& DecodeArena::local() {

@@ -14,14 +14,15 @@
 //     and stop referencing it before anything on the same thread can
 //     acquire the same slot again (in particular, never hold a slot
 //     across a nested parallel_for that might use it inline).
-//  2. Lane-partial blocks (entry statistics) are allocated by the
-//     *calling* thread but written by pool workers, indexed by
-//     `ThreadPool::current_lane()`. The caller's run_tasks barrier is
-//     what makes that hand-off safe; the slot map tolerates foreign lane
-//     ids (a worker of a wider pool driving a narrower one inline).
+//  2. Lane-partial blocks (one EntryRecord per entry per lane, see
+//     kernels/entry_record.hpp) are allocated by the *calling* thread but
+//     written by pool workers, indexed by `ThreadPool::current_lane()`.
+//     The caller's run_tasks barrier is what makes that hand-off safe;
+//     the slot map tolerates foreign lane ids (a worker of a wider pool
+//     driving a narrower one inline).
 //
 // Memory is bounded by the largest decode a thread has run:
-// ~32 bytes/entry/lane for the statistics block plus the score/top-k
+// 32 bytes/entry/lane for the record block plus the score/top-k
 // vectors. POOLED_ARENA_BUDGET_MB (default 1024) caps the lane-partial
 // block; callers fall back to their shared-atomics path beyond it.
 #pragma once
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "core/instance.hpp"
+#include "kernels/entry_record.hpp"
 
 namespace pooled {
 
@@ -52,16 +54,14 @@ struct ArenaStats {
 void arena_account_alloc(std::size_t bytes);
 void arena_account_free(std::size_t bytes);
 
-/// One lane's view of the entry-statistics partial accumulators.
-struct LaneStats {
-  std::uint64_t* psi = nullptr;
-  std::uint64_t* psi_multi = nullptr;
-  std::uint64_t* delta = nullptr;
-  std::uint32_t* delta_star = nullptr;
-  std::uint32_t* mark = nullptr;  ///< zeroed at acquire; epochs must be nonzero
-};
+/// Sums one lane's records into `out`'s four arrays (each at least `n`
+/// long): overwrites them when `add` is false, adds to them otherwise.
+/// The one record -> EntryStats transpose; LanePartials::merge_into and
+/// IncrementalMn both go through it.
+void fold_records(const EntryRecord* records, std::size_t n, bool add,
+                  EntryStats& out);
 
-/// Lane-indexed partial accumulators for one entry-statistics pass.
+/// Lane-indexed record blocks for one entry-statistics pass.
 /// Slots are claimed lock-free on first acquire and zeroed exactly once
 /// per pass, so a pass that only ever runs on one lane (the batch-engine
 /// case: nested parallelism executes inline) pays for one lane's memset,
@@ -70,23 +70,22 @@ class LanePartials {
  public:
   ~LanePartials();
 
-  /// The lane's block, zeroed on this pass's first acquire. `lane_id` is
+  /// The lane's records, zeroed on this pass's first acquire (so queries
+  /// fold with epoch = query + 1). `lane_id` is
   /// ThreadPool::current_lane() of the executing thread; ids need not be
   /// dense or bounded by the slot count -- only the number of *distinct*
   /// concurrent ids is (<= pool.size(), guaranteed by run_tasks).
-  [[nodiscard]] LaneStats acquire(unsigned lane_id);
+  [[nodiscard]] EntryRecord* acquire(unsigned lane_id);
 
-  [[nodiscard]] unsigned slots() const { return slot_count_; }
-  [[nodiscard]] std::size_t entries() const { return entries_; }
-
-  /// Slot `slot`'s block if it was claimed during this pass, else a view
-  /// of nulls. Merge loops iterate slots, not lane ids.
-  [[nodiscard]] LaneStats claimed(unsigned slot) const;
+  /// `out` (resized to the pass's entry count) = the sum of every lane
+  /// claimed during this pass; all zero when none was (m == 0). Call
+  /// after the pass's barrier.
+  void merge_into(EntryStats& out) const;
 
  private:
   friend class DecodeArena;
   void reset(unsigned slots, std::size_t entries);
-  [[nodiscard]] LaneStats slot_view(unsigned slot) const;
+  [[nodiscard]] EntryRecord* slot_records(unsigned slot) const;
 
   std::unique_ptr<std::byte[]> block_;
   std::size_t block_bytes_ = 0;
@@ -117,7 +116,7 @@ class DecodeArena {
   std::vector<std::uint32_t>& members() { return members_; }
   EntryStats& stats() { return stats_; }
 
-  /// Lane-partial block for one entry-statistics pass (resets the slot
+  /// Lane record blocks for one entry-statistics pass (resets the slot
   /// map; the returned reference is valid until the next call on this
   /// thread).
   LanePartials& lane_partials(unsigned lanes, std::size_t entries);

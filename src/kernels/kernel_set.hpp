@@ -2,13 +2,14 @@
 //
 // Every decode in the system bottoms out in a handful of tight loops:
 // evaluating the four MN score variants over per-entry statistics,
-// folding a query's membership draws into those statistics, regenerating
-// a query's draws from the Philox stream, word-at-a-time operations on
-// bit-packed pool masks for the one-bit channels, and top-k selection
-// over the n scores. This header names those loops as a `KernelSet` of
-// function pointers with a portable scalar implementation plus SIMD
-// variants (SSE4.2 / AVX2 on x86-64, NEON on aarch64) selected once at
-// startup by CPUID-style feature detection.
+// regenerating a query's draws from the Philox stream, word-at-a-time
+// operations on bit-packed pool masks for the one-bit channels, and
+// top-k selection over the n scores. This header names those loops as a
+// `KernelSet` of function pointers with a portable scalar implementation
+// plus SIMD variants (SSE4.2 / AVX2 on x86-64, NEON on aarch64) selected
+// once at startup by CPUID-style feature detection. Folding the draws
+// into the statistics is not a slot: it is a scatter with one body for
+// every ISA, accumulate_query in kernels/entry_record.hpp.
 //
 // Contract: every variant is *bit-identical* to the scalar reference --
 // same IEEE-754 operations in the same per-element order (the library
@@ -56,26 +57,6 @@ struct KernelSet {
   void (*score_multiedge)(const std::uint64_t* psi_multi, const std::uint64_t* delta,
                           std::size_t lo, std::size_t hi, double center,
                           double* out);
-
-  // -- fused statistics accumulation ------------------------------------
-
-  /// Folds one query's raw membership draws (duplicates included) into
-  /// the per-entry aggregates. `epoch` must be unique to this query
-  /// within the lifetime of `mark` and distinct from mark's initial fill
-  /// (zeroed arena blocks pair with epoch = query+1): first occurrences
-  /// bump psi/delta_star, every occurrence bumps psi_multi/delta.
-  void (*accumulate_query)(const std::uint32_t* members, std::size_t count,
-                           std::uint32_t epoch, std::uint64_t yq,
-                           std::uint32_t* mark, std::uint64_t* psi,
-                           std::uint64_t* psi_multi, std::uint64_t* delta,
-                           std::uint32_t* delta_star);
-
-  /// Distinct-only flavor (threshold/binary channels): first occurrences
-  /// bump psi by yq and delta_star by one; duplicates are ignored.
-  void (*accumulate_query_distinct)(const std::uint32_t* members, std::size_t count,
-                                    std::uint32_t epoch, std::uint64_t yq,
-                                    std::uint32_t* mark, std::uint64_t* psi,
-                                    std::uint32_t* delta_star);
 
   // -- query regeneration ------------------------------------------------
 

@@ -9,17 +9,17 @@
 //    full 64-bit range.
 //  * score kernels use separate mul/sub intrinsics (never FMA), matching
 //    the scalar reference compiled with -ffp-contract=off.
-//  * sample_u32 vectorizes whole 8-block Philox groups and commits an
-//    8-wide Lemire map only when the group has no rejected draw;
-//    otherwise it falls back to the shared scalar stepper over the same
-//    staged values, so the consumed 32-bit sequence is identical.
+//  * sample_u32 runs two independent 8-block Philox groups per step,
+//    transposes their output words into stream order in registers, and
+//    commits all 64 Lemire-mapped draws when none is rejected. Otherwise
+//    it keeps the accepted words of the step in stream order -- exactly
+//    what the scalar rule yields, since each rejected word is simply
+//    skipped -- so the consumed 32-bit sequence is identical.
 #include "kernels/kernel_set.hpp"
 
 #if defined(__x86_64__) && defined(__AVX2__) && defined(__POPCNT__)
 
 #include <immintrin.h>
-
-#include <cstring>
 
 #include "kernels/kernels_common.hpp"
 
@@ -115,71 +115,114 @@ void avx2_score_multiedge(const uint64_t* psi_multi, const uint64_t* delta,
 
 // -- Philox sampling --------------------------------------------------------
 
-/// 32x32 -> 64 mulhi/mullo on all eight u32 lanes.
+/// 32x32 -> 64 mulhi/mullo on all eight u32 lanes. The odd lanes move
+/// by dword shuffles rather than 64-bit shifts, which would compete with
+/// the multiplies for the same execution ports.
 inline void mulhilo8(__m256i m, __m256i v, __m256i& hi, __m256i& lo) {
   const __m256i pe = _mm256_mul_epu32(v, m);  // products of lanes 0,2,4,6
-  const __m256i po = _mm256_mul_epu32(_mm256_srli_epi64(v, 32), m);
-  hi = _mm256_blend_epi32(_mm256_srli_epi64(pe, 32), po, 0b10101010);
-  lo = _mm256_blend_epi32(pe, _mm256_slli_epi64(po, 32), 0b10101010);
+  const __m256i po = _mm256_mul_epu32(_mm256_shuffle_epi32(v, 0xF5), m);
+  hi = _mm256_blend_epi32(_mm256_shuffle_epi32(pe, 0xF5), po, 0b10101010);
+  lo = _mm256_blend_epi32(pe, _mm256_shuffle_epi32(po, 0xA0), 0b10101010);
 }
 
-/// Eight Philox4x32-10 blocks at once; outputs staged in the scalar
-/// stream's 32-bit consumption order (block-major, word-minor).
-struct PhiloxStage8 {
-  PhiloxStage8(uint32_t k0, uint32_t k1, uint64_t s)
-      : key0(k0), key1(k1), stream(s) {}
-
-  uint32_t key0, key1;
-  uint64_t stream;
-  uint64_t next_block = 0;
-  alignas(32) uint32_t vals[32] = {};
-  size_t pos = 32;  // consumed entries
-
-  void refill() {
-    const __m256i m0 = _mm256_set1_epi32(static_cast<int>(0xD2511F53u));
-    const __m256i m1 = _mm256_set1_epi32(static_cast<int>(0xCD9E8D57u));
-    const __m256i w0 = _mm256_set1_epi32(static_cast<int>(0x9E3779B9u));
-    const __m256i w1 = _mm256_set1_epi32(static_cast<int>(0xBB67AE85u));
-    __m256i c0 = _mm256_add_epi32(
-        _mm256_set1_epi32(static_cast<int>(static_cast<uint32_t>(next_block))),
-        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-    __m256i c1 = _mm256_setzero_si256();  // caller guarantees block < 2^32
-    __m256i c2 = _mm256_set1_epi32(static_cast<int>(static_cast<uint32_t>(stream)));
-    __m256i c3 =
+/// Philox4x32-10 over `Groups` x 8 consecutive blocks starting at
+/// `block`, the groups interleaved round by round so one group's
+/// multiplies hide the other's latency. On return ctr[g][w] holds output
+/// word w of blocks block + 8g .. block + 8g + 7 (block < 2^32, see the
+/// count guard in avx2_sample_u32).
+template <int Groups>
+inline void philox_groups(uint32_t key0, uint32_t key1, uint64_t stream,
+                          uint32_t block, __m256i (&ctr)[Groups][4]) {
+  const __m256i m0 = _mm256_set1_epi32(static_cast<int>(0xD2511F53u));
+  const __m256i m1 = _mm256_set1_epi32(static_cast<int>(0xCD9E8D57u));
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  for (int g = 0; g < Groups; ++g) {
+    const uint32_t first = block + 8u * static_cast<uint32_t>(g);
+    ctr[g][0] = _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(first)), lane);
+    ctr[g][1] = _mm256_setzero_si256();
+    ctr[g][2] = _mm256_set1_epi32(static_cast<int>(static_cast<uint32_t>(stream)));
+    ctr[g][3] =
         _mm256_set1_epi32(static_cast<int>(static_cast<uint32_t>(stream >> 32)));
-    __m256i k0 = _mm256_set1_epi32(static_cast<int>(key0));
-    __m256i k1 = _mm256_set1_epi32(static_cast<int>(key1));
-    for (int round = 0; round < 10; ++round) {
+  }
+  uint32_t k0 = key0, k1 = key1;
+  for (int round = 0; round < 10; ++round) {
+    const __m256i k0v = _mm256_set1_epi32(static_cast<int>(k0));
+    const __m256i k1v = _mm256_set1_epi32(static_cast<int>(k1));
+    for (int g = 0; g < Groups; ++g) {
       __m256i hi0, lo0, hi1, lo1;
-      mulhilo8(m0, c0, hi0, lo0);
-      mulhilo8(m1, c2, hi1, lo1);
-      c0 = _mm256_xor_si256(_mm256_xor_si256(hi1, c1), k0);
-      c1 = lo1;
-      c2 = _mm256_xor_si256(_mm256_xor_si256(hi0, c3), k1);
-      c3 = lo0;
-      k0 = _mm256_add_epi32(k0, w0);
-      k1 = _mm256_add_epi32(k1, w1);
+      mulhilo8(m0, ctr[g][0], hi0, lo0);
+      mulhilo8(m1, ctr[g][2], hi1, lo1);
+      ctr[g][0] = _mm256_xor_si256(_mm256_xor_si256(hi1, ctr[g][1]), k0v);
+      ctr[g][1] = lo1;
+      ctr[g][2] = _mm256_xor_si256(_mm256_xor_si256(hi0, ctr[g][3]), k1v);
+      ctr[g][3] = lo0;
     }
-    alignas(32) uint32_t words[4][8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(words[0]), c0);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(words[1]), c1);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(words[2]), c2);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(words[3]), c3);
-    for (int block = 0; block < 8; ++block) {
-      vals[4 * block + 0] = words[0][block];
-      vals[4 * block + 1] = words[1][block];
-      vals[4 * block + 2] = words[2][block];
-      vals[4 * block + 3] = words[3][block];
-    }
-    pos = 0;
-    next_block += 8;
+    k0 += 0x9E3779B9u;
+    k1 += 0xBB67AE85u;
   }
+}
 
-  uint32_t next() {
-    if (pos == 32) refill();
-    return vals[pos++];
+/// Transposes one group's word-major output (ctr[w] = word w of blocks
+/// 0..7) into the scalar stream's consumption order: out[v] holds blocks
+/// 2v and 2v + 1, each as words 0, 1, 2, 3.
+inline void stream_order(const __m256i (&ctr)[4], __m256i* out) {
+  const __m256i w01_lo = _mm256_unpacklo_epi32(ctr[0], ctr[1]);  // blocks 0,1 | 4,5
+  const __m256i w01_hi = _mm256_unpackhi_epi32(ctr[0], ctr[1]);  // blocks 2,3 | 6,7
+  const __m256i w23_lo = _mm256_unpacklo_epi32(ctr[2], ctr[3]);
+  const __m256i w23_hi = _mm256_unpackhi_epi32(ctr[2], ctr[3]);
+  const __m256i b04 = _mm256_unpacklo_epi64(w01_lo, w23_lo);  // block 0 | block 4
+  const __m256i b15 = _mm256_unpackhi_epi64(w01_lo, w23_lo);  // block 1 | block 5
+  const __m256i b26 = _mm256_unpacklo_epi64(w01_hi, w23_hi);  // block 2 | block 6
+  const __m256i b37 = _mm256_unpackhi_epi64(w01_hi, w23_hi);  // block 3 | block 7
+  out[0] = _mm256_permute2x128_si256(b04, b15, 0x20);
+  out[1] = _mm256_permute2x128_si256(b26, b37, 0x20);
+  out[2] = _mm256_permute2x128_si256(b04, b15, 0x31);
+  out[3] = _mm256_permute2x128_si256(b26, b37, 0x31);
+}
+
+/// One sampling step: the 32 * Groups words of blocks block ..
+/// block + 8 * Groups - 1 become draws out[produced..]. Returns the new
+/// produced count (at most `count`).
+template <int Groups>
+inline size_t sample_step(uint32_t key0, uint32_t key1, uint64_t stream,
+                          uint32_t block, __m256i n_v, __m256i threshold_v,
+                          size_t produced, size_t count, uint32_t* out) {
+  constexpr int kVectors = 4 * Groups;
+  __m256i ctr[Groups][4];
+  philox_groups<Groups>(key0, key1, stream, block, ctr);
+  __m256i words[kVectors];
+  for (int g = 0; g < Groups; ++g) stream_order(ctr[g], words + 4 * g);
+  // Lemire map: draw = hi(word * n), accepted iff lo(word * n) >= threshold.
+  __m256i hi[kVectors];
+  uint64_t accepted = 0;
+  for (int v = 0; v < kVectors; ++v) {
+    __m256i lo;
+    mulhilo8(n_v, words[v], hi[v], lo);
+    const __m256i ok = _mm256_cmpeq_epi32(_mm256_max_epu32(lo, threshold_v), lo);
+    accepted |= static_cast<uint64_t>(static_cast<uint32_t>(
+                    _mm256_movemask_ps(_mm256_castsi256_ps(ok))))
+                << (8 * v);
   }
-};
+  constexpr uint64_t kAll = ~uint64_t{0} >> (64 - 8 * kVectors);
+  if (accepted == kAll && count - produced >= 8 * kVectors) {
+    for (int v = 0; v < kVectors; ++v) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + produced + 8 * v),
+                          hi[v]);
+    }
+    return produced + 8 * kVectors;
+  }
+  // A rejection or the last step: the scalar rule skips each rejected
+  // word, so the draws are the accepted words in stream order.
+  alignas(32) uint32_t draws[8 * kVectors];
+  for (int v = 0; v < kVectors; ++v) {
+    _mm256_store_si256(reinterpret_cast<__m256i*>(draws + 8 * v), hi[v]);
+  }
+  while (accepted != 0 && produced < count) {
+    out[produced++] = draws[__builtin_ctzll(accepted)];
+    accepted &= accepted - 1;
+  }
+  return produced;
+}
 
 void avx2_sample_u32(uint32_t key0, uint32_t key1, uint64_t stream, uint32_t n,
                      uint32_t threshold, size_t count, uint32_t* out) {
@@ -189,35 +232,22 @@ void avx2_sample_u32(uint32_t key0, uint32_t key1, uint64_t stream, uint32_t n,
     kernels::scalar_sample_u32(key0, key1, stream, n, threshold, count, out);
     return;
   }
-  PhiloxStage8 stage{key0, key1, stream};
   const __m256i n_v = _mm256_set1_epi32(static_cast<int>(n));
-  const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000u));
-  const __m256i threshold_b =
-      _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(threshold)), bias);
+  const __m256i threshold_v = _mm256_set1_epi32(static_cast<int>(threshold));
+  uint32_t block = 0;
   size_t produced = 0;
   while (produced < count) {
-    if (stage.pos + 8 <= 32 && produced + 8 <= count) {
-      // loadu: a rejection leaves pos unaligned until the next refill.
-      const __m256i x = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(stage.vals + stage.pos));
-      __m256i hi, lo;
-      mulhilo8(n_v, x, hi, lo);
-      const __m256i reject = _mm256_cmpgt_epi32(
-          threshold_b, _mm256_xor_si256(lo, bias));  // lo <u threshold
-      if (_mm256_testz_si256(reject, reject)) {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + produced), hi);
-        stage.pos += 8;
-        produced += 8;
-        continue;
-      }
+    // Two groups per step; one once 32 or fewer draws remain, so small
+    // pools do not generate 64 words.
+    if (count - produced > 32) {
+      produced = sample_step<2>(key0, key1, stream, block, n_v, threshold_v,
+                                produced, count, out);
+      block += 16;
+    } else {
+      produced = sample_step<1>(key0, key1, stream, block, n_v, threshold_v,
+                                produced, count, out);
+      block += 8;
     }
-    // Tail / rejection path: one draw via the sequential stepper (the
-    // staged values are the stream, so ordering is preserved exactly).
-    uint64_t m = static_cast<uint64_t>(stage.next()) * n;
-    while (static_cast<uint32_t>(m) < threshold) {
-      m = static_cast<uint64_t>(stage.next()) * n;
-    }
-    out[produced++] = static_cast<uint32_t>(m >> 32);
   }
 }
 
@@ -354,8 +384,6 @@ const KernelSet* avx2_kernels_impl() {
       avx2_score_raw,
       avx2_score_normalized,
       avx2_score_multiedge,
-      kernels::scalar_accumulate_query,           // scatter-bound: shared scalar
-      kernels::scalar_accumulate_query_distinct,  // scatter-bound: shared scalar
       avx2_sample_u32,
       avx2_or_words,
       avx2_popcount_words,

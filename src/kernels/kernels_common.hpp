@@ -1,9 +1,11 @@
 // Scalar reference bodies shared by every KernelSet variant.
 //
 // INTERNAL to src/kernels/: the scalar set wires these directly; the SIMD
-// sets use them for loop tails and for the lanes SIMD cannot help
-// (scatter-heavy accumulation). Keeping one definition per loop is what
-// makes "bit-identical across variants" checkable instead of aspirational.
+// sets use them for loop tails and for the slots they do not vectorize
+// (sampling on SSE4.2 and NEON, NEON's top-k fill, the AVX2 sampler's
+// large-count guard).
+// Keeping one definition per loop is what makes "bit-identical across
+// variants" checkable instead of aspirational.
 #pragma once
 
 #include <array>
@@ -47,41 +49,6 @@ inline void scalar_score_multiedge(const std::uint64_t* psi_multi,
   for (std::size_t i = lo; i < hi; ++i) {
     out[i] = static_cast<double>(psi_multi[i]) -
              static_cast<double>(delta[i]) * center;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Fused accumulation (inherently scatter-bound; all variants share it)
-
-inline void scalar_accumulate_query(const std::uint32_t* members, std::size_t count,
-                                    std::uint32_t epoch, std::uint64_t yq,
-                                    std::uint32_t* mark, std::uint64_t* psi,
-                                    std::uint64_t* psi_multi, std::uint64_t* delta,
-                                    std::uint32_t* delta_star) {
-  for (std::size_t j = 0; j < count; ++j) {
-    const std::uint32_t entry = members[j];
-    if (mark[entry] != epoch) {
-      mark[entry] = epoch;
-      psi[entry] += yq;
-      delta_star[entry] += 1;
-    }
-    psi_multi[entry] += yq;
-    delta[entry] += 1;
-  }
-}
-
-inline void scalar_accumulate_query_distinct(const std::uint32_t* members,
-                                             std::size_t count, std::uint32_t epoch,
-                                             std::uint64_t yq, std::uint32_t* mark,
-                                             std::uint64_t* psi,
-                                             std::uint32_t* delta_star) {
-  for (std::size_t j = 0; j < count; ++j) {
-    const std::uint32_t entry = members[j];
-    if (mark[entry] != epoch) {
-      mark[entry] = epoch;
-      psi[entry] += yq;
-      delta_star[entry] += 1;
-    }
   }
 }
 

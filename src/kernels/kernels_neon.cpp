@@ -1,7 +1,7 @@
 // NEON KernelSet (aarch64). vcvtq_f64_u64 is an exact, correctly-rounded
 // u64 -> f64 conversion, so the score kernels match the scalar casts
-// directly; popcounts ride vcnt. Sampling and the scatter-bound
-// accumulators share the scalar bodies.
+// directly; popcounts ride vcnt. Sampling and the top-k fill share the
+// scalar bodies.
 #include "kernels/kernel_set.hpp"
 
 #if defined(__aarch64__)
@@ -130,8 +130,6 @@ const KernelSet* neon_kernels_impl() {
       neon_score_raw,
       neon_score_normalized,
       neon_score_multiedge,
-      kernels::scalar_accumulate_query,
-      kernels::scalar_accumulate_query_distinct,
       kernels::scalar_sample_u32,
       neon_or_words,
       neon_popcount_words,

@@ -13,8 +13,6 @@ const KernelSet* scalar_kernels_impl() {
       scalar_score_raw,
       scalar_score_normalized,
       scalar_score_multiedge,
-      scalar_accumulate_query,
-      scalar_accumulate_query_distinct,
       scalar_sample_u32,
       scalar_or_words,
       scalar_popcount_words,

@@ -1,7 +1,7 @@
 // SSE4.2 KernelSet: 2-wide double scores, 128-bit word ops, hardware
 // popcount. Compiled with -msse4.2 -mpopcnt (per-file flags); executed
-// only after runtime dispatch confirms support. Sampling and the
-// scatter-bound accumulators share the scalar bodies.
+// only after runtime dispatch confirms support. Sampling shares the
+// scalar body.
 #include "kernels/kernel_set.hpp"
 
 #if defined(__x86_64__) && defined(__SSE4_2__) && defined(__POPCNT__)
@@ -157,8 +157,6 @@ const KernelSet* sse42_kernels_impl() {
       sse42_score_raw,
       sse42_score_normalized,
       sse42_score_multiedge,
-      kernels::scalar_accumulate_query,
-      kernels::scalar_accumulate_query_distinct,
       kernels::scalar_sample_u32,
       sse42_or_words,
       kernels::scalar_popcount_words,    // popcntq via -mpopcnt

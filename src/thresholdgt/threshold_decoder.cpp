@@ -1,6 +1,5 @@
 #include "thresholdgt/threshold_decoder.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <numeric>
 
@@ -18,7 +17,7 @@ namespace {
 /// blocks would blow the arena budget. Integer accumulation keeps the
 /// result identical to the fast paths.
 void threshold_stats_atomic(const ThresholdGtInstance& instance, ThreadPool& pool,
-                            std::uint64_t* psi_out, std::uint32_t* delta_star_out) {
+                            EntryStats& stats) {
   const std::uint32_t n = instance.n();
   const std::uint32_t m = instance.m();
   std::vector<std::atomic<std::uint32_t>> psi(n);
@@ -40,30 +39,31 @@ void threshold_stats_atomic(const ThresholdGtInstance& instance, ThreadPool& poo
       }
     }
   });
+  stats.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    psi_out[i] = psi[i].load(std::memory_order_relaxed);
-    delta_star_out[i] = delta_star[i].load(std::memory_order_relaxed);
+    stats.psi[i] = psi[i].load(std::memory_order_relaxed);
+    stats.delta_star[i] = delta_star[i].load(std::memory_order_relaxed);
   }
 }
 
-/// Per-entry (positive-count, distinct-count) statistics via per-lane
-/// partials: from the bit-packed pools when available (no regeneration,
-/// no mark array -- the bitmap is already distinct), else by regenerating
-/// members through the fused distinct-accumulate kernel.
+/// Per-entry (positive-count, distinct-count) statistics -- psi and
+/// delta_star of `stats`, resized to n; the multi-edge fields are not part
+/// of the result -- via per-lane records: from the bit-packed pools when
+/// available (no regeneration, no epoch marks -- the bitmap is already
+/// distinct), else by folding regenerated members like the MN pass.
 void threshold_stats(const ThresholdGtInstance& instance, ThreadPool& pool,
-                     std::uint64_t* psi_out, std::uint32_t* delta_star_out) {
+                     EntryStats& stats) {
   const std::uint32_t n = instance.n();
   const std::uint32_t m = instance.m();
   const unsigned lanes = pool.size();
   if (!DecodeArena::lane_budget_ok(lanes, n)) {
-    threshold_stats_atomic(instance, pool, psi_out, delta_star_out);
+    threshold_stats_atomic(instance, pool, stats);
     return;
   }
   const PackedPools* packed = instance.packed(&pool);
   LanePartials& partials = DecodeArena::local().lane_partials(lanes, n);
-  const KernelSet& kernels = active_kernels();
   parallel_for_chunked(pool, 0, m, 1, [&](std::size_t lo, std::size_t hi) {
-    const LaneStats lane = partials.acquire(ThreadPool::current_lane());
+    EntryRecord* records = partials.acquire(ThreadPool::current_lane());
     if (packed != nullptr) {
       for (std::size_t q = lo; q < hi; ++q) {
         const std::uint64_t outcome = instance.outcomes()[q];
@@ -73,8 +73,8 @@ void threshold_stats(const ThresholdGtInstance& instance, ThreadPool& pool,
           while (bits != 0) {
             const auto entry = static_cast<std::uint32_t>(
                 w * 64 + static_cast<unsigned>(__builtin_ctzll(bits)));
-            lane.psi[entry] += outcome;
-            lane.delta_star[entry] += 1;
+            records[entry].psi += outcome;
+            records[entry].delta_star += 1;
             bits &= bits - 1;
           }
         }
@@ -83,31 +83,13 @@ void threshold_stats(const ThresholdGtInstance& instance, ThreadPool& pool,
       std::vector<std::uint32_t>& members = DecodeArena::local().members();
       for (std::size_t q = lo; q < hi; ++q) {
         instance.query_members(static_cast<std::uint32_t>(q), members);
-        kernels.accumulate_query_distinct(
-            members.data(), members.size(), static_cast<std::uint32_t>(q) + 1,
-            instance.outcomes()[q], lane.mark, lane.psi, lane.delta_star);
+        accumulate_query(members.data(), members.size(),
+                         static_cast<std::uint32_t>(q) + 1,
+                         instance.outcomes()[q], records);
       }
     }
   });
-  bool first = true;
-  for (unsigned slot = 0; slot < partials.slots(); ++slot) {
-    const LaneStats lane = partials.claimed(slot);
-    if (lane.psi == nullptr) continue;
-    if (first) {
-      std::copy_n(lane.psi, n, psi_out);
-      std::copy_n(lane.delta_star, n, delta_star_out);
-      first = false;
-    } else {
-      for (std::uint32_t i = 0; i < n; ++i) psi_out[i] += lane.psi[i];
-      for (std::uint32_t i = 0; i < n; ++i) {
-        delta_star_out[i] += lane.delta_star[i];
-      }
-    }
-  }
-  if (first) {
-    std::fill_n(psi_out, n, 0);
-    std::fill_n(delta_star_out, n, 0);
-  }
+  partials.merge_into(stats);
 }
 
 }  // namespace
@@ -128,8 +110,7 @@ ThresholdDecodeResult decode_threshold_mn(const ThresholdGtInstance& instance,
   // thread count; the centered score is one dispatched kernel pass.
   DecodeArena& arena = DecodeArena::local();
   EntryStats& stats = arena.stats();
-  stats.resize(n);
-  threshold_stats(instance, pool, stats.psi.data(), stats.delta_star.data());
+  threshold_stats(instance, pool, stats);
 
   std::vector<double> scores(n);
   const KernelSet& kernels = active_kernels();

@@ -274,6 +274,24 @@ TEST(BatchEngine, RejectsJobsWithoutAnInstanceSource) {
   EXPECT_FALSE(report.ok());
 }
 
+TEST(BatchEngine, ConsistencyHistogramCountsOnlyCheckedJobs) {
+  ThreadPool pool(1);
+  const BatchEngine engine(pool);
+  DecodeJob checked = sample_job(4, nullptr);
+  DecodeJob unchecked = sample_job(5, nullptr);
+  unchecked.check_consistency = false;
+  ASSERT_TRUE(engine.run_one(checked).ok());
+  ASSERT_TRUE(engine.run_one(unchecked).ok());
+  const MetricsSnapshot snapshot = engine.metrics().snapshot();
+  const MetricValue* consistency = snapshot.find("engine.consistency_seconds");
+  ASSERT_NE(consistency, nullptr);
+  EXPECT_EQ(consistency->kind, MetricKind::Histogram);
+  EXPECT_EQ(consistency->hist.count, 1u);
+  const MetricValue* decode = snapshot.find("engine.decode_seconds");
+  ASSERT_NE(decode, nullptr);
+  EXPECT_EQ(decode->hist.count, 2u);
+}
+
 TEST(Protocol, JobRoundTripPreservesEverything) {
   std::vector<std::uint32_t> truth;
   DecodeJob job = sample_job(11, &truth, "mn:multi-edge");

@@ -2,10 +2,9 @@
 // the host can run must be bit-identical to the scalar reference --
 // scores (all four MnScore shapes, compared as raw bit patterns),
 // Philox/Lemire sampling (exact 32-bit consumption order incl. the
-// rejection path), fused accumulation, bit-packed word ops, and top-k
-// selection with its lower-index tie-break. Decoder-level equivalence is
-// asserted across designs x channels via full decodes under each
-// variant.
+// rejection path), bit-packed word ops, and top-k selection with its
+// lower-index tie-break. Decoder-level equivalence is asserted across
+// designs x channels via full decodes under each variant.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -123,66 +122,40 @@ TEST(KernelSampling, MatchesPhiloxStreamReference) {
   // The kernel contract: identical to PhiloxStream + sample_with_
   // replacement (the pre-kernel implementation), for any n -- including
   // n just above 2^31, where the Lemire rejection fires ~50% of the time.
-  for (const std::uint64_t n : {1ull, 2ull, 7ull, 400ull, 99991ull,
-                                (1ull << 31) + 1ull}) {
-    for (std::uint64_t stream = 0; stream < 4; ++stream) {
-      const std::uint64_t seed = 0xABCDEF0123ull + stream;
-      std::vector<std::uint32_t> want;
-      PhiloxStream ref(seed, stream);
-      sample_with_replacement(ref, n, 733, want);
+  // The counts cover every step shape of the vector samplers: nothing,
+  // a single-group step, 64 draws committed at once, a partial last
+  // step, and long pools (the rejecting n puts a rejection in nearly
+  // every step).
+  for (const std::size_t count : {0u, 1u, 63u, 64u, 65u, 733u, 4113u}) {
+    for (const std::uint64_t n : {1ull, 2ull, 7ull, 400ull, 99991ull,
+                                  (1ull << 31) + 1ull}) {
+      for (std::uint64_t stream = 0; stream < 4; ++stream) {
+        const std::uint64_t seed = 0xABCDEF0123ull + stream;
+        std::vector<std::uint32_t> want;
+        PhiloxStream ref(seed, stream);
+        sample_with_replacement(ref, n, count, want);
 
-      const std::uint64_t mixed_seed = splitmix64_mix(seed);
-      const std::uint64_t mixed_stream =
-          splitmix64_mix(stream ^ 0xA5A5A5A5A5A5A5A5ull);
-      const auto n32 = static_cast<std::uint32_t>(n);
-      const auto threshold =
-          static_cast<std::uint32_t>((0x100000000ull - n32) % n32);
-      std::vector<std::uint32_t> got(733);
-      for (KernelIsa isa : available_kernel_isas()) {
-        std::fill(got.begin(), got.end(), 0xFFFFFFFFu);
-        kernels_for(isa)->sample_u32(static_cast<std::uint32_t>(mixed_seed),
-                                     static_cast<std::uint32_t>(mixed_seed >> 32),
-                                     mixed_stream, n32, threshold, got.size(),
-                                     got.data());
-        ASSERT_EQ(want, got) << kernel_isa_name(isa) << " n=" << n
-                             << " stream=" << stream;
+        const std::uint64_t mixed_seed = splitmix64_mix(seed);
+        const std::uint64_t mixed_stream =
+            splitmix64_mix(stream ^ 0xA5A5A5A5A5A5A5A5ull);
+        const auto n32 = static_cast<std::uint32_t>(n);
+        const auto threshold =
+            static_cast<std::uint32_t>((0x100000000ull - n32) % n32);
+        // One sentinel past the end: no variant may write beyond count.
+        std::vector<std::uint32_t> got(count + 1);
+        for (KernelIsa isa : available_kernel_isas()) {
+          std::fill(got.begin(), got.end(), 0xFFFFFFFFu);
+          kernels_for(isa)->sample_u32(static_cast<std::uint32_t>(mixed_seed),
+                                       static_cast<std::uint32_t>(mixed_seed >> 32),
+                                       mixed_stream, n32, threshold, count,
+                                       got.data());
+          ASSERT_EQ(got.back(), 0xFFFFFFFFu)
+              << kernel_isa_name(isa) << " wrote past count=" << count;
+          ASSERT_EQ(want, std::vector<std::uint32_t>(got.begin(), got.end() - 1))
+              << kernel_isa_name(isa) << " count=" << count << " n=" << n
+              << " stream=" << stream;
+        }
       }
-    }
-  }
-}
-
-TEST(KernelAccumulate, MatchesScalarAcrossVariants) {
-  const KernelSet& scalar = *kernels_for(KernelIsa::Scalar);
-  const std::uint32_t n = 513;
-  std::mt19937_64 rng(11);
-  std::vector<std::vector<std::uint32_t>> queries(37);
-  for (auto& q : queries) {
-    q.resize(64 + rng() % 100);
-    for (auto& e : q) e = static_cast<std::uint32_t>(rng() % n);
-  }
-  const auto run = [&](const KernelSet& set, bool distinct_only) {
-    std::vector<std::uint64_t> psi(n, 0), psi_multi(n, 0), delta(n, 0);
-    std::vector<std::uint32_t> delta_star(n, 0), mark(n, 0);
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      const std::uint64_t yq = 1 + (q % 3);
-      if (distinct_only) {
-        set.accumulate_query_distinct(queries[q].data(), queries[q].size(),
-                                      static_cast<std::uint32_t>(q) + 1, yq,
-                                      mark.data(), psi.data(),
-                                      delta_star.data());
-      } else {
-        set.accumulate_query(queries[q].data(), queries[q].size(),
-                             static_cast<std::uint32_t>(q) + 1, yq, mark.data(),
-                             psi.data(), psi_multi.data(), delta.data(),
-                             delta_star.data());
-      }
-    }
-    return std::tuple(psi, psi_multi, delta, delta_star);
-  };
-  for (const KernelSet* simd : simd_variants()) {
-    for (bool distinct : {false, true}) {
-      EXPECT_EQ(run(scalar, distinct), run(*simd, distinct))
-          << kernel_isa_name(simd->isa);
     }
   }
 }

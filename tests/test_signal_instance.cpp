@@ -183,19 +183,26 @@ INSTANTIATE_TEST_SUITE_P(StoredAndStreamed, InstanceBackends,
                          });
 
 TEST(InstanceEquivalence, BackendsProduceIdenticalObservables) {
-  ThreadPool pool(2);
-  const std::uint32_t n = 400, m = 60;
-  const Signal truth = Signal::random(n, 20, 3);
-  auto design = std::make_shared<RandomRegularDesign>(n, 999);
-  const auto streamed = make_streamed_instance(design, m, truth, pool);
-  const auto stored = make_stored_instance(*design, m, truth, pool);
-  EXPECT_EQ(streamed->results(), stored->results());
-  const EntryStats s1 = streamed->entry_stats(pool);
-  const EntryStats s2 = stored->entry_stats(pool);
-  EXPECT_EQ(s1.psi, s2.psi);
-  EXPECT_EQ(s1.psi_multi, s2.psi_multi);
-  EXPECT_EQ(s1.delta, s2.delta);
-  EXPECT_EQ(s1.delta_star, s2.delta_star);
+  // One lane and many: the streamed pass folds draws into per-lane
+  // records and merges them. At n = 7 (Γ = 3) most draws repeat an entry
+  // of their own query, which is what the first-occurrence mask decides.
+  for (const unsigned width : {1u, 4u}) {
+    for (const std::uint32_t n : {7u, 400u}) {
+      ThreadPool pool(width);
+      const std::uint32_t m = 60;
+      const Signal truth = Signal::random(n, n < 40 ? 2 : 20, 3);
+      auto design = std::make_shared<RandomRegularDesign>(n, 999);
+      const auto streamed = make_streamed_instance(design, m, truth, pool);
+      const auto stored = make_stored_instance(*design, m, truth, pool);
+      EXPECT_EQ(streamed->results(), stored->results());
+      const EntryStats s1 = streamed->entry_stats(pool);
+      const EntryStats s2 = stored->entry_stats(pool);
+      EXPECT_EQ(s1.psi, s2.psi) << "width " << width << " n " << n;
+      EXPECT_EQ(s1.psi_multi, s2.psi_multi) << "width " << width << " n " << n;
+      EXPECT_EQ(s1.delta, s2.delta) << "width " << width << " n " << n;
+      EXPECT_EQ(s1.delta_star, s2.delta_star) << "width " << width << " n " << n;
+    }
+  }
 }
 
 TEST(Instance, MaterializeGraphRoundTrips) {

@@ -19,9 +19,12 @@ regressing silently:
                    through the seeded engines (SplitMix/xoshiro).
   kernel-alloc     heap allocation (new, malloc/calloc/realloc,
                    make_unique/make_shared, std::vector) inside the
-                   src/kernels/kernels_*.cpp hot paths. Kernels run per
-                   query inside the decode loop; buffers belong to the
-                   caller (the arena or the engine), never the kernel.
+                   kernel bodies: the ISA variants
+                   src/kernels/kernels_*.cpp, the scalar loops they share
+                   (kernels_common.hpp) and the per-draw accumulate
+                   (entry_record.hpp). Kernels run per query inside the
+                   decode loop; buffers belong to the caller (the arena
+                   or the engine), never the kernel.
   bare-nolint      a NOLINT marker with no justification. Suppressing
                    clang-tidy is fine, silently is not: the same line or
                    the line above must carry a comment with prose (not
@@ -51,6 +54,8 @@ ALLOC_RE = re.compile(
     r"|(^|[^_\w])(malloc|calloc|realloc)\s*\("
     r"|\bmake_unique\b|\bmake_shared\b"
     r"|\bstd::vector\b")
+KERNEL_BODY_RE = re.compile(
+    r"src/kernels/(kernels_\w+\.(cpp|hpp)|entry_record\.hpp)$")
 NOLINT_RE = re.compile(r"NOLINT")
 WAIVER_RE = re.compile(r"pooled-lint:\s*allow\(([a-z-]+)\)")
 
@@ -95,7 +100,7 @@ def waived(rule, line, previous_line):
 
 def lint_source_file(path, rel, lines):
     findings = []
-    in_kernels = re.match(r"src/kernels/kernels_\w+\.cpp$", rel) is not None
+    in_kernels = KERNEL_BODY_RE.match(rel) is not None
     is_annotations = rel == "src/support/thread_annotations.hpp"
     in_src = rel.startswith("src/")
     previous = ""
@@ -228,6 +233,12 @@ def self_test() -> int:
          "std::vector<double> tmp(n);\n", ["kernel-alloc"]),
         ("kernel new fires", "src/kernels/kernels_sse42.cpp",
          "auto* p = new double[n];\n", ["kernel-alloc"]),
+        ("shared kernel header vector fires", "src/kernels/kernels_common.hpp",
+         "std::vector<std::uint32_t> members;\n", ["kernel-alloc"]),
+        ("record header make_unique fires", "src/kernels/entry_record.hpp",
+         "auto block = std::make_unique<EntryRecord[]>(n);\n", ["kernel-alloc"]),
+        ("arena header is quiet", "src/kernels/decode_arena.hpp",
+         "std::vector<std::uint32_t> members_;\n", []),
         ("vector outside kernels is quiet", "src/core/x.cpp",
          "std::vector<double> tmp(n);\n", []),
         ("kernel dispatch header is quiet", "src/kernels/kernel_set.cpp",
