@@ -22,13 +22,7 @@ class ThreadPool;
 struct BatchedConfig {
   std::uint32_t batch_size = 16;   ///< L: queries per parallel round
   std::uint32_t max_rounds = 1024; ///< hard stop
-  std::uint32_t min_queries = 1;   ///< don't test the stopping rule below this
-  /// Only run the (O(m Γ)) consistency check when the decoded support did
-  /// not change across the last round. In the noisy phase the estimate
-  /// churns every round, so this prunes nearly all checks; once the
-  /// estimate locks in, the check fires immediately. Keeps small-L runs
-  /// from going quadratic.
-  bool check_only_when_stable = true;
+  std::uint32_t min_queries = 1;   ///< don't estimate or test below this
 };
 
 struct BatchedOutcome {
@@ -38,7 +32,11 @@ struct BatchedOutcome {
   bool success = false;  ///< final estimate equals the truth
 };
 
-/// Runs the round-based scheme with the MN decoder.
+/// Runs the round-based scheme with the MN decoder: each round's
+/// simulated queries fold into one IncrementalMn, and the stopping rule
+/// is the served adapter's (engine/adaptive_adapter.cpp), pruning
+/// included -- the exact check runs only once the estimate survives a
+/// round unchanged.
 BatchedOutcome run_batched(std::shared_ptr<const PoolingDesign> design,
                            const Signal& truth, const BatchedConfig& config,
                            ThreadPool& pool);

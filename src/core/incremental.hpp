@@ -1,10 +1,13 @@
-// Incremental MN decoding: append queries one at a time and re-rank.
+// Incremental MN decoding: fold queries in one at a time and re-rank.
 //
-// Fig. 2 of the paper reports, per simulation run, the *minimal* number of
-// queries after which exact reconstruction holds. Entry statistics are
-// additive in queries, so each new query folds in with O(Γ log Γ) work
-// and the exact-recovery check is a single O(n) scan -- no prefix
-// re-simulation.
+// Entry statistics are integer sums, additive in queries, so a query's
+// Γ draws fold into the running per-entry records once and every later
+// estimate reuses them: an estimate after m queries is bit-identical to
+// MnDecoder over the m-query prefix, without regenerating the prefix.
+// The accumulator holds observations only; callers bring the results,
+// either observed (the served `adaptive:mn` decoder folds each round's
+// new queries) or simulated against a truth they own (the Fig. 2 loop
+// and the round-based simulation study).
 #pragma once
 
 #include <cstdint>
@@ -18,42 +21,48 @@
 
 namespace pooled {
 
+class ThreadPool;
+
 class IncrementalMn {
  public:
-  IncrementalMn(std::shared_ptr<const PoolingDesign> design, Signal truth,
-                MnScore score = MnScore::CentralizedPsi);
+  IncrementalMn(std::shared_ptr<const PoolingDesign> design, MnOptions options = {});
 
-  /// Simulates query number m() against the truth and folds it into the
-  /// statistics. Returns the query result.
-  std::uint32_t add_query();
+  /// Folds query number m() with its observed result `y`.
+  void add_query(std::uint32_t y);
 
+  /// Teacher step: observes query number m() against `truth` (the
+  /// quantitative channel), folds it, and returns the result. The
+  /// query's draws are regenerated once for both.
+  std::uint32_t add_simulated_query(const Signal& truth);
+
+  [[nodiscard]] std::uint32_t n() const { return design_->num_entries(); }
   [[nodiscard]] std::uint32_t m() const { return static_cast<std::uint32_t>(y_.size()); }
 
-  /// True iff the current top-k selection equals the true support
-  /// (identical semantics to MnDecoder + select_top_k, including the
-  /// lower-index tie-break).
-  [[nodiscard]] bool matches_truth() const;
+  /// Current weight-k estimate through MnDecoder's scoring and top-k:
+  /// O(n) to transpose the records, then the score and selection.
+  [[nodiscard]] Signal decode(std::uint32_t k, ThreadPool& pool) const;
 
-  /// Fraction of one-entries currently ranked in the top k.
-  [[nodiscard]] double overlap_fraction() const;
+  /// True iff the current top-truth.k() selection equals the support of
+  /// `truth` (identical semantics to decode(), including the lower-index
+  /// tie-break), in one O(n) scan of the scores.
+  [[nodiscard]] bool matches_truth(const Signal& truth, ThreadPool& pool) const;
 
-  /// Current estimate as a full signal (O(n log n)).
-  [[nodiscard]] Signal decode() const;
+  /// Fraction of truth's one-entries currently ranked in the top k.
+  [[nodiscard]] double overlap_fraction(const Signal& truth, ThreadPool& pool) const;
 
   /// Packages the accumulated observations as a streamed instance.
   [[nodiscard]] std::unique_ptr<class StreamedInstance> to_instance() const;
 
-  [[nodiscard]] const Signal& truth() const { return truth_; }
-
  private:
-  /// All n scores via the hoisted kernel dispatch, into the calling
-  /// thread's arena (valid until the next arena score use); the records
-  /// are transposed into the arena's EntryStats first.
-  [[nodiscard]] const double* scores_into_arena() const;
+  /// Folds the draws in scratch_ as query number m() with result `y`.
+  void fold(std::uint32_t y);
+
+  /// The records transposed into the calling thread's arena EntryStats
+  /// (valid until that slot's next use).
+  [[nodiscard]] const EntryStats& stats_into_arena() const;
 
   std::shared_ptr<const PoolingDesign> design_;
-  Signal truth_;
-  MnScore score_;
+  MnDecoder decoder_;
   std::vector<EntryRecord> records_;  ///< one per entry, zeroed at start
   std::vector<std::uint32_t> y_;
   std::vector<std::uint32_t> scratch_;

@@ -18,14 +18,44 @@ namespace {
 /// grain is dominated by chunk dispatch.
 constexpr std::size_t kScoreGrain = 8192;
 
-/// Score dispatch hoisted out of the per-entry loops: one switch per
-/// decode, then the chunked kernel runs branch-free over its range.
-void scores_into(MnScore score, const EntryStats& stats, std::uint32_t k,
-                 ThreadPool& pool, double* out) {
+/// Shared top-k body over a raw score array. The partial-ranking path
+/// runs through select_top_k_into (arena scratch, zero-alloc); the
+/// full-sort path is Algorithm 1 as written, ranking all n coordinates.
+std::vector<std::uint32_t> top_k_support(const double* scores, std::size_t n,
+                                         std::uint32_t k, bool full_sort,
+                                         ThreadPool& pool) {
+  POOLED_REQUIRE(k <= n, "cannot select more entries than exist");
+  std::vector<std::uint32_t> support(k);
+  DecodeArena& arena = DecodeArena::local();
+  if (full_sort) {
+    std::uint32_t* order = arena.order(n);
+    std::iota(order, order + n, 0u);
+    const auto better = [&](std::uint32_t a, std::uint32_t b) {
+      if (scores[a] != scores[b]) return scores[a] > scores[b];
+      return a < b;  // deterministic tie-break
+    };
+    parallel_sort(pool, order, order + n, better);
+    std::copy_n(order, k, support.begin());
+    std::sort(support.begin(), support.end());
+  } else {
+    select_top_k_into(active_kernels(), scores, n, k, arena.topk_values(n),
+                      support.data());
+  }
+  return support;
+}
+
+}  // namespace
+
+MnDecoder::MnDecoder(MnOptions options) : options_(options) {}
+
+void MnDecoder::scores_into(const EntryStats& stats, std::uint32_t k,
+                            ThreadPool& pool, double* out) const {
+  // Hoisted out of the per-entry loops: one switch per call, then the
+  // chunked kernel runs branch-free over its range.
   const std::size_t n = stats.psi.size();
   const double half_k = static_cast<double>(k) / 2.0;
   const KernelSet& kernels = active_kernels();
-  switch (score) {
+  switch (options_.score) {
     case MnScore::CentralizedPsi:
       parallel_for_chunked(pool, 0, n, kScoreGrain,
                            [&](std::size_t lo, std::size_t hi) {
@@ -59,42 +89,22 @@ void scores_into(MnScore score, const EntryStats& stats, std::uint32_t k,
   }
 }
 
-/// Shared top-k body over a raw score array. The partial-ranking path
-/// runs through select_top_k_into (arena scratch, zero-alloc); the
-/// full-sort path is Algorithm 1 as written, ranking all n coordinates.
-std::vector<std::uint32_t> top_k_support(const double* scores, std::size_t n,
-                                         std::uint32_t k, bool full_sort,
-                                         ThreadPool& pool) {
-  POOLED_REQUIRE(k <= n, "cannot select more entries than exist");
-  std::vector<std::uint32_t> support(k);
-  DecodeArena& arena = DecodeArena::local();
-  if (full_sort) {
-    std::uint32_t* order = arena.order(n);
-    std::iota(order, order + n, 0u);
-    const auto better = [&](std::uint32_t a, std::uint32_t b) {
-      if (scores[a] != scores[b]) return scores[a] > scores[b];
-      return a < b;  // deterministic tie-break
-    };
-    parallel_sort(pool, order, order + n, better);
-    std::copy_n(order, k, support.begin());
-    std::sort(support.begin(), support.end());
-  } else {
-    select_top_k_into(active_kernels(), scores, n, k, arena.topk_values(n),
-                      support.data());
-  }
-  return support;
-}
-
-}  // namespace
-
-MnDecoder::MnDecoder(MnOptions options) : options_(options) {}
-
 std::vector<double> MnDecoder::scores_from_stats(const EntryStats& stats,
                                                  std::uint32_t k,
                                                  ThreadPool& pool) const {
   std::vector<double> scores(stats.psi.size());
-  scores_into(options_.score, stats, k, pool, scores.data());
+  scores_into(stats, k, pool, scores.data());
   return scores;
+}
+
+Signal MnDecoder::estimate_from_stats(const EntryStats& stats, std::uint32_t k,
+                                      ThreadPool& pool) const {
+  const std::size_t n = stats.psi.size();
+  POOLED_REQUIRE(k <= n, "weight k exceeds signal length");
+  double* scores = DecodeArena::local().scores(n);
+  scores_into(stats, k, pool, scores);
+  auto support = top_k_support(scores, n, k, options_.full_sort, pool);
+  return Signal(static_cast<std::uint32_t>(n), std::move(support));
 }
 
 std::vector<std::uint32_t> select_top_k(std::vector<double>& scores, std::uint32_t k,
@@ -114,21 +124,14 @@ MnResult MnDecoder::decode_scored(const Instance& instance, std::uint32_t k,
 
 DecodeOutcome MnDecoder::decode(const Instance& instance,
                                 const DecodeContext& context) const {
-  const std::uint32_t k = context.k;
   ThreadPool& pool = context.thread_pool();
-  POOLED_REQUIRE(k <= instance.n(), "weight k exceeds signal length");
   // Zero-alloc steady state: statistics and scores live in the decoding
   // thread's arena; only the returned support allocates.
-  DecodeArena& arena = DecodeArena::local();
-  EntryStats& stats = arena.stats();
+  EntryStats& stats = DecodeArena::local().stats();
   instance.entry_stats_into(pool, stats);
-  const std::size_t n = stats.psi.size();
-  double* scores = arena.scores(n);
-  scores_into(options_.score, stats, k, pool, scores);
-  auto support = top_k_support(scores, n, k, options_.full_sort, pool);
   // One score per entry: the matrix-vector pass of the "Parallelized
   // Reconstruction" remark.
-  return one_shot_outcome(Signal(instance.n(), std::move(support)), instance,
+  return one_shot_outcome(estimate_from_stats(stats, context.k, pool), instance,
                           instance.n());
 }
 

@@ -54,11 +54,23 @@ class MnDecoder final : public Decoder {
   [[nodiscard]] MnResult decode_scored(const Instance& instance, std::uint32_t k,
                                        ThreadPool& pool) const;
 
-  /// Scores from precomputed entry statistics (shared with the
-  /// incremental variant).
+  /// Scores from precomputed entry statistics, as a fresh vector.
   [[nodiscard]] std::vector<double> scores_from_stats(const EntryStats& stats,
                                                       std::uint32_t k,
                                                       ThreadPool& pool) const;
+
+  /// The one score dispatch: all stats.psi.size() scores into `out`.
+  void scores_into(const EntryStats& stats, std::uint32_t k, ThreadPool& pool,
+                   double* out) const;
+
+  /// decode()'s tail over precomputed statistics: scores into the calling
+  /// thread's arena, then the k best entries (honouring `full_sort`).
+  /// IncrementalMn estimates through it.
+  [[nodiscard]] Signal estimate_from_stats(const EntryStats& stats,
+                                           std::uint32_t k,
+                                           ThreadPool& pool) const;
+
+  [[nodiscard]] const MnOptions& options() const { return options_; }
 
   [[nodiscard]] std::string name() const override;
 

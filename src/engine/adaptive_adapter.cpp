@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <charconv>
+#include <optional>
 #include <vector>
 
+#include "core/incremental.hpp"
+#include "core/mn.hpp"
 #include "engine/registry.hpp"
 #include "support/assert.hpp"
 #include "support/timer.hpp"
@@ -31,8 +34,42 @@ DecodeOutcome AdaptiveDecoder::decode(const Instance& instance,
                                                 : instance.m()));
   POOLED_REQUIRE(available >= 1, "adaptive decoding needs at least one query");
 
+  // The revealed prefix, on the same design and channel (so gt inners
+  // keep working and the stopping rule observes through the channel).
+  const auto prefix = [&](std::uint32_t count) {
+    return StreamedInstance(
+        streamed->design_ptr(), count,
+        std::vector<std::uint32_t>(y.begin(), y.begin() + count),
+        streamed->channel(), streamed->channel_threshold());
+  };
+  // MN inners fold each round's new queries into one accumulator instead
+  // of re-decoding the prefix. The fold is serial: at paper scale a
+  // parallel fold of L queries saves less than merging per-lane records
+  // every round costs.
+  std::optional<IncrementalMn> incremental;
+  if (const auto* mn = dynamic_cast<const MnDecoder*>(inner_.get())) {
+    incremental.emplace(streamed->design_ptr(), mn->options());
+  }
+
   DecodeOutcome outcome;
   outcome.estimate = Signal(instance.n());
+  // The round's estimate over the first `count` queries.
+  const auto estimate_prefix = [&](std::uint32_t count) {
+    if (incremental) {
+      while (incremental->m() < count) incremental->add_query(y[incremental->m()]);
+      Signal estimate = incremental->decode(context.k, context.thread_pool());
+      outcome.score_evals += instance.n();  // one score per entry, as MN's
+      return estimate;
+    }
+    DecodeContext inner_context = context;
+    inner_context.max_rounds = 0;    // the inner decode is one-shot
+    inner_context.query_budget = 0;  // it sees exactly the prefix
+    inner_context.stats = nullptr;   // rounds are reported by this level
+    DecodeOutcome inner = inner_->decode(prefix(count), inner_context);
+    outcome.score_evals += inner.score_evals;
+    return std::move(inner.estimate);
+  };
+
   StopReason stop = StopReason::Exhausted;
   std::uint32_t consumed = 0;
   std::uint32_t round = 0;
@@ -54,30 +91,23 @@ DecodeOutcome AdaptiveDecoder::decode(const Instance& instance,
     consumed = std::min(available, consumed + options_.batch_size);
     ++round;
 
-    // Reveal the round's prefix and re-estimate with the inner decoder.
-    // The prefix rides the same design, so gt inners keep working.
-    const StreamedInstance prefix(
-        streamed->design_ptr(), consumed,
-        std::vector<std::uint32_t>(y.begin(), y.begin() + consumed),
-        streamed->channel(), streamed->channel_threshold());
-    DecodeContext inner_context = context;
-    inner_context.max_rounds = 0;    // the inner decode is one-shot
-    inner_context.query_budget = 0;  // it sees exactly the prefix
-    inner_context.stats = nullptr;   // rounds are reported by this level
-    DecodeOutcome inner = inner_->decode(prefix, inner_context);
-    outcome.score_evals += inner.score_evals;
-    const bool stable = have_estimate && inner.estimate == outcome.estimate;
-    outcome.estimate = std::move(inner.estimate);
+    Signal estimate = estimate_prefix(consumed);
+    const bool stable = have_estimate && estimate == outcome.estimate;
+    outcome.estimate = std::move(estimate);
     have_estimate = true;
     if (context.stats != nullptr) context.stats->on_round(round, consumed);
 
     // Observable stopping rule: does the estimate reproduce every result
     // observed so far? (Wrong-but-consistent estimates are possible below
     // the information-theoretic threshold; scoring against the truth is
-    // the engine's job, not ours.)
+    // the engine's job, not ours.) The check regenerates the whole
+    // prefix, so it runs only once the estimate survives a round
+    // unchanged -- in the noisy phase the estimate churns every round,
+    // and once it locks in the check fires at once -- or when the
+    // queries run out.
     const bool exhausted = consumed >= available;
-    if (!options_.check_only_when_stable || stable || exhausted) {
-      if (prefix.is_consistent(outcome.estimate)) {
+    if (stable || exhausted) {
+      if (prefix(consumed).is_consistent(outcome.estimate)) {
         stop = StopReason::Converged;
         break;
       }

@@ -12,12 +12,15 @@
 //
 // The inner per-round estimator is any one-shot registry decoder, so
 // `adaptive:mn:L=16` is MN re-estimated every 16 queries and
-// `adaptive:gt:binary:L=8` is DD over growing binary prefixes. The
-// outcome reports the real trajectory: rounds run, queries consumed, and
-// why it stopped (converged / round-limit / exhausted / deadline /
-// cancelled). DecodeContext::max_rounds and query_budget tighten the
-// caps per decode; protocol v2 carries them as the `rounds` and `budget`
-// job fields.
+// `adaptive:gt:binary:L=8` is DD over growing binary prefixes. MN inners
+// (every score variant) keep one IncrementalMn per decode and fold only
+// each round's L new queries into it; the estimate is bit-identical to
+// decoding the prefix. Other inners re-decode the whole prefix each
+// round. The outcome reports the real trajectory: rounds run, queries
+// consumed, and why it stopped (converged / round-limit / exhausted /
+// deadline / cancelled). DecodeContext::max_rounds and query_budget
+// tighten the caps per decode; protocol v2 carries them as the `rounds`
+// and `budget` job fields.
 #pragma once
 
 #include <cstdint>
@@ -30,11 +33,6 @@ namespace pooled {
 
 struct AdaptiveOptions {
   std::uint32_t batch_size = 16;  ///< L: queries revealed per round
-  /// Only run the O(m Γ) stopping-rule check when the estimate did not
-  /// change across the last round (same pruning as adaptive/batched.hpp:
-  /// in the noisy phase the estimate churns every round, so this skips
-  /// nearly all checks; once it locks in, the check fires immediately).
-  bool check_only_when_stable = true;
 };
 
 class AdaptiveDecoder final : public Decoder {

@@ -18,18 +18,19 @@ std::uint32_t required_queries_one_run(const RequiredQueriesConfig& config,
   POOLED_REQUIRE(config.k >= 1 && config.k <= config.n, "invalid (n, k)");
   const TrialSeeds seeds = trial_seeds(config.seed_base, trial_index);
   auto design = std::make_shared<RandomRegularDesign>(config.n, seeds.design_seed);
-  Signal truth = Signal::random(config.n, config.k, seeds.signal_seed);
+  const Signal truth = Signal::random(config.n, config.k, seeds.signal_seed);
   std::uint32_t cap = config.m_cap;
   if (cap == 0) {
     const double guard = 50.0 * thresholds::m_mn_finite(config.n, std::max<std::uint32_t>(config.k, 2));
     cap = static_cast<std::uint32_t>(std::min<double>(guard, 1e9));
   }
-  IncrementalMn mn(std::move(design), std::move(truth));
+  IncrementalMn mn(std::move(design));
+  ThreadPool serial(1);  // one run is serial; trials spread over the pool
   while (mn.m() < cap) {
-    mn.add_query();
-    if (mn.matches_truth()) return mn.m();
+    mn.add_simulated_query(truth);
+    if (mn.matches_truth(truth, serial)) return mn.m();
   }
-  return 0;
+  return cap;
 }
 
 RunningStats required_queries(const RequiredQueriesConfig& config,
@@ -37,8 +38,7 @@ RunningStats required_queries(const RequiredQueriesConfig& config,
   RunningStats stats;
   AnnotatedMutex mu;
   pool.run_tasks(trials, [&](std::size_t t) {
-    std::uint32_t required = required_queries_one_run(config, t);
-    if (required == 0) required = config.m_cap;  // saturate, don't drop
+    const std::uint32_t required = required_queries_one_run(config, t);
     const LockGuard lock(mu);
     stats.add(static_cast<double>(required));
   });

@@ -20,12 +20,13 @@ struct RequiredQueriesConfig {
 };
 
 /// One run: queries are added one at a time (incremental MN) and the
-/// first m with exact reconstruction is returned; 0 if the cap was hit.
+/// first m with exact reconstruction is returned. A run that never
+/// reconstructs returns the cap it stopped at (m_cap, or the 50x guard
+/// when m_cap is 0), matching how the paper's plot saturates.
 std::uint32_t required_queries_one_run(const RequiredQueriesConfig& config,
                                        std::uint64_t trial_index);
 
-/// Aggregates `trials` independent runs in parallel (cap-hitting runs are
-/// recorded at the cap value, matching how the paper's plot saturates).
+/// Aggregates `trials` independent runs in parallel.
 RunningStats required_queries(const RequiredQueriesConfig& config,
                               std::uint32_t trials, ThreadPool& pool);
 

@@ -1,12 +1,23 @@
 // Tests for the partially-parallel (L-batch) extension.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <memory>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "adaptive/batched.hpp"
 #include "core/instance.hpp"
+#include "core/mn.hpp"
+#include "core/noise.hpp"
 #include "core/thresholds.hpp"
 #include "design/random_regular.hpp"
+#include "engine/adaptive_adapter.hpp"
+#include "engine/batch_engine.hpp"
+#include "engine/protocol.hpp"
 #include "engine/registry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/assert.hpp"
@@ -155,6 +166,202 @@ TEST(AdaptiveAdapter, RequiresADesignBackedInstance) {
   EXPECT_NO_THROW((void)adaptive->decode(*streamed, DecodeContext(k, pool)));
   EXPECT_THROW((void)adaptive->decode(*stored, DecodeContext(k, pool)),
                ContractError);
+}
+
+// ---- incremental MN vs prefix replay ----------------------------------
+//
+// The reference is the adapter's round loop with every round re-decoding
+// the whole prefix through the one-shot inner: the path non-MN inners
+// still take, and the one MN inners took before they folded only each
+// round's new queries. Outcomes must agree bit for bit.
+
+DecodeOutcome replay_reference(const StreamedInstance& instance,
+                               const Decoder& inner, std::uint32_t batch,
+                               const DecodeContext& context) {
+  const auto& y = instance.results();
+  const auto available = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+      instance.m(),
+      context.query_budget > 0 ? context.query_budget : instance.m()));
+  DecodeOutcome outcome;
+  outcome.estimate = Signal(instance.n());
+  outcome.stop = StopReason::Exhausted;
+  std::uint32_t consumed = 0;
+  std::uint32_t round = 0;
+  bool have_estimate = false;
+  while (true) {
+    if (context.max_rounds > 0 && round >= context.max_rounds) {
+      outcome.stop = StopReason::RoundLimit;
+      break;
+    }
+    consumed = std::min(available, consumed + batch);
+    ++round;
+    const StreamedInstance prefix(
+        instance.design_ptr(), consumed,
+        std::vector<std::uint32_t>(y.begin(), y.begin() + consumed),
+        instance.channel(), instance.channel_threshold());
+    DecodeOutcome step =
+        inner.decode(prefix, DecodeContext(context.k, context.thread_pool()));
+    outcome.score_evals += step.score_evals;
+    const bool stable = have_estimate && step.estimate == outcome.estimate;
+    outcome.estimate = std::move(step.estimate);
+    have_estimate = true;
+    const bool exhausted = consumed >= available;
+    if (stable || exhausted) {
+      if (prefix.is_consistent(outcome.estimate)) {
+        outcome.stop = StopReason::Converged;
+        break;
+      }
+      if (exhausted) break;
+    }
+  }
+  outcome.rounds = round;
+  outcome.queries = consumed;
+  return outcome;
+}
+
+/// A channel-observed instance of `truth`, optionally with symmetric
+/// noise on its results.
+std::shared_ptr<const StreamedInstance> channel_instance(
+    std::uint32_t n, std::uint32_t m, const Signal& truth, ChannelKind channel,
+    std::uint32_t threshold, bool noisy, ThreadPool& pool) {
+  auto design = std::make_shared<RandomRegularDesign>(n, 1000 + n);
+  std::vector<std::uint32_t> y = simulate_queries(*design, m, truth, pool);
+  for (std::uint32_t& value : y) value = apply_channel(value, channel, threshold);
+  std::shared_ptr<const Instance> instance = std::make_shared<StreamedInstance>(
+      std::move(design), m, std::move(y), channel, threshold);
+  if (noisy) instance = with_noise(instance, NoiseModel::symmetric(0.05, 7 + n));
+  return std::dynamic_pointer_cast<const StreamedInstance>(instance);
+}
+
+std::string describe(const DecodeOutcome& outcome) {
+  std::ostringstream os;
+  os << "support";
+  for (std::uint32_t i : outcome.estimate.support()) os << ' ' << i;
+  os << " rounds " << outcome.rounds << " queries " << outcome.queries
+     << " stop " << stop_reason_name(outcome.stop) << " score_evals "
+     << outcome.score_evals;
+  return os.str();
+}
+
+TEST(AdaptiveAdapter, IncrementalMatchesPrefixReplay) {
+  struct Shape {
+    std::uint32_t n, k, m;
+  };
+  struct Channel {
+    ChannelKind kind;
+    std::uint32_t threshold;
+  };
+  const Shape shapes[] = {{7, 2, 12}, {60, 3, 50}, {400, 5, 150}};
+  const Channel channels[] = {{ChannelKind::Quantitative, 1},
+                              {ChannelKind::Binary, 1},
+                              {ChannelKind::Threshold, 2}};
+  std::vector<MnOptions> inners;
+  for (MnScore score : {MnScore::CentralizedPsi, MnScore::RawPsi,
+                        MnScore::NormalizedPsi, MnScore::MultiEdgePsi}) {
+    inners.push_back(MnOptions{score, /*full_sort=*/false});
+  }
+  inners.push_back(MnOptions{MnScore::CentralizedPsi, /*full_sort=*/true});
+  std::size_t cases = 0;
+  std::size_t converged = 0;
+  for (unsigned width : {1u, 4u}) {
+    ThreadPool pool(width);
+    for (const Shape& shape : shapes) {
+      const Signal truth = Signal::random(shape.n, shape.k, 31 + shape.n);
+      for (const Channel& channel : channels) {
+        for (bool noisy : {false, true}) {
+          const auto instance = channel_instance(
+              shape.n, shape.m, truth, channel.kind, channel.threshold, noisy,
+              pool);
+          for (const MnOptions& options : inners) {
+            const auto inner = std::make_shared<MnDecoder>(options);
+            for (std::uint32_t batch : {1u, 3u, 16u}) {
+              const AdaptiveDecoder adaptive(inner, AdaptiveOptions{batch});
+              std::vector<DecodeContext> contexts(3, DecodeContext(shape.k, pool));
+              contexts[1].max_rounds = 4;                  // rounds cap
+              contexts[2].query_budget = shape.m / 2 + 1;  // budget cap
+              for (const DecodeContext& context : contexts) {
+                const DecodeOutcome want =
+                    replay_reference(*instance, *inner, batch, context);
+                const DecodeOutcome got = adaptive.decode(*instance, context);
+                ASSERT_EQ(describe(got), describe(want))
+                    << "width " << width << " n " << shape.n << " channel "
+                    << static_cast<int>(channel.kind) << " noisy " << noisy
+                    << " inner " << inner->name() << " full_sort "
+                    << options.full_sort << " L " << batch << " rounds cap "
+                    << context.max_rounds << " budget " << context.query_budget;
+                ++cases;
+                converged += got.stop == StopReason::Converged;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 2u * 3 * 3 * 2 * 5 * 3 * 3);
+  // The matrix exercises both the converged and the unconverged exits.
+  EXPECT_GT(converged, 0u);
+  EXPECT_LT(converged, cases);
+}
+
+TEST(AdaptiveAdapter, IncrementalRejectsKAboveNLikeTheReplay) {
+  ThreadPool pool(1);
+  const Signal truth = Signal::random(7, 2, 3);
+  const auto instance = channel_instance(7, 12, truth, ChannelKind::Quantitative,
+                                         1, false, pool);
+  const auto inner = std::make_shared<MnDecoder>();
+  const DecodeContext context(8, pool);
+  std::optional<std::string> want;
+  std::optional<std::string> got;
+  try {
+    (void)replay_reference(*instance, *inner, 3, context);
+  } catch (const ContractError& e) {
+    want = e.what();
+  }
+  try {
+    (void)AdaptiveDecoder(inner, AdaptiveOptions{3}).decode(*instance, context);
+  } catch (const ContractError& e) {
+    got = e.what();
+  }
+  ASSERT_TRUE(want.has_value());
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, *want);
+}
+
+TEST(AdaptiveAdapter, NonMnInnerKeepsThePrefixReplay) {
+  ThreadPool pool(2);
+  const Signal truth = Signal::random(400, 5, 41);
+  for (bool noisy : {false, true}) {
+    const auto instance = channel_instance(400, 150, truth, ChannelKind::Binary,
+                                           1, noisy, pool);
+    const DecodeContext context(5, pool);
+    const DecodeOutcome want =
+        replay_reference(*instance, *make_decoder("gt:binary"), 4, context);
+    const DecodeOutcome got =
+        make_decoder("adaptive:gt:binary:L=4")->decode(*instance, context);
+    EXPECT_EQ(describe(got), describe(want)) << "noisy " << noisy;
+  }
+}
+
+TEST(AdaptiveAdapter, GoldenV2RequestAnswerIsPinned) {
+  // Request #0 of the golden v2 fixture (noise, rounds and budget caps)
+  // without its deadline, so slow sanitizer builds decode it in full.
+  std::ifstream is(std::string(POOLED_TEST_DATA_DIR) + "/golden_v2_requests.txt");
+  ASSERT_TRUE(static_cast<bool>(is));
+  auto job = load_job(is);
+  ASSERT_TRUE(job.has_value());
+  ASSERT_EQ(job->decoder, "adaptive:mn:L=8");
+  job->deadline_seconds.reset();
+  for (unsigned width : {1u, 4u}) {
+    ThreadPool pool(width);
+    const DecodeReport report = BatchEngine(pool).run_one(*job);
+    ASSERT_TRUE(report.ok()) << report.error;
+    EXPECT_EQ(report.support, (std::vector<std::uint32_t>{17, 33, 71, 92}));
+    EXPECT_EQ(report.rounds, 12u);
+    EXPECT_EQ(report.queries, 96u);
+    EXPECT_EQ(report.stop, StopReason::Exhausted);
+    EXPECT_FALSE(report.consistent);
+  }
 }
 
 }  // namespace

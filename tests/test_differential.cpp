@@ -119,11 +119,12 @@ TEST_P(DifferentialSweep, IncrementalEqualsBatchAtFinalPrefix) {
   params.p = config.p;
   std::shared_ptr<const PoolingDesign> design = make_design(config.kind, params);
   const Signal truth = Signal::random(config.n, config.k, config.seed ^ 0xBEEF);
-  IncrementalMn incremental(design, truth);
-  for (std::uint32_t q = 0; q < config.m; ++q) incremental.add_query();
+  IncrementalMn incremental(design);
+  for (std::uint32_t q = 0; q < config.m; ++q) incremental.add_simulated_query(truth);
   const auto instance = make_streamed_instance(design, config.m, truth, pool);
-  ASSERT_EQ(incremental.decode(), MnDecoder().decode(*instance, config.k, pool));
-  ASSERT_EQ(incremental.matches_truth(), incremental.decode() == truth);
+  const Signal estimate = incremental.decode(config.k, pool);
+  ASSERT_EQ(estimate, MnDecoder().decode(*instance, config.k, pool));
+  ASSERT_EQ(incremental.matches_truth(truth, pool), estimate == truth);
 }
 
 TEST_P(DifferentialSweep, SerializationPreservesDecoding) {

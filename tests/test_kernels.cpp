@@ -388,13 +388,15 @@ TEST(KernelDecodes, IncrementalMnIdenticalAcrossVariants) {
   for (KernelIsa isa : available_kernel_isas()) {
     const KernelGuard guard(*kernels_for(isa));
     auto design = std::make_shared<RandomRegularDesign>(n, 99);
-    IncrementalMn inc(design, Signal::random(n, k, 13));
+    const Signal truth = Signal::random(n, k, 13);
+    ThreadPool pool(1);
+    IncrementalMn inc(design);
     std::vector<std::uint32_t> history;
     for (std::uint32_t q = 0; q < m; ++q) {
-      inc.add_query();
-      if (inc.matches_truth()) history.push_back(q);
+      inc.add_simulated_query(truth);
+      if (inc.matches_truth(truth, pool)) history.push_back(q);
     }
-    const Signal estimate = inc.decode();
+    const Signal estimate = inc.decode(k, pool);
     const std::vector<std::uint32_t> support(estimate.support().begin(),
                                              estimate.support().end());
     if (isa == KernelIsa::Scalar) {

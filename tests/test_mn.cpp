@@ -206,41 +206,43 @@ TEST(IncrementalMn, AgreesWithBatchDecoderAtEveryPrefix) {
   const std::uint32_t n = 200, k = 5;
   const Signal truth = Signal::random(n, k, 11);
   auto design = std::make_shared<RandomRegularDesign>(n, 12);
-  IncrementalMn incremental(design, truth);
+  IncrementalMn incremental(design);
   const MnDecoder batch;
   for (std::uint32_t m = 1; m <= 60; ++m) {
-    incremental.add_query();
+    incremental.add_simulated_query(truth);
     if (m % 10 != 0) continue;  // spot-check prefixes
     const auto instance = make_streamed_instance(design, m, truth, pool);
-    EXPECT_EQ(incremental.decode(), batch.decode(*instance, k, pool))
+    EXPECT_EQ(incremental.decode(k, pool), batch.decode(*instance, k, pool))
         << "prefix m=" << m;
   }
 }
 
 TEST(IncrementalMn, MatchesTruthFlagAgreesWithDecode) {
+  ThreadPool pool(1);
   const std::uint32_t n = 300, k = 6;
   const Signal truth = Signal::random(n, k, 13);
   auto design = std::make_shared<RandomRegularDesign>(n, 14);
-  IncrementalMn incremental(design, truth);
+  IncrementalMn incremental(design);
   for (int q = 0; q < 250; ++q) {
-    incremental.add_query();
-    EXPECT_EQ(incremental.matches_truth(),
-              incremental.decode() == truth)
+    incremental.add_simulated_query(truth);
+    EXPECT_EQ(incremental.matches_truth(truth, pool),
+              incremental.decode(k, pool) == truth)
         << "m=" << incremental.m();
   }
 }
 
 TEST(IncrementalMn, EventuallyRecovers) {
+  ThreadPool pool(1);
   const std::uint32_t n = 400, k = 6;
   const Signal truth = Signal::random(n, k, 15);
   auto design = std::make_shared<RandomRegularDesign>(n, 16);
-  IncrementalMn incremental(design, truth);
+  IncrementalMn incremental(design);
   const auto cap = static_cast<std::uint32_t>(
       10.0 * thresholds::m_mn_finite(n, k));
   bool recovered = false;
   while (incremental.m() < cap) {
-    incremental.add_query();
-    if (incremental.matches_truth()) {
+    incremental.add_simulated_query(truth);
+    if (incremental.matches_truth(truth, pool)) {
       recovered = true;
       break;
     }
@@ -253,8 +255,8 @@ TEST(IncrementalMn, QueryResultsMatchInstanceConversion) {
   const std::uint32_t n = 150, k = 4;
   const Signal truth = Signal::random(n, k, 17);
   auto design = std::make_shared<RandomRegularDesign>(n, 18);
-  IncrementalMn incremental(design, truth);
-  for (int q = 0; q < 25; ++q) incremental.add_query();
+  IncrementalMn incremental(design);
+  for (int q = 0; q < 25; ++q) incremental.add_simulated_query(truth);
   const auto instance = incremental.to_instance();
   EXPECT_EQ(instance->m(), 25u);
   EXPECT_EQ(instance->results(), simulate_queries(*design, 25, truth, pool));
@@ -263,17 +265,18 @@ TEST(IncrementalMn, QueryResultsMatchInstanceConversion) {
 
 TEST(IncrementalMn, OverlapFractionIsMonotoneAtLargeM) {
   // Not strictly monotone per query, but must reach 1.0 once recovered.
+  ThreadPool pool(1);
   const std::uint32_t n = 300, k = 5;
   const Signal truth = Signal::random(n, k, 19);
   auto design = std::make_shared<RandomRegularDesign>(n, 20);
-  IncrementalMn incremental(design, truth);
+  IncrementalMn incremental(design);
   const auto cap = static_cast<std::uint32_t>(
       10.0 * thresholds::m_mn_finite(n, k));
-  while (!incremental.matches_truth() && incremental.m() < cap) {
-    incremental.add_query();
+  while (!incremental.matches_truth(truth, pool) && incremental.m() < cap) {
+    incremental.add_simulated_query(truth);
   }
-  ASSERT_TRUE(incremental.matches_truth());
-  EXPECT_DOUBLE_EQ(incremental.overlap_fraction(), 1.0);
+  ASSERT_TRUE(incremental.matches_truth(truth, pool));
+  EXPECT_DOUBLE_EQ(incremental.overlap_fraction(truth, pool), 1.0);
 }
 
 TEST(Metrics, ExactRecoveryAndOverlap) {

@@ -124,9 +124,10 @@ TEST(ProtocolLimits, NonFiniteDeadlinesAreRejected) {
   EXPECT_DOUBLE_EQ(*job->deadline_seconds, 1.5);
 }
 
-/// A slow head job (a deadline-capped noisy adaptive decode) and then
-/// more tiny frames than two clamped windows hold: while the head job
-/// decodes, the reader parses ahead until the queue bound stops it.
+/// A slow head job (a deadline-capped noisy adaptive decode whose OMP
+/// inner re-decodes the whole prefix every round) and then more tiny
+/// frames than two clamped windows hold: while the head job decodes, the
+/// reader parses ahead until the queue bound stops it.
 std::string clamp_probe_stream(std::size_t tiny_frames) {
   ThreadPool pool(1);
   DesignParams params;
@@ -135,7 +136,7 @@ std::string clamp_probe_stream(std::size_t tiny_frames) {
   DecodeJob head;
   head.spec = simulate_spec(DesignKind::RandomRegular, params, 600,
                             Signal::random(600, 6, 43), pool);
-  head.decoder = "adaptive:mn:L=1";
+  head.decoder = "adaptive:omp:L=1";
   head.k = 6;
   head.noise = NoiseModel::symmetric(0.3, 11);
   head.deadline_seconds = 0.3;

@@ -57,8 +57,11 @@ DecodeJob sample_job(std::uint64_t seed, std::vector<std::uint32_t>* truth_out,
 /// A noisy round-by-round job that can never converge (the estimate
 /// cannot explain perturbed observations), so it grinds through rounds
 /// until exhausted/cancelled/deadline -- the cancellation test fixture.
+/// OMP re-decodes the whole prefix every round (seconds in all), where
+/// an MN inner folds only each round's new query and finishes in
+/// milliseconds.
 DecodeJob long_running_job(std::uint64_t seed) {
-  DecodeJob job = sample_job(seed, nullptr, "adaptive:mn:L=1", /*n=*/600,
+  DecodeJob job = sample_job(seed, nullptr, "adaptive:omp:L=1", /*n=*/600,
                              /*k=*/6, /*m=*/600);
   job.noise = NoiseModel::symmetric(0.3, 11);
   return job;

@@ -58,10 +58,11 @@ DecodeJob sample_job(std::uint64_t seed, std::uint32_t n = 300,
 /// A job that runs for ~deadline_ms wall-clock: noisy enough that the
 /// adaptive decoder never converges, so the deadline is what stops it
 /// (status stays ok). Slow on purpose -- a SIGKILL mid-batch must land
-/// while jobs are genuinely in flight.
+/// while jobs are genuinely in flight. OMP re-decodes the whole prefix
+/// every round, seconds in all; an MN inner would finish in milliseconds.
 DecodeJob slow_job(std::uint64_t seed, double deadline_ms) {
   DecodeJob job = sample_job(seed, /*n=*/600, /*k=*/6, /*m=*/600);
-  job.decoder = "adaptive:mn:L=1";
+  job.decoder = "adaptive:omp:L=1";
   job.noise = NoiseModel::symmetric(0.3, 11);
   job.deadline_seconds = deadline_ms / 1000.0;
   return job;

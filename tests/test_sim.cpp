@@ -109,6 +109,16 @@ TEST(RequiredQueries, SingleRunFindsFiniteM) {
             10.0 * thresholds::m_mn_finite(config.n, config.k));
 }
 
+TEST(RequiredQueries, CapHittingRunIsRecordedAtTheCap) {
+  // Far below any exact reconstruction: the run stops at the cap and
+  // reports it, so the aggregate saturates instead of averaging in 0.
+  RequiredQueriesConfig config;
+  config.n = 300;
+  config.k = 5;
+  config.m_cap = 3;
+  EXPECT_EQ(required_queries_one_run(config, 0), 3u);
+}
+
 TEST(RequiredQueries, IsReproducible) {
   RequiredQueriesConfig config;
   config.n = 250;
