@@ -114,11 +114,9 @@ EntryStats legacy_entry_stats(const RandomRegularDesign& design, std::uint32_t m
     }
   });
   EntryStats stats;
-  stats.resize(num);
+  stats.resize(num, CountMode::Distinct);
   for (std::uint32_t i = 0; i < num; ++i) {
     stats.psi[i] = psi[i].load(std::memory_order_relaxed);
-    stats.psi_multi[i] = psi_multi[i].load(std::memory_order_relaxed);
-    stats.delta[i] = delta[i].load(std::memory_order_relaxed);
     stats.delta_star[i] = delta_star[i].load(std::memory_order_relaxed);
   }
   return stats;

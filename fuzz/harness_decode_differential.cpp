@@ -8,7 +8,9 @@
 // This extends the deterministic test_kernels differential battery to
 // fuzzer-derived inputs: hostile y values, degenerate shapes, and
 // channel/value mismatches must fail (or succeed) identically no matter
-// which SIMD tier dispatch picked.
+// which SIMD tier dispatch picked. A successful decode's `consistent`
+// must also equal the exact check of its support on a fresh instance
+// built from the same spec, whichever way the engine reached it.
 //
 // Instances are deliberately tiny (n <= 64, m <= 96): the value of this
 // harness is input diversity, not scale, and small decodes keep the
@@ -136,6 +138,14 @@ int fuzz_decode_differential(const std::uint8_t* data, std::size_t size) {
                                    kernel_isa_name(isa) +
                                    " diverged from scalar on a fuzzed instance";
     POOLED_CHECK(outcome == reference, divergence.c_str());
+  }
+  // The served verdict (the fingerprint when the decode recorded one)
+  // must equal the exact pass on a fresh instance from the same spec.
+  if (reference.ok) {
+    const auto fresh = spec.to_instance();
+    const bool exact = fresh->is_consistent(Signal(fresh->n(), reference.support));
+    POOLED_CHECK(reference.consistent == exact,
+                 "served consistency verdict differs from the exact check");
   }
   return 0;
 }

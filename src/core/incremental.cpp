@@ -17,8 +17,8 @@ void IncrementalMn::fold(std::uint32_t y) {
   // Epoch marking (a record's mark = last query that drew the entry)
   // detects first occurrences without sorting the Γ draws; the records
   // start zeroed, so epochs are query + 1 as in a streamed pass.
-  accumulate_query(scratch_.data(), scratch_.size(), m() + 1, y,
-                   records_.data());
+  accumulate_query(decoder_.count_mode(), scratch_.data(), scratch_.size(),
+                   m() + 1, y, /*weight=*/0, records_.data());
   y_.push_back(y);
 }
 
@@ -38,8 +38,9 @@ std::uint32_t IncrementalMn::add_simulated_query(const Signal& truth) {
 
 const EntryStats& IncrementalMn::stats_into_arena() const {
   EntryStats& stats = DecodeArena::local().stats();
-  stats.resize(records_.size());
-  fold_records(records_.data(), records_.size(), /*add=*/false, stats);
+  const CountMode mode = decoder_.count_mode();
+  stats.resize(records_.size(), mode);
+  fold_records(records_.data(), records_.size(), mode, /*add=*/false, stats);
   return stats;
 }
 

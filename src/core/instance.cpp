@@ -1,10 +1,13 @@
 #include "core/instance.hpp"
 
+#include <array>
 #include <atomic>
+#include <random>
 
 #include "kernels/decode_arena.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
+#include "rng/philox.hpp"
 #include "support/assert.hpp"
 
 namespace pooled {
@@ -93,6 +96,12 @@ std::vector<std::uint32_t> Instance::results_for(const Signal& candidate) const 
 
 bool Instance::is_consistent(const Signal& candidate) const {
   POOLED_REQUIRE(candidate.n() == n(), "candidate length mismatch");
+  if (const QueryFingerprint* print = fingerprint()) {
+    // Freivalds: r·(Ax) = Σ_{i∈S} fp_i against r·y, both mod 2^64.
+    std::uint64_t sum = 0;
+    for (std::uint32_t entry : candidate.support()) sum += print->entries[entry];
+    return sum == print->target;
+  }
   const auto& y = results();
   DecodeArena& arena = DecodeArena::local();
   std::vector<std::uint32_t>& members = arena.members();
@@ -145,23 +154,27 @@ void StoredInstance::query_members(std::uint32_t query,
   }
 }
 
-void StoredInstance::entry_stats_into(ThreadPool& pool, EntryStats& stats) const {
+void StoredInstance::entry_stats_into(ThreadPool& pool, EntryStats& stats,
+                                      CountMode mode) const {
   const std::uint32_t num = n();
-  stats.resize(num);
+  stats.resize(num, mode);
+  const bool every_draw = mode == CountMode::EveryDraw;
   parallel_for(
       pool, 0, num,
       [&](std::size_t i) {
-        std::uint64_t psi = 0, psi_multi = 0, delta = 0;
-        const auto row = graph_.entry_row(static_cast<std::uint32_t>(i));
-        for (const MultiEdge& e : row) {
-          psi += y_[e.node];
-          psi_multi += static_cast<std::uint64_t>(e.multiplicity) * y_[e.node];
-          delta += e.multiplicity;
+        std::uint64_t sum = 0, count = 0;
+        for (const MultiEdge& e : graph_.entry_row(static_cast<std::uint32_t>(i))) {
+          const std::uint64_t times = every_draw ? e.multiplicity : 1;
+          sum += times * y_[e.node];
+          count += times;
         }
-        stats.psi[i] = psi;
-        stats.psi_multi[i] = psi_multi;
-        stats.delta[i] = delta;
-        stats.delta_star[i] = static_cast<std::uint32_t>(row.size());
+        if (every_draw) {
+          stats.psi_multi[i] = sum;
+          stats.delta[i] = count;
+        } else {
+          stats.psi[i] = sum;
+          stats.delta_star[i] = static_cast<std::uint32_t>(count);
+        }
       },
       /*grain=*/256);  // each element walks an adjacency row
 }
@@ -193,21 +206,45 @@ void StreamedInstance::query_members(std::uint32_t query,
   design_->query_members(query, out);
 }
 
+const QueryFingerprint* StreamedInstance::fingerprint() const {
+  const LockGuard lock(fingerprint_mutex_);
+  return fingerprint_.get();
+}
+
 namespace {
+
+/// The per-process key of the fingerprint weights. Drawn from the OS, not
+/// from a seed: a client that knew it could pick results that collide.
+const std::array<std::uint32_t, 2>& fingerprint_key() {
+  static const std::array<std::uint32_t, 2> key = [] {
+    std::random_device device;
+    return std::array<std::uint32_t, 2>{device(), device()};
+  }();
+  return key;
+}
+
+/// Domain tag in the weights' Philox counters.
+constexpr std::uint32_t kFingerprintTag = 0x46505257u;  // "FPRW"
+
+/// r_q: one Philox block at counter {q, tag}.
+std::uint64_t fingerprint_weight(std::uint32_t query) {
+  const auto block = philox4x32({query, 0, kFingerprintTag, 0}, fingerprint_key());
+  return (std::uint64_t{block[1]} << 32) | block[0];
+}
 
 /// Fallback accumulation over shared atomics: only taken when the
 /// per-lane partial blocks would blow the POOLED_ARENA_BUDGET_MB budget
 /// (very wide pools x very large n). Bit-identical to the arena path --
-/// the statistics are integer sums, associative in any order.
+/// the statistics are integer sums, associative in any order. Records no
+/// fingerprint.
 void entry_stats_atomic_fallback(const PoolingDesign& design, std::uint32_t m,
                                  const std::vector<std::uint32_t>& y,
                                  std::uint32_t num, ThreadPool& pool,
-                                 EntryStats& stats) {
-  std::vector<std::atomic<std::uint64_t>> psi(num);
-  std::vector<std::atomic<std::uint64_t>> psi_multi(num);
-  std::vector<std::atomic<std::uint64_t>> delta(num);
-  std::vector<std::atomic<std::uint32_t>> delta_star(num);
+                                 CountMode mode, EntryStats& stats) {
+  std::vector<std::atomic<std::uint64_t>> sum(num);
+  std::vector<std::atomic<std::uint64_t>> count(num);
   constexpr std::uint32_t kUnmarked = 0xFFFFFFFFu;
+  const bool every_draw = mode == CountMode::EveryDraw;
   parallel_for_chunked(pool, 0, m, 1, [&](std::size_t lo, std::size_t hi) {
     std::vector<std::uint32_t> members;
     // Epoch marking replaces a per-query sort: mark[e] records the last
@@ -217,36 +254,44 @@ void entry_stats_atomic_fallback(const PoolingDesign& design, std::uint32_t m,
     for (std::size_t q = lo; q < hi; ++q) {
       const auto query = static_cast<std::uint32_t>(q);
       design.query_members(query, members);
-      const std::uint64_t yq = y[q];
       for (std::uint32_t entry : members) {
-        if (mark[entry] != query) {
+        if (every_draw || mark[entry] != query) {
           mark[entry] = query;
-          psi[entry].fetch_add(yq, std::memory_order_relaxed);
-          delta_star[entry].fetch_add(1, std::memory_order_relaxed);
+          sum[entry].fetch_add(y[q], std::memory_order_relaxed);
+          count[entry].fetch_add(1, std::memory_order_relaxed);
         }
-        psi_multi[entry].fetch_add(yq, std::memory_order_relaxed);
-        delta[entry].fetch_add(1, std::memory_order_relaxed);
       }
     }
   });
+  stats.resize(num, mode);
   for (std::uint32_t i = 0; i < num; ++i) {
-    stats.psi[i] = psi[i].load(std::memory_order_relaxed);
-    stats.psi_multi[i] = psi_multi[i].load(std::memory_order_relaxed);
-    stats.delta[i] = delta[i].load(std::memory_order_relaxed);
-    stats.delta_star[i] = delta_star[i].load(std::memory_order_relaxed);
+    const std::uint64_t total = sum[i].load(std::memory_order_relaxed);
+    const std::uint64_t draws = count[i].load(std::memory_order_relaxed);
+    if (every_draw) {
+      stats.psi_multi[i] = total;
+      stats.delta[i] = draws;
+    } else {
+      stats.psi[i] = total;
+      stats.delta_star[i] = static_cast<std::uint32_t>(draws);
+    }
   }
 }
 
 }  // namespace
 
-void StreamedInstance::entry_stats_into(ThreadPool& pool, EntryStats& stats) const {
+void StreamedInstance::entry_stats_into(ThreadPool& pool, EntryStats& stats,
+                                        CountMode mode) const {
   const std::uint32_t num = n();
   const unsigned lanes = pool.size();
   if (!DecodeArena::lane_budget_ok(lanes, num)) {
-    stats.resize(num);
-    entry_stats_atomic_fallback(*design_, m_, y_, num, pool, stats);
+    entry_stats_atomic_fallback(*design_, m_, y_, num, pool, mode, stats);
     return;
   }
+  // Only the quantitative channel is linear; the first pass records the
+  // fingerprint, later ones fold a zero weight.
+  const bool record =
+      channel_ == ChannelKind::Quantitative && fingerprint() == nullptr;
+  std::atomic<std::uint64_t> target{0};
   // Per-lane private records (no atomics, no per-chunk allocation): each
   // executing thread folds its queries into its lane's block, one cache
   // line per draw; the blocks are merged afterwards. Integer accumulation
@@ -255,15 +300,29 @@ void StreamedInstance::entry_stats_into(ThreadPool& pool, EntryStats& stats) con
   parallel_for_chunked(pool, 0, m_, 1, [&](std::size_t lo, std::size_t hi) {
     EntryRecord* records = partials.acquire(ThreadPool::current_lane());
     std::vector<std::uint32_t>& members = DecodeArena::local().members();
+    std::uint64_t chunk_target = 0;
     for (std::size_t q = lo; q < hi; ++q) {
-      design_->query_members(static_cast<std::uint32_t>(q), members);
+      const auto query = static_cast<std::uint32_t>(q);
+      design_->query_members(query, members);
+      const std::uint64_t weight = record ? fingerprint_weight(query) : 0;
+      chunk_target += weight * y_[q];
       // Epochs are query+1: nonzero, and unique within this pass's
       // zeroed records, so first occurrences are detected in O(1).
-      accumulate_query(members.data(), members.size(),
-                       static_cast<std::uint32_t>(q) + 1, y_[q], records);
+      accumulate_query(mode, members.data(), members.size(), query + 1, y_[q],
+                       weight, records);
     }
+    target.fetch_add(chunk_target, std::memory_order_relaxed);
   });
-  partials.merge_into(stats);
+  if (!record) {
+    partials.merge_into(stats, mode);
+    return;
+  }
+  auto print = std::make_unique<QueryFingerprint>();
+  print->entries.resize(num);
+  partials.merge_into(stats, mode, print->entries.data());
+  print->target = target.load(std::memory_order_relaxed);
+  const LockGuard lock(fingerprint_mutex_);
+  if (fingerprint_ == nullptr) fingerprint_ = std::move(print);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include "core/signal.hpp"
 #include "design/design.hpp"
 #include "graph/bipartite.hpp"
+#include "support/thread_annotations.hpp"
 
 namespace pooled {
 
@@ -48,24 +49,64 @@ enum class ChannelKind : std::uint8_t {
   return sum;
 }
 
+/// What an entry-statistics pass counts, and so which pair of EntryStats
+/// arrays it fills. The score decides (MnDecoder::count_mode): every score
+/// but the multi-edge ablation reads the Distinct pair.
+enum class CountMode : std::uint8_t {
+  Distinct,   ///< first occurrences per query: psi (Ψ) and delta_star (Δ*)
+  EveryDraw,  ///< every draw, multi-edges included: psi_multi and delta (Δ)
+};
+
 /// Per-entry aggregates used by the MN decoder (paper notation):
 ///   psi[i]        Ψ_i  = sum of y_a over *distinct* queries containing i
 ///   psi_multi[i]  = sum of multiplicity_ia * y_a (multi-edge-weighted, for
 ///                   the score ablation)
 ///   delta[i]      Δ_i  = membership count with multiplicity
 ///   delta_star[i] Δ*_i = number of distinct queries containing i
+/// A pass fills the pair its CountMode names and leaves the other pair
+/// empty: stats are reused across decodes, and an empty pair cannot be
+/// mistaken for a current one.
 struct EntryStats {
   std::vector<std::uint64_t> psi;
   std::vector<std::uint64_t> psi_multi;
   std::vector<std::uint64_t> delta;
   std::vector<std::uint32_t> delta_star;
 
-  void resize(std::size_t n) {
-    psi.resize(n);
-    psi_multi.resize(n);
-    delta.resize(n);
-    delta_star.resize(n);
+  /// Sizes `mode`'s pair to n entries and empties the other pair.
+  void resize(std::size_t n, CountMode mode) {
+    if (mode == CountMode::Distinct) {
+      psi.resize(n);
+      delta_star.resize(n);
+      psi_multi.clear();
+      delta.clear();
+    } else {
+      psi_multi.resize(n);
+      delta.resize(n);
+      psi.clear();
+      delta_star.clear();
+    }
   }
+
+  /// Entries in `mode`'s pair (0 when the last pass counted the other).
+  [[nodiscard]] std::size_t size(CountMode mode) const {
+    return mode == CountMode::Distinct ? psi.size() : psi_multi.size();
+  }
+};
+
+/// Freivalds fingerprint (R. Freivalds, IFIP 1977) of the linear system
+/// Ax = y of a quantitative instance, where A_qi counts the draws of
+/// entry i in query q. With 64-bit weights r_q (one Philox block per
+/// query, keyed by a per-process secret drawn from std::random_device so
+/// no client can choose results that collide),
+///   entries[i] = Σ_q r_q A_qi   and   target = Σ_q r_q y_q   (mod 2^64),
+/// so a 0/1 candidate with support S passes iff Σ_{i∈S} entries[i] ==
+/// target: r·(Ax) = r·y, an O(k) test. One-sided: a mismatch proves
+/// Ax != y; a match on an inconsistent candidate has probability
+/// <= 2^(v-64), 2^v the largest power of two dividing every residual of
+/// Ax - y. Residuals are below 2^32 in magnitude, so that is <= 2^-33.
+struct QueryFingerprint {
+  std::vector<std::uint64_t> entries;
+  std::uint64_t target = 0;
 };
 
 class Instance {
@@ -82,16 +123,31 @@ class Instance {
   virtual void query_members(std::uint32_t query,
                              std::vector<std::uint32_t>& out) const = 0;
 
-  /// Computes the per-entry aggregates (parallel over queries/entries)
-  /// into `out` (resized). Decoders pass arena-owned stats so the steady
-  /// state allocates nothing.
-  virtual void entry_stats_into(ThreadPool& pool, EntryStats& out) const = 0;
+  /// Computes the per-entry aggregates `mode` names (parallel over
+  /// queries/entries) into `out`: that pair gets n() entries, the other
+  /// pair is emptied. Decoders pass arena-owned stats so the steady state
+  /// allocates nothing.
+  virtual void entry_stats_into(ThreadPool& pool, EntryStats& out,
+                                CountMode mode) const = 0;
+
+  /// The Distinct pass (Ψ, Δ*), which the centred MN score reads.
+  void entry_stats_into(ThreadPool& pool, EntryStats& out) const {
+    entry_stats_into(pool, out, CountMode::Distinct);
+  }
 
   /// Convenience wrapper returning fresh vectors.
-  [[nodiscard]] EntryStats entry_stats(ThreadPool& pool) const {
+  [[nodiscard]] EntryStats entry_stats(ThreadPool& pool,
+                                       CountMode mode = CountMode::Distinct) const {
     EntryStats stats;
-    entry_stats_into(pool, stats);
+    entry_stats_into(pool, stats, mode);
     return stats;
+  }
+
+  /// The fingerprint of Ax = y an entry-statistics pass recorded, or
+  /// nullptr. Only StreamedInstance records one: on the quantitative
+  /// channel, on its per-lane record path.
+  [[nodiscard]] virtual const QueryFingerprint* fingerprint() const {
+    return nullptr;
   }
 
   /// Output channel the observed results() went through.
@@ -106,7 +162,9 @@ class Instance {
   /// the instance's channel).
   [[nodiscard]] std::vector<std::uint32_t> results_for(const Signal& candidate) const;
 
-  /// True if the candidate explains every observed query result.
+  /// True if the candidate explains every observed query result. With a
+  /// fingerprint() this is its O(k) test (one-sided error <= 2^-33);
+  /// otherwise the exact pass regenerates every query.
   [[nodiscard]] bool is_consistent(const Signal& candidate) const;
 
   /// Sum of all query results (= sum_i sigma_i * Δ_i); the "one extra
@@ -127,7 +185,9 @@ class StoredInstance final : public Instance {
   }
   void query_members(std::uint32_t query,
                      std::vector<std::uint32_t>& out) const override;
-  void entry_stats_into(ThreadPool& pool, EntryStats& out) const override;
+  using Instance::entry_stats_into;
+  void entry_stats_into(ThreadPool& pool, EntryStats& out,
+                        CountMode mode) const override;
 
   [[nodiscard]] const BipartiteMultigraph& graph() const { return graph_; }
 
@@ -154,7 +214,12 @@ class StreamedInstance final : public Instance {
   }
   void query_members(std::uint32_t query,
                      std::vector<std::uint32_t>& out) const override;
-  void entry_stats_into(ThreadPool& pool, EntryStats& out) const override;
+  using Instance::entry_stats_into;
+  /// On the quantitative channel, the first pass that runs on per-lane
+  /// records also records the fingerprint.
+  void entry_stats_into(ThreadPool& pool, EntryStats& out,
+                        CountMode mode) const override;
+  [[nodiscard]] const QueryFingerprint* fingerprint() const override;
   [[nodiscard]] ChannelKind channel() const override { return channel_; }
   [[nodiscard]] std::uint32_t channel_threshold() const override {
     return threshold_;
@@ -173,6 +238,11 @@ class StreamedInstance final : public Instance {
   std::vector<std::uint32_t> y_;
   ChannelKind channel_ = ChannelKind::Quantitative;
   std::uint32_t threshold_ = 1;
+  // Published once by the first pass that records it, immutable after:
+  // concurrent passes over a shared instance compute identical values.
+  mutable AnnotatedMutex fingerprint_mutex_;
+  mutable std::unique_ptr<const QueryFingerprint> fingerprint_
+      POOLED_GUARDED_BY(fingerprint_mutex_);
 };
 
 /// Runs the m parallel queries of `design` against `truth`.

@@ -48,11 +48,18 @@ std::vector<std::uint32_t> top_k_support(const double* scores, std::size_t n,
 
 MnDecoder::MnDecoder(MnOptions options) : options_(options) {}
 
+CountMode MnDecoder::count_mode() const {
+  return options_.score == MnScore::MultiEdgePsi ? CountMode::EveryDraw
+                                                 : CountMode::Distinct;
+}
+
 void MnDecoder::scores_into(const EntryStats& stats, std::uint32_t k,
                             ThreadPool& pool, double* out) const {
   // Hoisted out of the per-entry loops: one switch per call, then the
   // chunked kernel runs branch-free over its range.
-  const std::size_t n = stats.psi.size();
+  const std::size_t n = stats.size(count_mode());
+  POOLED_REQUIRE(n > 0 || stats.psi.size() + stats.psi_multi.size() == 0,
+                 "entry statistics hold the pair of another score");
   const double half_k = static_cast<double>(k) / 2.0;
   const KernelSet& kernels = active_kernels();
   switch (options_.score) {
@@ -92,14 +99,14 @@ void MnDecoder::scores_into(const EntryStats& stats, std::uint32_t k,
 std::vector<double> MnDecoder::scores_from_stats(const EntryStats& stats,
                                                  std::uint32_t k,
                                                  ThreadPool& pool) const {
-  std::vector<double> scores(stats.psi.size());
+  std::vector<double> scores(stats.size(count_mode()));
   scores_into(stats, k, pool, scores.data());
   return scores;
 }
 
 Signal MnDecoder::estimate_from_stats(const EntryStats& stats, std::uint32_t k,
                                       ThreadPool& pool) const {
-  const std::size_t n = stats.psi.size();
+  const std::size_t n = stats.size(count_mode());
   POOLED_REQUIRE(k <= n, "weight k exceeds signal length");
   double* scores = DecodeArena::local().scores(n);
   scores_into(stats, k, pool, scores);
@@ -115,7 +122,7 @@ std::vector<std::uint32_t> select_top_k(std::vector<double>& scores, std::uint32
 MnResult MnDecoder::decode_scored(const Instance& instance, std::uint32_t k,
                                   ThreadPool& pool) const {
   POOLED_REQUIRE(k <= instance.n(), "weight k exceeds signal length");
-  const EntryStats stats = instance.entry_stats(pool);
+  const EntryStats stats = instance.entry_stats(pool, count_mode());
   std::vector<double> scores = scores_from_stats(stats, k, pool);
   auto support = top_k_support(scores.data(), scores.size(), k,
                                options_.full_sort, pool);
@@ -128,7 +135,7 @@ DecodeOutcome MnDecoder::decode(const Instance& instance,
   // Zero-alloc steady state: statistics and scores live in the decoding
   // thread's arena; only the returned support allocates.
   EntryStats& stats = DecodeArena::local().stats();
-  instance.entry_stats_into(pool, stats);
+  instance.entry_stats_into(pool, stats, count_mode());
   // One score per entry: the matrix-vector pass of the "Parallelized
   // Reconstruction" remark.
   return one_shot_outcome(estimate_from_stats(stats, context.k, pool), instance,

@@ -59,7 +59,8 @@ class MnDecoder final : public Decoder {
                                                       std::uint32_t k,
                                                       ThreadPool& pool) const;
 
-  /// The one score dispatch: all stats.psi.size() scores into `out`.
+  /// The one score dispatch: one score per entry of the count_mode() pair
+  /// into `out`.
   void scores_into(const EntryStats& stats, std::uint32_t k, ThreadPool& pool,
                    double* out) const;
 
@@ -71,6 +72,11 @@ class MnDecoder final : public Decoder {
                                            ThreadPool& pool) const;
 
   [[nodiscard]] const MnOptions& options() const { return options_; }
+
+  /// What the accumulate must count for this decoder's score: the one
+  /// MnScore -> CountMode mapping (only the multi-edge ablation reads Ψ_multi
+  /// and Δ). decode, decode_scored and IncrementalMn request it.
+  [[nodiscard]] CountMode count_mode() const;
 
   [[nodiscard]] std::string name() const override;
 

@@ -92,42 +92,52 @@ EntryRecord* LanePartials::acquire(unsigned lane_id) {
   return nullptr;
 }
 
-void LanePartials::merge_into(EntryStats& out) const {
-  out.resize(entries_);
+void LanePartials::merge_into(EntryStats& out, CountMode mode,
+                              std::uint64_t* fingerprint) const {
+  out.resize(entries_, mode);
   bool add = false;
   for (unsigned s = 0; s < slot_count_; ++s) {
     if (owners_[s].load(std::memory_order_acquire) == 0) continue;
-    fold_records(slot_records(s), entries_, add, out);
+    fold_records(slot_records(s), entries_, mode, add, out, fingerprint);
     add = true;
   }
-  if (!add) {  // m == 0: no lane ever claimed
-    std::fill(out.psi.begin(), out.psi.end(), 0);
-    std::fill(out.psi_multi.begin(), out.psi_multi.end(), 0);
-    std::fill(out.delta.begin(), out.delta.end(), 0);
-    std::fill(out.delta_star.begin(), out.delta_star.end(), 0);
+  if (!add) {  // m == 0: no lane ever claimed; regrow the pair as zeros
+    out.resize(0, mode);
+    out.resize(entries_, mode);
+    if (fingerprint != nullptr) std::fill_n(fingerprint, entries_, 0);
   }
 }
 
-void fold_records(const EntryRecord* records, std::size_t n, bool add,
-                  EntryStats& out) {
-  std::uint64_t* psi = out.psi.data();
-  std::uint64_t* psi_multi = out.psi_multi.data();
-  std::uint64_t* delta = out.delta.data();
-  std::uint32_t* delta_star = out.delta_star.data();
+namespace {
+
+template <typename Count>
+void fold_pair(const EntryRecord* records, std::size_t n, bool add,
+               std::uint64_t* sum, Count* count) {
   if (add) {
     for (std::size_t i = 0; i < n; ++i) {
-      psi[i] += records[i].psi;
-      psi_multi[i] += records[i].psi_multi;
-      delta[i] += records[i].delta;
-      delta_star[i] += records[i].delta_star;
+      sum[i] += records[i].sum;
+      count[i] += static_cast<Count>(records[i].count);
     }
   } else {
     for (std::size_t i = 0; i < n; ++i) {
-      psi[i] = records[i].psi;
-      psi_multi[i] = records[i].psi_multi;
-      delta[i] = records[i].delta;
-      delta_star[i] = records[i].delta_star;
+      sum[i] = records[i].sum;
+      count[i] = static_cast<Count>(records[i].count);
     }
+  }
+}
+
+}  // namespace
+
+void fold_records(const EntryRecord* records, std::size_t n, CountMode mode,
+                  bool add, EntryStats& out, std::uint64_t* fingerprint) {
+  if (mode == CountMode::Distinct) {
+    fold_pair(records, n, add, out.psi.data(), out.delta_star.data());
+  } else {
+    fold_pair(records, n, add, out.psi_multi.data(), out.delta.data());
+  }
+  if (fingerprint == nullptr) return;
+  for (std::size_t i = 0; i < n; ++i) {
+    fingerprint[i] = (add ? fingerprint[i] : 0) + records[i].fp;
   }
 }
 

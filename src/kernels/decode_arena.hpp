@@ -54,12 +54,13 @@ struct ArenaStats {
 void arena_account_alloc(std::size_t bytes);
 void arena_account_free(std::size_t bytes);
 
-/// Sums one lane's records into `out`'s four arrays (each at least `n`
-/// long): overwrites them when `add` is false, adds to them otherwise.
-/// The one record -> EntryStats transpose; LanePartials::merge_into and
-/// IncrementalMn both go through it.
-void fold_records(const EntryRecord* records, std::size_t n, bool add,
-                  EntryStats& out);
+/// Sums one lane's records into the pair of `out` that `mode` names (each
+/// array at least `n` long) and, when `fingerprint` is not null, their fp
+/// into fingerprint[0, n): overwrites when `add` is false, adds
+/// otherwise. The one record -> EntryStats transpose; LanePartials::
+/// merge_into and IncrementalMn both go through it.
+void fold_records(const EntryRecord* records, std::size_t n, CountMode mode,
+                  bool add, EntryStats& out, std::uint64_t* fingerprint = nullptr);
 
 /// Lane-indexed record blocks for one entry-statistics pass.
 /// Slots are claimed lock-free on first acquire and zeroed exactly once
@@ -77,10 +78,12 @@ class LanePartials {
   /// concurrent ids is (<= pool.size(), guaranteed by run_tasks).
   [[nodiscard]] EntryRecord* acquire(unsigned lane_id);
 
-  /// `out` (resized to the pass's entry count) = the sum of every lane
-  /// claimed during this pass; all zero when none was (m == 0). Call
-  /// after the pass's barrier.
-  void merge_into(EntryStats& out) const;
+  /// `mode`'s pair of `out` (resized to the pass's entry count, the other
+  /// pair emptied) = the sum of every lane claimed during this pass, and
+  /// likewise fingerprint[0, entries) when it is not null; all zero when
+  /// no lane was claimed (m == 0). Call after the pass's barrier.
+  void merge_into(EntryStats& out, CountMode mode,
+                  std::uint64_t* fingerprint = nullptr) const;
 
  private:
   friend class DecodeArena;

@@ -39,18 +39,18 @@ void threshold_stats_atomic(const ThresholdGtInstance& instance, ThreadPool& poo
       }
     }
   });
-  stats.resize(n);
+  stats.resize(n, CountMode::Distinct);
   for (std::uint32_t i = 0; i < n; ++i) {
     stats.psi[i] = psi[i].load(std::memory_order_relaxed);
     stats.delta_star[i] = delta_star[i].load(std::memory_order_relaxed);
   }
 }
 
-/// Per-entry (positive-count, distinct-count) statistics -- psi and
-/// delta_star of `stats`, resized to n; the multi-edge fields are not part
-/// of the result -- via per-lane records: from the bit-packed pools when
-/// available (no regeneration, no epoch marks -- the bitmap is already
-/// distinct), else by folding regenerated members like the MN pass.
+/// Per-entry (positive-count, distinct-count) statistics -- the Distinct
+/// pair psi and delta_star of `stats` -- via per-lane records: from the
+/// bit-packed pools when available (no regeneration, no epoch marks -- the
+/// bitmap is already distinct), else by folding regenerated members like
+/// the MN pass. The channel is not linear, so no fingerprint weight.
 void threshold_stats(const ThresholdGtInstance& instance, ThreadPool& pool,
                      EntryStats& stats) {
   const std::uint32_t n = instance.n();
@@ -73,8 +73,8 @@ void threshold_stats(const ThresholdGtInstance& instance, ThreadPool& pool,
           while (bits != 0) {
             const auto entry = static_cast<std::uint32_t>(
                 w * 64 + static_cast<unsigned>(__builtin_ctzll(bits)));
-            records[entry].psi += outcome;
-            records[entry].delta_star += 1;
+            records[entry].sum += outcome;
+            records[entry].count += 1;
             bits &= bits - 1;
           }
         }
@@ -83,13 +83,13 @@ void threshold_stats(const ThresholdGtInstance& instance, ThreadPool& pool,
       std::vector<std::uint32_t>& members = DecodeArena::local().members();
       for (std::size_t q = lo; q < hi; ++q) {
         instance.query_members(static_cast<std::uint32_t>(q), members);
-        accumulate_query(members.data(), members.size(),
-                         static_cast<std::uint32_t>(q) + 1,
-                         instance.outcomes()[q], records);
+        accumulate_query<CountMode::Distinct>(
+            members.data(), members.size(), static_cast<std::uint32_t>(q) + 1,
+            instance.outcomes()[q], /*weight=*/0, records);
       }
     }
   });
-  partials.merge_into(stats);
+  partials.merge_into(stats, CountMode::Distinct);
 }
 
 }  // namespace

@@ -267,14 +267,17 @@ TEST(KernelDecodes, MnDecodeIdenticalAcrossVariantsAndDesigns) {
       const DecodeContext context(k, pool);
       std::vector<std::uint32_t> reference;
       EntryStats reference_stats;
+      EntryStats reference_every;
       for (KernelIsa isa : available_kernel_isas()) {
         const KernelGuard guard(*kernels_for(isa));
         const DecodeOutcome outcome = decoder.decode(*instance, context);
         EntryStats stats = instance->entry_stats(pool);
+        EntryStats every = instance->entry_stats(pool, CountMode::EveryDraw);
         if (isa == KernelIsa::Scalar) {
           reference.assign(outcome.estimate.support().begin(),
                            outcome.estimate.support().end());
           reference_stats = std::move(stats);
+          reference_every = std::move(every);
         } else {
           const std::vector<std::uint32_t> support(
               outcome.estimate.support().begin(),
@@ -282,8 +285,8 @@ TEST(KernelDecodes, MnDecodeIdenticalAcrossVariantsAndDesigns) {
           EXPECT_EQ(reference, support)
               << kernel_isa_name(isa) << " design " << design_kind;
           EXPECT_EQ(reference_stats.psi, stats.psi) << kernel_isa_name(isa);
-          EXPECT_EQ(reference_stats.psi_multi, stats.psi_multi);
-          EXPECT_EQ(reference_stats.delta, stats.delta);
+          EXPECT_EQ(reference_every.psi_multi, every.psi_multi);
+          EXPECT_EQ(reference_every.delta, every.delta);
           EXPECT_EQ(reference_stats.delta_star, stats.delta_star);
         }
       }
@@ -420,11 +423,14 @@ TEST(KernelArena, LanePartialsZeroedPerPassAndMergedExactly) {
   const auto a = make_streamed_instance(design_a, m, truth, pool);
   const auto b = make_streamed_instance(design_b, m, truth, pool);
   const EntryStats a1 = a->entry_stats(pool);
+  const EntryStats a1_every = a->entry_stats(pool, CountMode::EveryDraw);
   const EntryStats b1 = b->entry_stats(pool);
+  const EntryStats b1_every = b->entry_stats(pool, CountMode::EveryDraw);
   const EntryStats a2 = a->entry_stats(pool);
+  const EntryStats a2_every = a->entry_stats(pool, CountMode::EveryDraw);
   EXPECT_EQ(a1.psi, a2.psi);
-  EXPECT_EQ(a1.psi_multi, a2.psi_multi);
-  EXPECT_EQ(a1.delta, a2.delta);
+  EXPECT_EQ(a1_every.psi_multi, a2_every.psi_multi);
+  EXPECT_EQ(a1_every.delta, a2_every.delta);
   EXPECT_EQ(a1.delta_star, a2.delta_star);
   EXPECT_NE(a1.psi, b1.psi);  // different designs genuinely differ
 }

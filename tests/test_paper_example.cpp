@@ -69,12 +69,13 @@ TEST(PaperFigureOne, EntryStatsByHand) {
   ThreadPool pool(1);
   const StoredInstance instance = figure_one_instance();
   const EntryStats stats = instance.entry_stats(pool);
+  const EntryStats every = instance.entry_stats(pool, CountMode::EveryDraw);
   // x1 (index 0): distinct queries a1, a3 -> Ψ = 2 + 3 = 5, Δ = 3, Δ* = 2.
   EXPECT_EQ(stats.psi[0], 5u);
-  EXPECT_EQ(stats.delta[0], 3u);
+  EXPECT_EQ(every.delta[0], 3u);
   EXPECT_EQ(stats.delta_star[0], 2u);
   // Multi-edge-weighted Ψ' for x1 counts a3 twice: 2 + 3 + 3 = 8.
-  EXPECT_EQ(stats.psi_multi[0], 8u);
+  EXPECT_EQ(every.psi_multi[0], 8u);
   // x7 (index 6): only a4 -> Ψ = 1.
   EXPECT_EQ(stats.psi[6], 1u);
   EXPECT_EQ(stats.delta_star[6], 1u);

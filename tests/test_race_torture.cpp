@@ -24,6 +24,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/instance.hpp"
+#include "design/random_regular.hpp"
 #include "engine/batch_engine.hpp"
 #include "engine/result_cache.hpp"
 #include "engine/serve_server.hpp"
@@ -156,6 +158,49 @@ TEST(RaceTorture, ResultCacheHitInsertEvict) {
   EXPECT_EQ(stats.hits + stats.misses, lookups.load());
   EXPECT_EQ(stats.size, stats.insertions - stats.evictions);
   EXPECT_LE(stats.size, kCapacity);
+}
+
+// ---------------------------------------------------------------------
+// Fingerprint publication: engine jobs on a 4-wide pool decode one
+// shared instance at once. The MN jobs' passes race to publish the
+// instance's fingerprint (the first wins, the rest compute the same
+// values) while other jobs already read it for their verdict; omp jobs
+// never accumulate and check through whatever the instance holds. Every
+// verdict must equal the exact pass on a fresh copy.
+
+TEST(RaceTorture, SharedInstanceFingerprintPublish) {
+  ThreadPool pool(4);
+  const BatchEngine engine(pool);
+  const std::uint32_t n = 200, k = 4;
+  const Signal truth = Signal::random(n, k, 0xF1);
+  const char* const decoders[] = {"mn", "mn:multi-edge", "omp"};
+  const auto deadline = steady_clock::now() + kBatteryBudget;
+  std::uint64_t round = 0;
+  std::uint64_t consistent = 0;
+  while (steady_clock::now() < deadline || round < 4) {
+    // Alternating budgets: below the MN threshold some verdicts are false.
+    const std::uint32_t m = round % 2 == 0 ? 25 : 90;
+    auto design = std::make_shared<RandomRegularDesign>(n, 500 + round);
+    const std::shared_ptr<const StreamedInstance> shared =
+        make_streamed_instance(design, m, truth, pool);
+    std::vector<DecodeJob> jobs(12);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      jobs[j].instance = shared;
+      jobs[j].k = k;
+      jobs[j].decoder = decoders[j % 3];
+    }
+    const std::vector<DecodeReport> reports = engine.run(jobs);
+    ASSERT_NE(shared->fingerprint(), nullptr);
+    const StreamedInstance exact(design, m, shared->results());
+    for (const DecodeReport& report : reports) {
+      ASSERT_TRUE(report.ok()) << report.error;
+      EXPECT_EQ(report.consistent, exact.is_consistent(Signal(n, report.support)))
+          << report.decoder_name << " round " << round;
+      consistent += report.consistent ? 1 : 0;
+    }
+    ++round;
+  }
+  EXPECT_GT(consistent, 0u);
 }
 
 // ---------------------------------------------------------------------

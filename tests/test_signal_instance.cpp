@@ -7,7 +7,10 @@
 #include <set>
 
 #include "core/instance.hpp"
+#include "core/mn.hpp"
+#include "core/noise.hpp"
 #include "core/signal.hpp"
+#include "core/thresholds.hpp"
 #include "design/random_regular.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/assert.hpp"
@@ -155,13 +158,14 @@ TEST_P(InstanceBackends, EntryStatsInvariants) {
   const Signal truth = Signal::random(n, 15, 11);
   const auto instance = build(n, m, truth, pool);
   const EntryStats stats = instance->entry_stats(pool);
+  const EntryStats every = instance->entry_stats(pool, CountMode::EveryDraw);
   ASSERT_EQ(stats.psi.size(), n);
   std::uint64_t total_delta = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
     EXPECT_LE(stats.delta_star[i], m);
-    EXPECT_GE(stats.delta[i], stats.delta_star[i]);  // multiplicity >= distinct
-    EXPECT_GE(stats.psi_multi[i], stats.psi[i]);
-    total_delta += stats.delta[i];
+    EXPECT_GE(every.delta[i], stats.delta_star[i]);  // multiplicity >= distinct
+    EXPECT_GE(every.psi_multi[i], stats.psi[i]);
+    total_delta += every.delta[i];
   }
   // Total edge mass = m * Γ = m * n/2.
   EXPECT_EQ(total_delta, static_cast<std::uint64_t>(m) * (n / 2));
@@ -197,10 +201,157 @@ TEST(InstanceEquivalence, BackendsProduceIdenticalObservables) {
       EXPECT_EQ(streamed->results(), stored->results());
       const EntryStats s1 = streamed->entry_stats(pool);
       const EntryStats s2 = stored->entry_stats(pool);
+      const EntryStats e1 = streamed->entry_stats(pool, CountMode::EveryDraw);
+      const EntryStats e2 = stored->entry_stats(pool, CountMode::EveryDraw);
       EXPECT_EQ(s1.psi, s2.psi) << "width " << width << " n " << n;
-      EXPECT_EQ(s1.psi_multi, s2.psi_multi) << "width " << width << " n " << n;
-      EXPECT_EQ(s1.delta, s2.delta) << "width " << width << " n " << n;
+      EXPECT_EQ(e1.psi_multi, e2.psi_multi) << "width " << width << " n " << n;
+      EXPECT_EQ(e1.delta, e2.delta) << "width " << width << " n " << n;
       EXPECT_EQ(s1.delta_star, s2.delta_star) << "width " << width << " n " << n;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The fingerprint verdict. Each case checks a candidate on an instance
+// whose entry-statistics pass recorded the fingerprint, against a fresh
+// copy (same design, m, y) on which no pass ran, so its is_consistent is
+// the exact pass.
+
+/// The instance with no pass run on it.
+StreamedInstance fresh_copy(const StreamedInstance& instance) {
+  return StreamedInstance(instance.design_ptr(), instance.m(), instance.results(),
+                          instance.channel(), instance.channel_threshold());
+}
+
+/// Tallies of the verdicts compared, so a sweep can show it met both.
+struct Verdicts {
+  std::uint64_t consistent = 0;
+  std::uint64_t inconsistent = 0;
+
+  void expect_equal(const Instance& fingerprinted, const Instance& exact,
+                    const Signal& candidate) {
+    const bool verdict = exact.is_consistent(candidate);
+    EXPECT_EQ(fingerprinted.is_consistent(candidate), verdict);
+    ++(verdict ? consistent : inconsistent);
+  }
+};
+
+/// Every weight-k subset of [0, n), in lexicographic order.
+std::vector<std::vector<std::uint32_t>> all_supports(std::uint32_t n,
+                                                     std::uint32_t k) {
+  std::vector<std::vector<std::uint32_t>> out;
+  std::vector<std::uint32_t> support(k);
+  for (std::uint32_t i = 0; i < k; ++i) support[i] = i;
+  while (true) {
+    out.push_back(support);
+    std::uint32_t i = k;
+    while (i > 0 && support[i - 1] == n - k + i - 1) --i;
+    if (i == 0) return out;
+    ++support[i - 1];
+    for (std::uint32_t j = i; j < k; ++j) support[j] = support[j - 1] + 1;
+  }
+}
+
+/// The truth with one support entry swapped, one added, one dropped, and
+/// the empty signal.
+std::vector<Signal> corrupted_truths(const Signal& truth) {
+  const std::uint32_t n = truth.n();
+  std::uint32_t outside = 0;
+  while (truth.is_one(outside)) ++outside;
+  const std::vector<std::uint32_t> support(truth.support().begin(),
+                                           truth.support().end());
+  std::vector<std::uint32_t> swapped = support, added = support,
+                             dropped = support;
+  swapped[0] = outside;
+  added.push_back(outside);
+  dropped.pop_back();
+  return {Signal(n, swapped), Signal(n, added), Signal(n, dropped), Signal(n)};
+}
+
+TEST(Consistency, FingerprintMatchesExactCheck) {
+  Verdicts verdicts;
+  // Every weight-k support of tiny instances. Few queries leave many
+  // candidates consistent; the random-regular design draws with
+  // replacement, so multi-edges (A_qi > 1) are common at this size.
+  {
+    ThreadPool pool(2);
+    for (const std::uint32_t n : {6u, 10u, 14u}) {
+      for (const std::uint32_t k : {1u, 2u, 3u}) {
+        for (const std::uint32_t m : {2u, 3u, 5u, 20u}) {
+          const Signal truth = Signal::random(n, k, 100 * n + 10 * k + m);
+          const auto instance = make_streamed_instance(
+              std::make_shared<RandomRegularDesign>(n, n + k + m), m, truth, pool);
+          EntryStats stats;
+          instance->entry_stats_into(pool, stats);
+          ASSERT_NE(instance->fingerprint(), nullptr);
+          const StreamedInstance exact = fresh_copy(*instance);
+          for (const auto& support : all_supports(n, k)) {
+            verdicts.expect_equal(*instance, exact, Signal(n, support));
+          }
+        }
+      }
+    }
+  }
+  // Seeded MN decodes around the MN threshold: every score, with and
+  // without noise, on one lane and on four. The decode's own pass records
+  // the fingerprint of the (noisy) observations it decoded.
+  for (const unsigned width : {1u, 4u}) {
+    ThreadPool pool(width);
+    for (const std::uint32_t n : {60u, 400u, 2000u}) {
+      const std::uint32_t k = n / 40 + 2;
+      const double m_mn = thresholds::m_mn(n, k);
+      for (const double factor : {0.5, 1.0, 2.0}) {
+        const auto m = static_cast<std::uint32_t>(factor * m_mn);
+        const Signal truth = Signal::random(n, k, n + m);
+        const std::shared_ptr<const Instance> clean = make_streamed_instance(
+            std::make_shared<RandomRegularDesign>(n, n * m), m, truth, pool);
+        for (const NoiseModel& noise :
+             {NoiseModel{}, NoiseModel::symmetric(0.2, 7), NoiseModel::gaussian(1.0, 9)}) {
+          for (const MnScore score : {MnScore::CentralizedPsi, MnScore::RawPsi,
+                                      MnScore::NormalizedPsi, MnScore::MultiEdgePsi}) {
+            const auto noisy = std::dynamic_pointer_cast<const StreamedInstance>(
+                with_noise(clean, noise));
+            ASSERT_NE(noisy, nullptr);
+            MnOptions options;
+            options.score = score;
+            const Signal estimate = MnDecoder(options).decode(*noisy, k, pool);
+            ASSERT_NE(noisy->fingerprint(), nullptr);
+            const StreamedInstance exact = fresh_copy(*noisy);
+            verdicts.expect_equal(*noisy, exact, estimate);
+            verdicts.expect_equal(*noisy, exact, truth);
+            for (const Signal& corrupted : corrupted_truths(truth)) {
+              verdicts.expect_equal(*noisy, exact, corrupted);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(verdicts.consistent, 100u);
+  EXPECT_GT(verdicts.inconsistent, 100u);
+  // The one-bit channels are not linear: a fingerprint of the pooled sums
+  // would reject the truth of any query whose sum the channel collapses.
+  {
+    ThreadPool pool(2);
+    const std::uint32_t n = 60, k = 10, m = 30;
+    const Signal truth = Signal::random(n, k, 5);
+    auto design = std::make_shared<RandomRegularDesign>(n, 6);
+    const std::vector<std::uint32_t> sums = simulate_queries(*design, m, truth, pool);
+    for (const auto& [channel, threshold] :
+         {std::pair{ChannelKind::Binary, 1u}, std::pair{ChannelKind::Threshold, 2u}}) {
+      std::vector<std::uint32_t> y(m);
+      std::uint32_t collapsed = 0;
+      for (std::uint32_t q = 0; q < m; ++q) {
+        y[q] = apply_channel(sums[q], channel, threshold);
+        collapsed += y[q] != sums[q] ? 1 : 0;
+      }
+      ASSERT_GT(collapsed, 0u);  // sums a fingerprint would see as mismatches
+      const StreamedInstance instance(design, m, y, channel, threshold);
+      for (const CountMode mode : {CountMode::Distinct, CountMode::EveryDraw}) {
+        EntryStats stats;
+        instance.entry_stats_into(pool, stats, mode);
+        EXPECT_TRUE(instance.is_consistent(truth));
+      }
     }
   }
 }

@@ -28,7 +28,7 @@ TEST(TheoryDegrees, DeltaMomentsMatchBinomialLaw) {
   const Signal truth = Signal::random(n, 5, 1);
   auto design = std::make_shared<RandomRegularDesign>(n, 2);
   const auto instance = make_streamed_instance(design, m, truth, pool);
-  const EntryStats stats = instance->entry_stats(pool);
+  const EntryStats stats = instance->entry_stats(pool, CountMode::EveryDraw);
   RunningStats delta;
   for (std::uint32_t i = 0; i < n; ++i) {
     delta.add(static_cast<double>(stats.delta[i]));
@@ -84,16 +84,17 @@ TEST(TheoryMoments, CorollaryFourMeanForZeroAndOneEntries) {
     auto design = std::make_shared<RandomRegularDesign>(n, 100 + trial);
     const auto instance = make_streamed_instance(design, m, truth, pool);
     const EntryStats stats = instance->entry_stats(pool);
+    const EntryStats every = instance->entry_stats(pool, CountMode::EveryDraw);
     for (const std::uint32_t j : {one_entry, zero_entry}) {
       const double gamma_pool = static_cast<double>(n / 2);
       const double half_edges =
           static_cast<double>(stats.delta_star[j]) * gamma_pool -
-          static_cast<double>(stats.delta[j]);
+          static_cast<double>(every.delta[j]);
       const double prob =
           (static_cast<double>(k) - truth.value(j)) / (n - 1.0);
       const double s =
           static_cast<double>(stats.psi[j]) -
-          truth.value(j) * static_cast<double>(stats.delta[j]);
+          truth.value(j) * static_cast<double>(every.delta[j]);
       const double deviation = s - half_edges * prob;
       (j == one_entry ? s_one_deviation : s_zero_deviation).add(deviation);
     }
@@ -113,10 +114,11 @@ TEST(TheoryMoments, EquationFiveAggregateMean) {
   auto design = std::make_shared<RandomRegularDesign>(n, 10);
   const auto instance = make_streamed_instance(design, m, truth, pool);
   const EntryStats stats = instance->entry_stats(pool);
+  const EntryStats every = instance->entry_stats(pool, CountMode::EveryDraw);
   RunningStats s_values;
   for (std::uint32_t j = 0; j < n; ++j) {
     s_values.add(static_cast<double>(stats.psi[j]) -
-                 truth.value(j) * static_cast<double>(stats.delta[j]));
+                 truth.value(j) * static_cast<double>(every.delta[j]));
   }
   const double expected = thresholds::gamma() * k * m / 2.0;
   EXPECT_NEAR(s_values.mean(), expected, 0.1 * expected);

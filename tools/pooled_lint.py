@@ -16,7 +16,13 @@ regressing silently:
                    debug-only spelling.
   libc-rand        rand( / srand( anywhere. Simulations must be
                    reproducible from recorded seeds; all randomness goes
-                   through the seeded engines (SplitMix/xoshiro).
+                   through the seeded engines (SplitMix/xoshiro). The one
+                   deliberately unseeded draw is the consistency
+                   fingerprint's key (std::random_device, once per
+                   process, core/instance.cpp): a key a client could
+                   learn would let it aim for a collision. It changes no
+                   output except with probability <= 2^-33 per checked
+                   candidate.
   kernel-alloc     heap allocation (new, malloc/calloc/realloc,
                    make_unique/make_shared, std::vector) inside the
                    kernel bodies: the ISA variants
