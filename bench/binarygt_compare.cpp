@@ -12,7 +12,7 @@
 
 #include "bench_common.hpp"
 #include "binarygt/binary_decoders.hpp"
-#include "binarygt/binary_instance.hpp"
+#include "core/instance.hpp"
 #include "core/metrics.hpp"
 #include "engine/registry.hpp"
 #include "core/thresholds.hpp"
@@ -35,7 +35,8 @@ double dd_success_rate(std::uint32_t n, std::uint32_t k, std::uint32_t m,
     auto design = std::make_shared<RandomRegularDesign>(n, seeds.design_seed,
                                                         optimal_gt_gamma(n, k));
     const Signal truth = Signal::random(n, k, seeds.signal_seed);
-    const auto instance = make_binary_instance(design, m, truth, pool);
+    const auto instance =
+        make_streamed_instance(design, m, truth, pool, ChannelKind::Binary);
     successes += exact_recovery(decode_dd(*instance, &pool).estimate, truth);
   }
   return static_cast<double>(successes) / trials;

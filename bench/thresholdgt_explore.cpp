@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "bench_common.hpp"
+#include "core/instance.hpp"
 #include "core/metrics.hpp"
 #include "core/thresholds.hpp"
 #include "design/random_regular.hpp"
@@ -17,7 +18,6 @@
 #include "sim/montecarlo.hpp"
 #include "sim/sweep.hpp"
 #include "thresholdgt/threshold_decoder.hpp"
-#include "thresholdgt/threshold_instance.hpp"
 
 namespace {
 
@@ -32,7 +32,8 @@ double tgt_success(std::uint32_t n, std::uint32_t k, std::uint32_t T,
     auto design = std::make_shared<RandomRegularDesign>(
         n, seeds.design_seed, threshold_gt_gamma(n, k, T));
     const Signal truth = Signal::random(n, k, seeds.signal_seed);
-    const auto instance = make_threshold_instance(design, m, T, truth, pool);
+    const auto instance = make_streamed_instance(design, m, truth, pool,
+                                                 ChannelKind::Threshold, T);
     successes +=
         exact_recovery(decode_threshold_mn(*instance, k, pool).estimate, truth);
   }

@@ -1,8 +1,10 @@
 // Structured differential harness: kernel-tier equivalence on
 // adversarial instances. The byte buffer is interpreted as a compact
 // instance description (design, channel, shape, observed counts), the
-// instance is decoded once per kernel tier this host can run with the
-// scalar tier as reference, and every observable of the outcome --
+// instance is decoded -- by MN or adaptive MN, then by each group-testing
+// spec (gt:binary, gt:comp, gt:threshold:<T>) -- once per kernel tier
+// this host can run with the scalar tier as reference, and every
+// observable of the outcome --
 // support, consistency, stop reason, rounds, queries, even the error
 // string of a rejected decode -- must be bit-identical across tiers.
 // This extends the deterministic test_kernels differential battery to
@@ -116,36 +118,43 @@ int fuzz_decode_differential(const std::uint8_t* data, std::size_t size) {
     spec.y.push_back(cursor.next() % (k + 3));
   }
 
-  DecodeJob job;
-  job.spec = spec;
-  job.k = k;
   // Alternate the decoder family: MN exercises the score kernels,
-  // adaptive MN the round/replay machinery on top of them.
-  job.decoder = cursor.next() % 2 == 0 ? "mn" : "adaptive:mn:L=8";
+  // adaptive MN the round/replay machinery on top of them. The GT specs
+  // then decode every input too; on a mismatched channel they must be
+  // rejected identically by every tier.
+  const std::string mn_family = cursor.next() % 2 == 0 ? "mn" : "adaptive:mn:L=8";
+  const std::string decoders[] = {mn_family, "gt:binary", "gt:comp",
+                                  "gt:threshold:" + std::to_string(spec.threshold)};
 
   ThreadPool pool(1);
   const BatchEngine engine(pool);  // capture_errors: failures -> report
-
   const KernelSet* scalar = kernels_for(KernelIsa::Scalar);
   POOLED_CHECK(scalar != nullptr, "scalar kernels must always exist");
-  const Outcome reference = decode_under(*scalar, engine, job);
-  for (const KernelIsa isa : available_kernel_isas()) {
-    if (isa == KernelIsa::Scalar) continue;
-    const KernelSet* tier = kernels_for(isa);
-    POOLED_CHECK(tier != nullptr, "advertised kernel tier must resolve");
-    const Outcome outcome = decode_under(*tier, engine, job);
-    const std::string divergence = std::string("kernel tier ") +
-                                   kernel_isa_name(isa) +
-                                   " diverged from scalar on a fuzzed instance";
-    POOLED_CHECK(outcome == reference, divergence.c_str());
-  }
-  // The served verdict (the fingerprint when the decode recorded one)
-  // must equal the exact pass on a fresh instance from the same spec.
-  if (reference.ok) {
-    const auto fresh = spec.to_instance();
-    const bool exact = fresh->is_consistent(Signal(fresh->n(), reference.support));
-    POOLED_CHECK(reference.consistent == exact,
-                 "served consistency verdict differs from the exact check");
+
+  for (const std::string& decoder : decoders) {
+    DecodeJob job;
+    job.spec = spec;
+    job.k = k;
+    job.decoder = decoder;
+    const Outcome reference = decode_under(*scalar, engine, job);
+    for (const KernelIsa isa : available_kernel_isas()) {
+      if (isa == KernelIsa::Scalar) continue;
+      const KernelSet* tier = kernels_for(isa);
+      POOLED_CHECK(tier != nullptr, "advertised kernel tier must resolve");
+      const Outcome outcome = decode_under(*tier, engine, job);
+      const std::string divergence =
+          std::string("kernel tier ") + kernel_isa_name(isa) +
+          " diverged from scalar on " + decoder + " of a fuzzed instance";
+      POOLED_CHECK(outcome == reference, divergence.c_str());
+    }
+    // The served verdict (the fingerprint when the decode recorded one)
+    // must equal the exact pass on a fresh instance from the same spec.
+    if (reference.ok) {
+      const auto fresh = spec.to_instance();
+      const bool exact = fresh->is_consistent(Signal(fresh->n(), reference.support));
+      POOLED_CHECK(reference.consistent == exact,
+                   "served consistency verdict differs from the exact check");
+    }
   }
   return 0;
 }

@@ -1,6 +1,9 @@
 #include "binarygt/binary_decoders.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "kernels/decode_arena.hpp"
@@ -9,17 +12,37 @@
 
 namespace pooled {
 
+std::uint64_t optimal_gt_gamma(std::uint32_t n, std::uint32_t k) {
+  POOLED_REQUIRE(n > 0 && k > 0, "optimal_gt_gamma needs n, k > 0");
+  const double gamma =
+      std::log(2.0) * static_cast<double>(n) / static_cast<double>(k);
+  return std::clamp<std::uint64_t>(static_cast<std::uint64_t>(std::llround(gamma)),
+                                   1, n);
+}
+
 namespace {
+
+/// COMP/DD reason "negative test => every member is a zero", which is
+/// only sound when a positive outcome means >= 1 defective. A threshold-T
+/// instance's negative pools may still contain up to T-1 defectives, so
+/// reinterpreting them would silently drop true positives -- reject
+/// instead.
+void require_or_channel(const StreamedInstance& instance) {
+  POOLED_REQUIRE(instance.channel() != ChannelKind::Threshold,
+                 "gt:binary/gt:comp cannot decode a threshold-channel "
+                 "instance (negative tests may still contain defectives); "
+                 "use gt:threshold:<T>");
+}
 
 // ---------------------------------------------------------------------------
 // Member-scan fallback (used only when the bit-pack is over budget)
 
 /// Marks every entry that appears in a negative test (definite zeros).
-std::vector<std::uint8_t> definite_zero_mask(const BinaryGtInstance& instance) {
+std::vector<std::uint8_t> definite_zero_mask(const StreamedInstance& instance) {
   std::vector<std::uint8_t> zero(instance.n(), 0);
   std::vector<std::uint32_t> members;
   for (std::uint32_t q = 0; q < instance.m(); ++q) {
-    if (instance.outcomes()[q] != 0) continue;
+    if (instance.results()[q] != 0) continue;
     instance.query_members(q, members);
     for (std::uint32_t entry : members) zero[entry] = 1;
   }
@@ -32,7 +55,7 @@ std::uint32_t count_set(const std::vector<std::uint8_t>& mask) {
   return count;
 }
 
-BinaryDecodeResult decode_comp_scan(const BinaryGtInstance& instance) {
+BinaryDecodeResult decode_comp_scan(const StreamedInstance& instance) {
   const auto zero = definite_zero_mask(instance);
   std::vector<std::uint32_t> support;
   for (std::uint32_t i = 0; i < instance.n(); ++i) {
@@ -42,29 +65,25 @@ BinaryDecodeResult decode_comp_scan(const BinaryGtInstance& instance) {
                             static_cast<std::uint32_t>(support.size())};
 }
 
-BinaryDecodeResult decode_dd_scan(const BinaryGtInstance& instance) {
+BinaryDecodeResult decode_dd_scan(const StreamedInstance& instance) {
   const auto zero = definite_zero_mask(instance);
   // A candidate (non-disqualified entry) is definitely defective if it is
   // the only candidate of some positive test.
   std::vector<std::uint8_t> definite(instance.n(), 0);
   std::vector<std::uint32_t> members;
   for (std::uint32_t q = 0; q < instance.m(); ++q) {
-    if (instance.outcomes()[q] == 0) continue;
+    if (instance.results()[q] == 0) continue;
     instance.query_members(q, members);
     std::uint32_t candidate = 0;
     std::uint32_t candidates = 0;
     for (std::uint32_t entry : members) {
-      if (!zero[entry]) {
-        if (candidates == 0 || entry != candidate) {
-          // Multi-edge duplicates of the same entry count once.
-          if (candidates == 0) {
-            candidate = entry;
-            candidates = 1;
-          } else {
-            candidates = 2;
-            break;
-          }
-        }
+      if (zero[entry]) continue;
+      if (candidates == 0) {
+        candidate = entry;
+        candidates = 1;
+      } else if (entry != candidate) {  // multi-edge duplicates count once
+        candidates = 2;
+        break;
       }
     }
     if (candidates == 1) definite[candidate] = 1;
@@ -81,13 +100,13 @@ BinaryDecodeResult decode_dd_scan(const BinaryGtInstance& instance) {
 // Bit-packed paths: whole 64-entry blocks per instruction
 
 /// OR of all negative pools into the arena's word buffer.
-std::uint64_t* packed_zero_mask(const BinaryGtInstance& instance,
+std::uint64_t* packed_zero_mask(const StreamedInstance& instance,
                                 const PackedPools& packed,
                                 const KernelSet& kernels) {
   std::uint64_t* zero = DecodeArena::local().words_a(packed.words);
   std::memset(zero, 0, packed.words * sizeof(std::uint64_t));
   for (std::uint32_t q = 0; q < instance.m(); ++q) {
-    if (instance.outcomes()[q] != 0) continue;
+    if (instance.results()[q] != 0) continue;
     kernels.or_words(zero, packed.row(q), packed.words);
   }
   return zero;
@@ -126,7 +145,7 @@ std::vector<std::uint32_t> set_indices(const std::uint64_t* mask,
   return out;
 }
 
-BinaryDecodeResult decode_comp_packed(const BinaryGtInstance& instance,
+BinaryDecodeResult decode_comp_packed(const StreamedInstance& instance,
                                       const PackedPools& packed) {
   const KernelSet& kernels = active_kernels();
   const std::uint64_t* zero = packed_zero_mask(instance, packed, kernels);
@@ -139,7 +158,7 @@ BinaryDecodeResult decode_comp_packed(const BinaryGtInstance& instance,
                             ones};
 }
 
-BinaryDecodeResult decode_dd_packed(const BinaryGtInstance& instance,
+BinaryDecodeResult decode_dd_packed(const StreamedInstance& instance,
                                     const PackedPools& packed) {
   const KernelSet& kernels = active_kernels();
   DecodeArena& arena = DecodeArena::local();
@@ -149,7 +168,7 @@ BinaryDecodeResult decode_dd_packed(const BinaryGtInstance& instance,
   std::uint64_t* definite = arena.words_b(packed.words);
   std::memset(definite, 0, packed.words * sizeof(std::uint64_t));
   for (std::uint32_t q = 0; q < instance.m(); ++q) {
-    if (instance.outcomes()[q] == 0) continue;
+    if (instance.results()[q] == 0) continue;
     const std::uint64_t* row = packed.row(q);
     // Distinct candidates of the pool = popcount(row & ~zero); a positive
     // test with exactly one candidate proves it defective.
@@ -171,19 +190,38 @@ BinaryDecodeResult decode_dd_packed(const BinaryGtInstance& instance,
 
 }  // namespace
 
-BinaryDecodeResult decode_comp(const BinaryGtInstance& instance,
+BinaryDecodeResult decode_comp(const StreamedInstance& instance,
                                ThreadPool* pool) {
-  if (const PackedPools* packed = instance.packed(pool)) {
+  require_or_channel(instance);
+  if (const PackedPools* packed = instance.packed_pools(pool)) {
     return decode_comp_packed(instance, *packed);
   }
   return decode_comp_scan(instance);
 }
 
-BinaryDecodeResult decode_dd(const BinaryGtInstance& instance, ThreadPool* pool) {
-  if (const PackedPools* packed = instance.packed(pool)) {
+BinaryDecodeResult decode_dd(const StreamedInstance& instance, ThreadPool* pool) {
+  require_or_channel(instance);
+  if (const PackedPools* packed = instance.packed_pools(pool)) {
     return decode_dd_packed(instance, *packed);
   }
   return decode_dd_scan(instance);
+}
+
+DecodeOutcome BinaryGtDecoder::decode(const Instance& instance,
+                                      const DecodeContext& context) const {
+  // The context only supplies the pool that parallelizes the one-time
+  // pool bit-pack.
+  const auto* streamed = dynamic_cast<const StreamedInstance*>(&instance);
+  POOLED_REQUIRE(streamed != nullptr,
+                 "gt decoders need a design-backed (streamed) instance");
+  ThreadPool* pool = &context.thread_pool();
+  BinaryDecodeResult result = rule_ == Rule::Dd ? decode_dd(*streamed, pool)
+                                                : decode_comp(*streamed, pool);
+  return one_shot_outcome(std::move(result.estimate), instance, instance.n());
+}
+
+std::string BinaryGtDecoder::name() const {
+  return rule_ == Rule::Dd ? "gt-dd" : "gt-comp";
 }
 
 }  // namespace pooled

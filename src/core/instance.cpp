@@ -325,19 +325,25 @@ void StreamedInstance::entry_stats_into(ThreadPool& pool, EntryStats& stats,
   if (fingerprint_ == nullptr) fingerprint_ = std::move(print);
 }
 
+const PackedPools* StreamedInstance::packed_pools(ThreadPool* pool) const {
+  std::call_once(packed_once_, [&] { packed_ = pack_pools(*design_, m_, pool); });
+  return packed_.get();
+}
+
 // ---------------------------------------------------------------------------
 // Teacher-side construction
 
 std::vector<std::uint32_t> simulate_queries(const PoolingDesign& design,
                                             std::uint32_t m, const Signal& truth,
-                                            ThreadPool& pool) {
+                                            ThreadPool& pool, ChannelKind channel,
+                                            std::uint32_t threshold) {
   POOLED_REQUIRE(design.num_entries() == truth.n(), "design/signal length mismatch");
   std::vector<std::uint32_t> y(m);
   parallel_for_chunked(pool, 0, m, 1, [&](std::size_t lo, std::size_t hi) {
     std::vector<std::uint32_t>& members = DecodeArena::local().members();
     for (std::size_t q = lo; q < hi; ++q) {
       design.query_members(static_cast<std::uint32_t>(q), members);
-      y[q] = pooled_sum(truth, members);
+      y[q] = apply_channel(pooled_sum(truth, members), channel, threshold);
     }
   });
   return y;
@@ -361,10 +367,14 @@ std::unique_ptr<StoredInstance> make_stored_instance(const PoolingDesign& design
 
 std::unique_ptr<StreamedInstance> make_streamed_instance(
     std::shared_ptr<const PoolingDesign> design, std::uint32_t m,
-    const Signal& truth, ThreadPool& pool) {
+    const Signal& truth, ThreadPool& pool, ChannelKind channel,
+    std::uint32_t threshold) {
   POOLED_REQUIRE(design != nullptr, "streamed instance needs a design");
-  auto y = simulate_queries(*design, m, truth, pool);
-  return std::make_unique<StreamedInstance>(std::move(design), m, std::move(y));
+  auto y = simulate_queries(*design, m, truth, pool, channel, threshold);
+  // As in make_spec, T exists only on the threshold channel.
+  return std::make_unique<StreamedInstance>(
+      std::move(design), m, std::move(y), channel,
+      channel == ChannelKind::Threshold ? threshold : 1);
 }
 
 std::uint32_t estimate_k_extra_query(const Signal& truth) {

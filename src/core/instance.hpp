@@ -14,11 +14,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/signal.hpp"
 #include "design/design.hpp"
 #include "graph/bipartite.hpp"
+#include "graph/packed_pools.hpp"
 #include "support/thread_annotations.hpp"
 
 namespace pooled {
@@ -197,9 +199,9 @@ class StoredInstance final : public Instance {
 };
 
 /// Instance that regenerates queries from the design's keyed streams.
-/// Optionally carries a one-bit observation channel, which is how the
-/// group-testing instances of §I.D / §VI ride through the same engine
-/// plumbing as the quantitative ones (y is then 0/1 per query).
+/// Optionally carries a one-bit observation channel: the group-testing
+/// instances of §I.D / §VI are this class with y 0/1 per query, decoded
+/// by COMP/DD (binarygt/) and threshold-MN (thresholdgt/) directly.
 class StreamedInstance final : public Instance {
  public:
   StreamedInstance(std::shared_ptr<const PoolingDesign> design, std::uint32_t m,
@@ -226,11 +228,18 @@ class StreamedInstance final : public Instance {
   }
 
   [[nodiscard]] const PoolingDesign& design() const { return *design_; }
-  /// Shared ownership of the design (the GT adapters rebuild their
-  /// instance types around it).
+  /// Shared ownership of the design (prefix, noisy and channel-collapsed
+  /// instances are rebuilt around it).
   [[nodiscard]] const std::shared_ptr<const PoolingDesign>& design_ptr() const {
     return design_;
   }
+
+  /// Bit-packed distinct-membership masks of the m pools, built once
+  /// (thread-safely, by regenerating every pool; `pool` parallelizes the
+  /// build) on first use, so the popcount kernels of COMP/DD consume 64
+  /// entries per instruction. nullptr when the pack exceeds
+  /// POOLED_PACK_BUDGET_MB -- callers then member-scan instead.
+  [[nodiscard]] const PackedPools* packed_pools(ThreadPool* pool) const;
 
  private:
   std::shared_ptr<const PoolingDesign> design_;
@@ -243,13 +252,17 @@ class StreamedInstance final : public Instance {
   mutable AnnotatedMutex fingerprint_mutex_;
   mutable std::unique_ptr<const QueryFingerprint> fingerprint_
       POOLED_GUARDED_BY(fingerprint_mutex_);
+  mutable std::once_flag packed_once_;
+  mutable std::unique_ptr<const PackedPools> packed_;
 };
 
-/// Runs the m parallel queries of `design` against `truth`.
-/// The returned y is what a lab would hand back after one parallel round.
-std::vector<std::uint32_t> simulate_queries(const PoolingDesign& design,
-                                            std::uint32_t m, const Signal& truth,
-                                            ThreadPool& pool);
+/// Runs the m parallel queries of `design` against `truth`, observed
+/// through `channel`. The returned y is what a lab would hand back after
+/// one parallel round.
+std::vector<std::uint32_t> simulate_queries(
+    const PoolingDesign& design, std::uint32_t m, const Signal& truth,
+    ThreadPool& pool, ChannelKind channel = ChannelKind::Quantitative,
+    std::uint32_t threshold = 1);
 
 /// Teacher step, stored backend: draw the graph, run the queries.
 std::unique_ptr<StoredInstance> make_stored_instance(const PoolingDesign& design,
@@ -257,10 +270,13 @@ std::unique_ptr<StoredInstance> make_stored_instance(const PoolingDesign& design
                                                      const Signal& truth,
                                                      ThreadPool& pool);
 
-/// Teacher step, streamed backend.
+/// Teacher step, streamed backend, on any channel: binary group testing
+/// is `ChannelKind::Binary`, threshold-T group testing
+/// `(ChannelKind::Threshold, T)`.
 std::unique_ptr<StreamedInstance> make_streamed_instance(
     std::shared_ptr<const PoolingDesign> design, std::uint32_t m,
-    const Signal& truth, ThreadPool& pool);
+    const Signal& truth, ThreadPool& pool,
+    ChannelKind channel = ChannelKind::Quantitative, std::uint32_t threshold = 1);
 
 /// Exact Hamming weight from one additional all-entries query (the
 /// paper's observation that k need not be known a priori).

@@ -84,8 +84,7 @@ InstanceSpec simulate_spec(DesignKind kind, const DesignParams& params,
                            std::uint32_t m, const Signal& truth, ThreadPool& pool,
                            ChannelKind channel, std::uint32_t threshold) {
   auto design = make_design(kind, params);
-  auto y = simulate_queries(*design, m, truth, pool);
-  for (std::uint32_t& value : y) value = apply_channel(value, channel, threshold);
+  const auto y = simulate_queries(*design, m, truth, pool, channel, threshold);
   return make_spec(kind, params, y, channel, threshold);
 }
 

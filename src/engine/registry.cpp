@@ -8,10 +8,11 @@
 #include "baselines/omp_pursuit.hpp"
 #include "baselines/peeling.hpp"
 #include "baselines/random_guess.hpp"
+#include "binarygt/binary_decoders.hpp"
 #include "core/mn.hpp"
 #include "engine/adaptive_adapter.hpp"
-#include "engine/gt_adapters.hpp"
 #include "support/assert.hpp"
+#include "thresholdgt/threshold_decoder.hpp"
 
 namespace pooled {
 
@@ -43,10 +44,10 @@ std::shared_ptr<const Decoder> make_mn(const std::string& variant) {
 
 std::shared_ptr<const Decoder> make_gt(const std::string& variant) {
   if (variant == "binary") {
-    return std::make_shared<BinaryGtAdapter>(BinaryGtAdapter::Rule::Dd);
+    return std::make_shared<BinaryGtDecoder>(BinaryGtDecoder::Rule::Dd);
   }
   if (variant == "comp") {
-    return std::make_shared<BinaryGtAdapter>(BinaryGtAdapter::Rule::Comp);
+    return std::make_shared<BinaryGtDecoder>(BinaryGtDecoder::Rule::Comp);
   }
   constexpr const char* kThresholdPrefix = "threshold:";
   if (variant.rfind(kThresholdPrefix, 0) == 0) {
@@ -57,7 +58,7 @@ std::shared_ptr<const Decoder> make_gt(const std::string& variant) {
     POOLED_REQUIRE(
         ec == std::errc() && ptr == text.data() + text.size() && threshold >= 1,
         "gt threshold must be an integer >= 1, got '" + text + "'");
-    return std::make_shared<ThresholdGtAdapter>(threshold);
+    return std::make_shared<ThresholdGtDecoder>(threshold);
   }
   POOLED_REQUIRE(false, "unknown gt variant '" + variant +
                             "' (expected binary|comp|threshold:<T>)");

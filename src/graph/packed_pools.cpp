@@ -9,8 +9,7 @@ namespace pooled {
 
 std::unique_ptr<PackedPools> pack_pools(const PoolingDesign& design,
                                         std::uint32_t m, ThreadPool* pool) {
-  static const std::size_t budget = static_cast<std::size_t>(
-      env_i64("POOLED_PACK_BUDGET_MB", 512)) << 20;
+  static const std::size_t budget = env_budget_bytes("POOLED_PACK_BUDGET_MB", 512);
   const std::uint32_t n = design.num_entries();
   const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
   if (words != 0 && static_cast<std::size_t>(m) > budget / (words * 8)) {

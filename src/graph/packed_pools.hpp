@@ -1,14 +1,16 @@
 // Bit-packed pool membership: one bit per (query, entry), 64 entries per
-// word. The one-bit group-testing decoders (COMP, DD, threshold-MN) only
-// care about *distinct* membership, which a bitmap represents natively --
-// multi-edge duplicates collapse, and whole 64-entry blocks are combined
-// or counted per instruction by the popcount kernels.
+// word. The binary group-testing decoders (COMP, DD) only care about
+// *distinct* membership, which a bitmap represents natively -- multi-edge
+// duplicates collapse, and whole 64-entry blocks are combined or counted
+// per instruction by the popcount kernels.
 //
 // Building the pack regenerates every query from the design once (the
 // same cost a single scalar decode pass pays); afterwards every decode
-// pass over the pools is pure word arithmetic. POOLED_PACK_BUDGET_MB
-// (default 512) caps the m x ceil(n/64) x 8B footprint; callers fall
-// back to their member-scan paths when packing is declined.
+// pass over the pools is pure word arithmetic. A StreamedInstance builds
+// its pack once, on first use (StreamedInstance::packed_pools).
+// POOLED_PACK_BUDGET_MB (default 512) caps the m x ceil(n/64) x 8B
+// footprint; COMP/DD fall back to their member-scan paths when packing
+// is declined.
 #pragma once
 
 #include <cstdint>

@@ -147,8 +147,8 @@ DecodeArena& DecodeArena::local() {
 }
 
 bool DecodeArena::lane_budget_ok(unsigned lanes, std::size_t entries) {
-  static const std::size_t budget = static_cast<std::size_t>(
-      env_i64("POOLED_ARENA_BUDGET_MB", 1024)) << 20;
+  static const std::size_t budget =
+      env_budget_bytes("POOLED_ARENA_BUDGET_MB", 1024);
   return lane_stride_bytes(entries) * lanes <= budget;
 }
 

@@ -28,6 +28,13 @@ double env_f64(const std::string& name, double fallback) {
   return parsed;
 }
 
+std::size_t env_budget_bytes(const std::string& name, std::size_t fallback_mb) {
+  constexpr std::size_t kMaxMb = SIZE_MAX >> 20;
+  const std::int64_t mb = env_i64(name, -1);
+  const bool valid = mb >= 0 && static_cast<std::uint64_t>(mb) <= kMaxMb;
+  return (valid ? static_cast<std::size_t>(mb) : fallback_mb) << 20;
+}
+
 BenchConfig bench_config(int default_trials, std::int64_t default_max_n) {
   BenchConfig cfg;
   cfg.trials = static_cast<int>(env_i64("POOLED_TRIALS", default_trials));

@@ -5,6 +5,7 @@
 // the paper-scale experiments.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -19,6 +20,10 @@ std::int64_t env_i64(const std::string& name, std::int64_t fallback);
 
 /// Returns `name` parsed as double; `fallback` if unset or unparsable.
 double env_f64(const std::string& name, double fallback);
+
+/// Returns `name`, a memory budget in MiB, in bytes; `fallback_mb` MiB if
+/// unset, unparsable, negative, or too large to count in bytes.
+std::size_t env_budget_bytes(const std::string& name, std::size_t fallback_mb);
 
 /// Common bench knobs (all overridable via environment).
 struct BenchConfig {

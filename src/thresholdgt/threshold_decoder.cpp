@@ -1,7 +1,8 @@
 #include "thresholdgt/threshold_decoder.hpp"
 
-#include <atomic>
-#include <numeric>
+#include <algorithm>
+#include <cmath>
+#include <utility>
 
 #include "kernels/decode_arena.hpp"
 #include "kernels/kernel_set.hpp"
@@ -11,97 +12,25 @@
 
 namespace pooled {
 
-namespace {
-
-/// Shared-atomics fallback, only for problem sizes whose per-lane partial
-/// blocks would blow the arena budget. Integer accumulation keeps the
-/// result identical to the fast paths.
-void threshold_stats_atomic(const ThresholdGtInstance& instance, ThreadPool& pool,
-                            EntryStats& stats) {
-  const std::uint32_t n = instance.n();
-  const std::uint32_t m = instance.m();
-  std::vector<std::atomic<std::uint32_t>> psi(n);
-  std::vector<std::atomic<std::uint32_t>> delta_star(n);
-  constexpr std::uint32_t kUnmarked = 0xFFFFFFFFu;
-  parallel_for_chunked(pool, 0, m, 1, [&](std::size_t lo, std::size_t hi) {
-    std::vector<std::uint32_t> members;
-    std::vector<std::uint32_t> mark(n, kUnmarked);
-    for (std::size_t q = lo; q < hi; ++q) {
-      const auto query = static_cast<std::uint32_t>(q);
-      instance.query_members(query, members);
-      const std::uint32_t outcome = instance.outcomes()[q];
-      for (std::uint32_t entry : members) {
-        if (mark[entry] != query) {
-          mark[entry] = query;
-          psi[entry].fetch_add(outcome, std::memory_order_relaxed);
-          delta_star[entry].fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-  });
-  stats.resize(n, CountMode::Distinct);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    stats.psi[i] = psi[i].load(std::memory_order_relaxed);
-    stats.delta_star[i] = delta_star[i].load(std::memory_order_relaxed);
-  }
+std::uint64_t threshold_gt_gamma(std::uint32_t n, std::uint32_t k,
+                                 std::uint32_t threshold) {
+  POOLED_REQUIRE(n > 0 && k > 0 && threshold > 0,
+                 "threshold_gt_gamma needs n, k, T > 0");
+  const double gamma = static_cast<double>(threshold) * static_cast<double>(n) /
+                       static_cast<double>(k);
+  return std::clamp<std::uint64_t>(
+      static_cast<std::uint64_t>(std::llround(gamma)), 1, n);
 }
 
-/// Per-entry (positive-count, distinct-count) statistics -- the Distinct
-/// pair psi and delta_star of `stats` -- via per-lane records: from the
-/// bit-packed pools when available (no regeneration, no epoch marks -- the
-/// bitmap is already distinct), else by folding regenerated members like
-/// the MN pass. The channel is not linear, so no fingerprint weight.
-void threshold_stats(const ThresholdGtInstance& instance, ThreadPool& pool,
-                     EntryStats& stats) {
-  const std::uint32_t n = instance.n();
-  const std::uint32_t m = instance.m();
-  const unsigned lanes = pool.size();
-  if (!DecodeArena::lane_budget_ok(lanes, n)) {
-    threshold_stats_atomic(instance, pool, stats);
-    return;
-  }
-  const PackedPools* packed = instance.packed(&pool);
-  LanePartials& partials = DecodeArena::local().lane_partials(lanes, n);
-  parallel_for_chunked(pool, 0, m, 1, [&](std::size_t lo, std::size_t hi) {
-    EntryRecord* records = partials.acquire(ThreadPool::current_lane());
-    if (packed != nullptr) {
-      for (std::size_t q = lo; q < hi; ++q) {
-        const std::uint64_t outcome = instance.outcomes()[q];
-        const std::uint64_t* row = packed->row(static_cast<std::uint32_t>(q));
-        for (std::size_t w = 0; w < packed->words; ++w) {
-          std::uint64_t bits = row[w];
-          while (bits != 0) {
-            const auto entry = static_cast<std::uint32_t>(
-                w * 64 + static_cast<unsigned>(__builtin_ctzll(bits)));
-            records[entry].sum += outcome;
-            records[entry].count += 1;
-            bits &= bits - 1;
-          }
-        }
-      }
-    } else {
-      std::vector<std::uint32_t>& members = DecodeArena::local().members();
-      for (std::size_t q = lo; q < hi; ++q) {
-        instance.query_members(static_cast<std::uint32_t>(q), members);
-        accumulate_query<CountMode::Distinct>(
-            members.data(), members.size(), static_cast<std::uint32_t>(q) + 1,
-            instance.outcomes()[q], /*weight=*/0, records);
-      }
-    }
-  });
-  partials.merge_into(stats, CountMode::Distinct);
-}
-
-}  // namespace
-
-ThresholdDecodeResult decode_threshold_mn(const ThresholdGtInstance& instance,
+ThresholdDecodeResult decode_threshold_mn(const Instance& instance,
                                           std::uint32_t k, ThreadPool& pool) {
   const std::uint32_t n = instance.n();
   const std::uint32_t m = instance.m();
   POOLED_REQUIRE(k <= n, "weight k exceeds signal length");
+  POOLED_REQUIRE(instance.channel() != ChannelKind::Quantitative,
+                 "threshold-MN decodes one-bit instances only");
 
-  double positives = 0.0;
-  for (std::uint8_t outcome : instance.outcomes()) positives += outcome;
+  const double positives = static_cast<double>(instance.total_result());
   const double mean_outcome = m == 0 ? 0.0 : positives / static_cast<double>(m);
 
   // Integer per-entry statistics (positive-test count and distinct-query
@@ -110,7 +39,7 @@ ThresholdDecodeResult decode_threshold_mn(const ThresholdGtInstance& instance,
   // thread count; the centered score is one dispatched kernel pass.
   DecodeArena& arena = DecodeArena::local();
   EntryStats& stats = arena.stats();
-  threshold_stats(instance, pool, stats);
+  instance.entry_stats_into(pool, stats, CountMode::Distinct);
 
   std::vector<double> scores(n);
   const KernelSet& kernels = active_kernels();
@@ -123,6 +52,49 @@ ThresholdDecodeResult decode_threshold_mn(const ThresholdGtInstance& instance,
   select_top_k_into(kernels, scores.data(), n, k, arena.topk_values(n),
                     support.data());
   return ThresholdDecodeResult{Signal(n, std::move(support)), std::move(scores)};
+}
+
+ThresholdGtDecoder::ThresholdGtDecoder(std::uint32_t threshold)
+    : threshold_(threshold) {
+  POOLED_REQUIRE(threshold_ >= 1, "gt threshold must be >= 1");
+}
+
+DecodeOutcome ThresholdGtDecoder::decode(const Instance& instance,
+                                         const DecodeContext& context) const {
+  // Scores `one_bit`; the outcome (and its consistency) is `instance`'s.
+  const auto decode_one_bit = [&](const Instance& one_bit) {
+    return one_shot_outcome(
+        std::move(decode_threshold_mn(one_bit, context.k, context.thread_pool())
+                      .estimate),
+        instance, instance.n());
+  };
+  if (instance.channel() != ChannelKind::Quantitative) {
+    // One-bit instances already fixed their threshold when the outcomes
+    // were generated; a decoder labeled with a different T would silently
+    // misinterpret them, so the labels must agree (Binary == threshold 1).
+    const std::uint32_t recorded = instance.channel() == ChannelKind::Binary
+                                       ? 1
+                                       : instance.channel_threshold();
+    POOLED_REQUIRE(recorded == threshold_,
+                   "instance records threshold-" + std::to_string(recorded) +
+                       " outcomes but the decoder is gt:threshold:" +
+                       std::to_string(threshold_));
+    return decode_one_bit(instance);
+  }
+  const auto* streamed = dynamic_cast<const StreamedInstance*>(&instance);
+  POOLED_REQUIRE(streamed != nullptr,
+                 "gt decoders need a design-backed (streamed) instance");
+  std::vector<std::uint32_t> y = instance.results();
+  for (std::uint32_t& value : y) {
+    value = apply_channel(value, ChannelKind::Threshold, threshold_);
+  }
+  return decode_one_bit(StreamedInstance(streamed->design_ptr(), streamed->m(),
+                                         std::move(y), ChannelKind::Threshold,
+                                         threshold_));
+}
+
+std::string ThresholdGtDecoder::name() const {
+  return "gt-threshold-" + std::to_string(threshold_);
 }
 
 }  // namespace pooled

@@ -3,9 +3,9 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "binarygt/binary_decoders.hpp"
-#include "binarygt/binary_instance.hpp"
 #include "core/metrics.hpp"
 #include "core/thresholds.hpp"
 #include "design/random_regular.hpp"
@@ -15,13 +15,17 @@
 namespace pooled {
 namespace {
 
-std::unique_ptr<BinaryGtInstance> gt_instance(std::uint32_t n, std::uint32_t k,
-                                              std::uint32_t m, std::uint64_t seed,
-                                              const Signal& truth,
-                                              ThreadPool& pool) {
+std::unique_ptr<StreamedInstance> gt_instance(
+    std::uint32_t n, std::uint32_t k, std::uint32_t m, std::uint64_t seed,
+    const Signal& truth, ThreadPool& pool,
+    ChannelKind channel = ChannelKind::Binary) {
   auto design = std::make_shared<RandomRegularDesign>(n, seed,
                                                       optimal_gt_gamma(n, k));
-  return make_binary_instance(std::move(design), m, truth, pool);
+  return make_streamed_instance(std::move(design), m, truth, pool, channel);
+}
+
+std::vector<std::uint32_t> support_of(const Signal& estimate) {
+  return {estimate.support().begin(), estimate.support().end()};
 }
 
 TEST(OptimalGamma, HalvingProbabilityShape) {
@@ -43,7 +47,7 @@ TEST(BinaryInstance, OutcomesMatchManualOrEvaluation) {
     instance->query_members(q, members);
     bool expected = false;
     for (auto e : members) expected |= truth.is_one(e);
-    EXPECT_EQ(instance->outcomes()[q] != 0, expected);
+    EXPECT_EQ(instance->results()[q] != 0, expected);
   }
 }
 
@@ -53,7 +57,7 @@ TEST(BinaryInstance, NegativeRateNearHalfAtOptimalGamma) {
   const Signal truth = Signal::random(n, k, 5);
   const auto instance = gt_instance(n, k, m, 6, truth, pool);
   double negatives = 0;
-  for (auto o : instance->outcomes()) negatives += (o == 0);
+  for (auto o : instance->results()) negatives += (o == 0);
   EXPECT_NEAR(negatives / m, 0.5, 0.1);
 }
 
@@ -124,8 +128,9 @@ TEST(BinaryInstance, AllZeroSignalGivesAllNegativeTests) {
   const std::uint32_t n = 100;
   const Signal truth(n);
   auto design = std::make_shared<RandomRegularDesign>(n, 1, 20);
-  const auto instance = make_binary_instance(design, 30, truth, pool);
-  for (auto o : instance->outcomes()) EXPECT_EQ(o, 0);
+  const auto instance =
+      make_streamed_instance(design, 30, truth, pool, ChannelKind::Binary);
+  for (auto o : instance->results()) EXPECT_EQ(o, 0);
   const BinaryDecodeResult comp = decode_comp(*instance);
   // Everything touched by a test is cleared; untouched entries remain
   // candidates (a design property, not a decoder bug).
@@ -134,8 +139,41 @@ TEST(BinaryInstance, AllZeroSignalGivesAllNegativeTests) {
 
 TEST(BinaryInstance, ValidatesShape) {
   auto design = std::make_shared<RandomRegularDesign>(10, 1, 5);
-  EXPECT_THROW(BinaryGtInstance(design, 3, {1, 0}), ContractError);
-  EXPECT_THROW(BinaryGtInstance(nullptr, 0, {}), ContractError);
+  EXPECT_THROW(StreamedInstance(design, 3, {1, 0}, ChannelKind::Binary),
+               ContractError);
+  EXPECT_THROW(StreamedInstance(nullptr, 0, {}, ChannelKind::Binary),
+               ContractError);
+  EXPECT_THROW(StreamedInstance(design, 2, {2, 0}, ChannelKind::Binary),
+               ContractError);
+}
+
+TEST(CompAndDd, QuantitativeCountsDecodeLikeTheirOrOutcomes) {
+  // A test is positive iff y != 0, so the counts of a quantitative
+  // instance decode exactly like the OR outcomes of the same queries.
+  ThreadPool pool(2);
+  const std::uint32_t n = 400, k = 8, m = 90;
+  const Signal truth = Signal::random(n, k, 14);
+  const auto binary = gt_instance(n, k, m, 15, truth, pool);
+  const auto counts =
+      gt_instance(n, k, m, 15, truth, pool, ChannelKind::Quantitative);
+  EXPECT_EQ(support_of(decode_comp(*counts, &pool).estimate),
+            support_of(decode_comp(*binary, &pool).estimate));
+  EXPECT_EQ(support_of(decode_dd(*counts, &pool).estimate),
+            support_of(decode_dd(*binary, &pool).estimate));
+}
+
+TEST(BinaryInstance, PacksPoolsOncePerInstance) {
+  // Every decode of one instance reads the same pack (or, past
+  // POOLED_PACK_BUDGET_MB, none), whichever pool asks first.
+  ThreadPool pool(2);
+  const std::uint32_t n = 300, k = 6, m = 60;
+  const Signal truth = Signal::random(n, k, 18);
+  const auto instance = gt_instance(n, k, m, 19, truth, pool);
+  const PackedPools* first = instance->packed_pools(&pool);
+  EXPECT_EQ(instance->packed_pools(nullptr), first);
+  const Signal dd = decode_dd(*instance, &pool).estimate;
+  EXPECT_EQ(instance->packed_pools(&pool), first);
+  EXPECT_EQ(support_of(decode_dd(*instance, nullptr).estimate), support_of(dd));
 }
 
 }  // namespace

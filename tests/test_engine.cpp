@@ -6,7 +6,7 @@
 #include <sstream>
 #include <utility>
 
-#include "binarygt/binary_instance.hpp"
+#include "binarygt/binary_decoders.hpp"
 #include "core/metrics.hpp"
 #include "engine/batch_engine.hpp"
 #include "engine/protocol.hpp"
@@ -16,7 +16,7 @@
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/assert.hpp"
-#include "thresholdgt/threshold_instance.hpp"
+#include "thresholdgt/threshold_decoder.hpp"
 
 namespace pooled {
 namespace {
@@ -560,7 +560,7 @@ TEST(BatchEngine, CacheHitsReproduceLiveReports) {
   }
 }
 
-TEST(Registry, GtAdaptersRejectChannelMismatches) {
+TEST(Registry, GtDecodersRejectChannelMismatches) {
   ThreadPool pool(1);
   std::vector<std::uint32_t> truth;
   // Threshold-2 outcomes: binary decoders would silently drop true

@@ -9,14 +9,14 @@
 #include <string>
 #include <vector>
 
-#include "binarygt/binary_instance.hpp"
+#include "binarygt/binary_decoders.hpp"
 #include "core/instance.hpp"
 #include "core/serialize.hpp"
 #include "engine/batch_engine.hpp"
 #include "engine/result_cache.hpp"
 #include "kernels/kernel_set.hpp"
 #include "parallel/thread_pool.hpp"
-#include "thresholdgt/threshold_instance.hpp"
+#include "thresholdgt/threshold_decoder.hpp"
 
 namespace pooled {
 namespace {

@@ -14,12 +14,12 @@
 
 #include <vector>
 
-#include "binarygt/binary_instance.hpp"
+#include "binarygt/binary_decoders.hpp"
 #include "core/instance.hpp"
 #include "core/serialize.hpp"
 #include "engine/registry.hpp"
 #include "parallel/thread_pool.hpp"
-#include "thresholdgt/threshold_instance.hpp"
+#include "thresholdgt/threshold_decoder.hpp"
 
 namespace pooled {
 namespace {
@@ -31,24 +31,27 @@ constexpr std::uint32_t kK = 4;
 /// the two one-bit group-testing channels at their natural pool sizes.
 enum class Fixture { Quantitative, Binary, Threshold };
 
-InstanceSpec fixture_spec(Fixture fixture, ThreadPool& pool) {
+/// The fixture's first `m` queries; m = 0 takes its full length (70
+/// quantitative, 120 one-bit).
+InstanceSpec fixture_spec(Fixture fixture, std::uint32_t m, ThreadPool& pool) {
   const Signal truth = Signal::random(kN, kK, 99);  // support {9, 10, 61, 70}
   DesignParams params;
   params.n = kN;
   switch (fixture) {
     case Fixture::Quantitative:
       params.seed = 7;
-      return simulate_spec(DesignKind::RandomRegular, params, 70, truth, pool);
+      return simulate_spec(DesignKind::RandomRegular, params, m ? m : 70, truth,
+                           pool);
     case Fixture::Binary:
       params.seed = 11;
       params.gamma = optimal_gt_gamma(kN, kK);
-      return simulate_spec(DesignKind::RandomRegular, params, 120, truth, pool,
-                           ChannelKind::Binary);
+      return simulate_spec(DesignKind::RandomRegular, params, m ? m : 120, truth,
+                           pool, ChannelKind::Binary);
     case Fixture::Threshold:
       params.seed = 13;
       params.gamma = threshold_gt_gamma(kN, kK, 2);
-      return simulate_spec(DesignKind::RandomRegular, params, 120, truth, pool,
-                           ChannelKind::Threshold, 2);
+      return simulate_spec(DesignKind::RandomRegular, params, m ? m : 120, truth,
+                           pool, ChannelKind::Threshold, 2);
   }
   return {};
 }
@@ -57,6 +60,7 @@ struct Golden {
   Fixture fixture;
   const char* spec;
   std::vector<std::uint32_t> support;
+  std::uint32_t m = 0;  ///< queries decoded; 0 = the fixture's full length
 };
 
 // Generated from the fixtures above (truth support {9, 10, 61, 70}).
@@ -75,12 +79,22 @@ const std::vector<Golden>& goldens() {
       {Fixture::Binary, "gt:binary", {9, 10, 61, 70}},
       {Fixture::Binary, "gt:comp", {9, 10, 61, 70}},
       {Fixture::Threshold, "gt:threshold:2", {9, 10, 61, 70}},
+      // m = 24 is too few queries for every GT decoder, so these rows pin
+      // what each one gets wrong: DD under-reports, COMP over-reports.
+      {Fixture::Binary, "gt:binary", {9, 61}, 24},
+      {Fixture::Binary, "gt:comp",
+       {9, 10, 11, 24, 40, 60, 61, 66, 70, 74, 77}, 24},
+      {Fixture::Binary, "gt:threshold:1", {9, 37, 62, 76}, 24},
+      {Fixture::Threshold, "gt:threshold:2", {10, 26, 31, 51}, 24},
+      {Fixture::Quantitative, "gt:threshold:2", {9, 13, 51, 58}, 24},
+      {Fixture::Quantitative, "gt:comp",
+       {9, 10, 13, 17, 18, 22, 28, 34, 46, 47, 51, 58, 61, 66, 70, 73, 74}, 24},
   };
   return table;
 }
 
 std::vector<std::uint32_t> decode_support(const Golden& golden, ThreadPool& pool) {
-  const InstanceSpec spec = fixture_spec(golden.fixture, pool);
+  const InstanceSpec spec = fixture_spec(golden.fixture, golden.m, pool);
   const auto instance = spec.to_instance();
   const Signal estimate = make_decoder(golden.spec)->decode(*instance, kK, pool);
   return {estimate.support().begin(), estimate.support().end()};
@@ -120,7 +134,9 @@ TEST(GoldenDecoders, DISABLED_PrintActualSupports) {
     for (std::size_t i = 0; i < support.size(); ++i) {
       row += (i ? ", " : "") + std::to_string(support[i]);
     }
-    std::printf("%s}}\n", row.c_str());
+    row += "}";
+    if (golden.m != 0) row += ", " + std::to_string(golden.m);
+    std::printf("%s}\n", row.c_str());
   }
 }
 

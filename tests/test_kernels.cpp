@@ -11,7 +11,6 @@
 #include <random>
 
 #include "binarygt/binary_decoders.hpp"
-#include "binarygt/binary_instance.hpp"
 #include "core/incremental.hpp"
 #include "core/instance.hpp"
 #include "core/mn.hpp"
@@ -26,7 +25,6 @@
 #include "rng/sampling.hpp"
 #include "rng/splitmix64.hpp"
 #include "thresholdgt/threshold_decoder.hpp"
-#include "thresholdgt/threshold_instance.hpp"
 
 namespace {
 
@@ -300,10 +298,12 @@ TEST(KernelDecodes, OneBitDecodersIdenticalAcrossVariants) {
   const Signal truth = Signal::random(n, k, 9);
   auto design = std::make_shared<RandomRegularDesign>(n, 77, optimal_gt_gamma(n, k));
   const std::uint32_t m = 260;
-  const auto binary = make_binary_instance(design, m, truth, pool);
+  const auto binary =
+      make_streamed_instance(design, m, truth, pool, ChannelKind::Binary);
   auto tdesign =
       std::make_shared<RandomRegularDesign>(n, 78, threshold_gt_gamma(n, k, 2));
-  const auto threshold = make_threshold_instance(tdesign, m, 2, truth, pool);
+  const auto threshold = make_streamed_instance(tdesign, m, truth, pool,
+                                                ChannelKind::Threshold, 2);
 
   std::vector<std::uint32_t> comp_ref, dd_ref, thr_ref;
   for (KernelIsa isa : available_kernel_isas()) {
@@ -329,21 +329,22 @@ TEST(KernelDecodes, OneBitDecodersIdenticalAcrossVariants) {
   }
 }
 
-TEST(KernelDecodes, PackedGtDecodeMatchesMemberScanFallback) {
-  // Force the member-scan fallback by building an instance whose pack is
-  // declined (budget of 0 can't be set per-test, so compare against a
-  // hand-rolled reference instead).
+TEST(KernelDecodes, PackedGtDecodeMatchesHandRolledReference) {
+  // The bit-packed COMP/DD against a reference computed from regenerated
+  // members. (The member-scan fallback itself runs in the ctest rerun of
+  // the GT suites with POOLED_PACK_BUDGET_MB=0.)
   ThreadPool pool(2);
   const std::uint32_t n = 350, k = 7, m = 240;
   const Signal truth = Signal::random(n, k, 3);
   auto design = std::make_shared<RandomRegularDesign>(n, 55, optimal_gt_gamma(n, k));
-  const auto instance = make_binary_instance(design, m, truth, pool);
+  const auto instance =
+      make_streamed_instance(design, m, truth, pool, ChannelKind::Binary);
 
   // Reference COMP/DD computed directly from regenerated members.
   std::vector<std::uint8_t> zero(n, 0);
   std::vector<std::uint32_t> members;
   for (std::uint32_t q = 0; q < m; ++q) {
-    if (instance->outcomes()[q] != 0) continue;
+    if (instance->results()[q] != 0) continue;
     instance->query_members(q, members);
     for (std::uint32_t e : members) zero[e] = 1;
   }
@@ -353,7 +354,7 @@ TEST(KernelDecodes, PackedGtDecodeMatchesMemberScanFallback) {
   }
   std::vector<std::uint8_t> definite(n, 0);
   for (std::uint32_t q = 0; q < m; ++q) {
-    if (instance->outcomes()[q] == 0) continue;
+    if (instance->results()[q] == 0) continue;
     instance->query_members(q, members);
     std::vector<std::uint32_t> candidates;
     for (std::uint32_t e : members) {
@@ -369,7 +370,7 @@ TEST(KernelDecodes, PackedGtDecodeMatchesMemberScanFallback) {
     if (definite[i]) dd_want.push_back(i);
   }
 
-  ASSERT_NE(instance->packed(&pool), nullptr) << "test instance should pack";
+  ASSERT_NE(instance->packed_pools(&pool), nullptr) << "test instance should pack";
   const auto comp = decode_comp(*instance, &pool);
   const auto dd = decode_dd(*instance, &pool);
   EXPECT_EQ(comp_want, std::vector<std::uint32_t>(comp.estimate.support().begin(),

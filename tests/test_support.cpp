@@ -1,7 +1,9 @@
 // Unit tests: contract assertions, CLI parsing, env knobs, timing, logging.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <thread>
 
 #include "support/assert.hpp"
@@ -74,6 +76,31 @@ TEST(Env, I64ParsesAndFallsBack) {
   EXPECT_EQ(env_i64("POOLED_TEST_INT", 7), 7);
   ::unsetenv("POOLED_TEST_INT");
   EXPECT_EQ(env_i64("POOLED_TEST_INT", -3), -3);
+}
+
+TEST(Env, BudgetBytesFallsBackOnNegativeOrOverflowingValues) {
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  ::unsetenv("POOLED_TEST_BUDGET_MB");
+  EXPECT_EQ(env_budget_bytes("POOLED_TEST_BUDGET_MB", 512), 512 * kMiB);
+  ::setenv("POOLED_TEST_BUDGET_MB", "0", 1);
+  EXPECT_EQ(env_budget_bytes("POOLED_TEST_BUDGET_MB", 512), 0u);
+  ::setenv("POOLED_TEST_BUDGET_MB", "3", 1);
+  EXPECT_EQ(env_budget_bytes("POOLED_TEST_BUDGET_MB", 512), 3 * kMiB);
+  // A negative budget used to wrap to ~2^64 bytes, disabling the cap.
+  ::setenv("POOLED_TEST_BUDGET_MB", "-1", 1);
+  EXPECT_EQ(env_budget_bytes("POOLED_TEST_BUDGET_MB", 512), 512 * kMiB);
+  // The largest MiB count that still fits in bytes, and one past it,
+  // which used to wrap to a tiny budget.
+  const std::size_t max_mb = SIZE_MAX >> 20;
+  ::setenv("POOLED_TEST_BUDGET_MB", std::to_string(max_mb).c_str(), 1);
+  EXPECT_EQ(env_budget_bytes("POOLED_TEST_BUDGET_MB", 512), max_mb * kMiB);
+  ::setenv("POOLED_TEST_BUDGET_MB", std::to_string(max_mb + 1).c_str(), 1);
+  EXPECT_EQ(env_budget_bytes("POOLED_TEST_BUDGET_MB", 512), 512 * kMiB);
+  ::setenv("POOLED_TEST_BUDGET_MB", "99999999999999999999", 1);
+  EXPECT_EQ(env_budget_bytes("POOLED_TEST_BUDGET_MB", 512), 512 * kMiB);
+  ::setenv("POOLED_TEST_BUDGET_MB", "lots", 1);
+  EXPECT_EQ(env_budget_bytes("POOLED_TEST_BUDGET_MB", 512), 512 * kMiB);
+  ::unsetenv("POOLED_TEST_BUDGET_MB");
 }
 
 TEST(Env, F64ParsesAndFallsBack) {

@@ -2,26 +2,30 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/metrics.hpp"
 #include "core/thresholds.hpp"
 #include "design/random_regular.hpp"
+#include "engine/registry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/assert.hpp"
 #include "thresholdgt/threshold_decoder.hpp"
-#include "thresholdgt/threshold_instance.hpp"
 
 namespace pooled {
 namespace {
 
-std::unique_ptr<ThresholdGtInstance> tgt_instance(std::uint32_t n, std::uint32_t k,
-                                                  std::uint32_t m, std::uint32_t T,
-                                                  std::uint64_t seed,
-                                                  const Signal& truth,
-                                                  ThreadPool& pool) {
+std::unique_ptr<StreamedInstance> tgt_instance(
+    std::uint32_t n, std::uint32_t k, std::uint32_t m, std::uint32_t T,
+    std::uint64_t seed, const Signal& truth, ThreadPool& pool,
+    ChannelKind channel = ChannelKind::Threshold) {
   auto design = std::make_shared<RandomRegularDesign>(
       n, seed, threshold_gt_gamma(n, k, T));
-  return make_threshold_instance(std::move(design), m, T, truth, pool);
+  return make_streamed_instance(std::move(design), m, truth, pool, channel, T);
+}
+
+std::vector<std::uint32_t> support_of(const Signal& estimate) {
+  return {estimate.support().begin(), estimate.support().end()};
 }
 
 TEST(ThresholdGamma, CentersExpectedCountAtThreshold) {
@@ -43,7 +47,7 @@ TEST(ThresholdInstance, OutcomesMatchManualCount) {
     instance->query_members(q, members);
     std::uint32_t count = 0;
     for (auto e : members) count += truth.value(e);
-    EXPECT_EQ(instance->outcomes()[q] != 0, count >= T) << "query " << q;
+    EXPECT_EQ(instance->results()[q] != 0, count >= T) << "query " << q;
   }
 }
 
@@ -58,7 +62,7 @@ TEST(ThresholdInstance, ThresholdOneEqualsBinaryGt) {
     instance->query_members(q, members);
     bool any = false;
     for (auto e : members) any |= truth.is_one(e);
-    EXPECT_EQ(instance->outcomes()[q] != 0, any);
+    EXPECT_EQ(instance->results()[q] != 0, any);
   }
 }
 
@@ -70,7 +74,7 @@ TEST(ThresholdInstance, OutcomeRateNearHalfAtMatchedGamma) {
   const Signal truth = Signal::random(n, k, 7);
   const auto instance = tgt_instance(n, k, m, T, 8, truth, pool);
   double fired = 0;
-  for (auto o : instance->outcomes()) fired += o;
+  for (auto o : instance->results()) fired += o;
   EXPECT_NEAR(fired / m, 0.55, 0.15);
 }
 
@@ -137,9 +141,29 @@ TEST(ThresholdDecoder, FailsWithTinyBudget) {
 
 TEST(ThresholdInstance, ValidatesShape) {
   auto design = std::make_shared<RandomRegularDesign>(10, 1, 5);
-  EXPECT_THROW(ThresholdGtInstance(design, 2, 0, {1, 0}), ContractError);
-  EXPECT_THROW(ThresholdGtInstance(design, 3, 1, {1, 0}), ContractError);
-  EXPECT_THROW(ThresholdGtInstance(nullptr, 0, 1, {}), ContractError);
+  EXPECT_THROW(StreamedInstance(design, 2, {1, 0}, ChannelKind::Threshold, 0),
+               ContractError);
+  EXPECT_THROW(StreamedInstance(design, 3, {1, 0}, ChannelKind::Threshold, 1),
+               ContractError);
+  EXPECT_THROW(StreamedInstance(nullptr, 0, {}, ChannelKind::Threshold, 1),
+               ContractError);
+  EXPECT_THROW(StreamedInstance(design, 2, {1, 3}, ChannelKind::Threshold, 2),
+               ContractError);
+}
+
+TEST(ThresholdDecoder, ServedDecoderCollapsesQuantitativeCounts) {
+  // gt:threshold:<T> on a quantitative instance scores y >= T on the
+  // same design: the answer of the threshold-channel instance.
+  ThreadPool pool(2);
+  const std::uint32_t n = 400, k = 6, m = 120, T = 2;
+  const Signal truth = Signal::random(n, k, 42);
+  const auto counts =
+      tgt_instance(n, k, m, T, 43, truth, pool, ChannelKind::Quantitative);
+  const auto one_bit = tgt_instance(n, k, m, T, 43, truth, pool);
+  const Signal served = make_decoder("gt:threshold:2")->decode(*counts, k, pool);
+  EXPECT_EQ(support_of(served),
+            support_of(decode_threshold_mn(*one_bit, k, pool).estimate));
+  EXPECT_THROW((void)decode_threshold_mn(*counts, k, pool), ContractError);
 }
 
 }  // namespace
