@@ -232,61 +232,13 @@ std::uint64_t fingerprint_weight(std::uint32_t query) {
   return (std::uint64_t{block[1]} << 32) | block[0];
 }
 
-/// Fallback accumulation over shared atomics: only taken when the
-/// per-lane partial blocks would blow the POOLED_ARENA_BUDGET_MB budget
-/// (very wide pools x very large n). Bit-identical to the arena path --
-/// the statistics are integer sums, associative in any order. Records no
-/// fingerprint.
-void entry_stats_atomic_fallback(const PoolingDesign& design, std::uint32_t m,
-                                 const std::vector<std::uint32_t>& y,
-                                 std::uint32_t num, ThreadPool& pool,
-                                 CountMode mode, EntryStats& stats) {
-  std::vector<std::atomic<std::uint64_t>> sum(num);
-  std::vector<std::atomic<std::uint64_t>> count(num);
-  constexpr std::uint32_t kUnmarked = 0xFFFFFFFFu;
-  const bool every_draw = mode == CountMode::EveryDraw;
-  parallel_for_chunked(pool, 0, m, 1, [&](std::size_t lo, std::size_t hi) {
-    std::vector<std::uint32_t> members;
-    // Epoch marking replaces a per-query sort: mark[e] records the last
-    // query (within this chunk) that touched entry e, so first
-    // occurrences are detected in O(1).
-    std::vector<std::uint32_t> mark(num, kUnmarked);
-    for (std::size_t q = lo; q < hi; ++q) {
-      const auto query = static_cast<std::uint32_t>(q);
-      design.query_members(query, members);
-      for (std::uint32_t entry : members) {
-        if (every_draw || mark[entry] != query) {
-          mark[entry] = query;
-          sum[entry].fetch_add(y[q], std::memory_order_relaxed);
-          count[entry].fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-  });
-  stats.resize(num, mode);
-  for (std::uint32_t i = 0; i < num; ++i) {
-    const std::uint64_t total = sum[i].load(std::memory_order_relaxed);
-    const std::uint64_t draws = count[i].load(std::memory_order_relaxed);
-    if (every_draw) {
-      stats.psi_multi[i] = total;
-      stats.delta[i] = draws;
-    } else {
-      stats.psi[i] = total;
-      stats.delta_star[i] = static_cast<std::uint32_t>(draws);
-    }
-  }
-}
-
 }  // namespace
 
 void StreamedInstance::entry_stats_into(ThreadPool& pool, EntryStats& stats,
                                         CountMode mode) const {
   const std::uint32_t num = n();
-  const unsigned lanes = pool.size();
-  if (!DecodeArena::lane_budget_ok(lanes, num)) {
-    entry_stats_atomic_fallback(*design_, m_, y_, num, pool, mode, stats);
-    return;
-  }
+  // As many lanes as POOLED_ARENA_BUDGET_MB admits, at least one.
+  const unsigned lanes = DecodeArena::record_lanes(pool.size(), num);
   // Only the quantitative channel is linear; the first pass records the
   // fingerprint, later ones fold a zero weight.
   const bool record =
@@ -297,7 +249,7 @@ void StreamedInstance::entry_stats_into(ThreadPool& pool, EntryStats& stats,
   // line per draw; the blocks are merged afterwards. Integer accumulation
   // makes the result independent of lane count and chunking.
   LanePartials& partials = DecodeArena::local().lane_partials(lanes, num);
-  parallel_for_chunked(pool, 0, m_, 1, [&](std::size_t lo, std::size_t hi) {
+  const auto fold = [&](std::size_t lo, std::size_t hi) {
     EntryRecord* records = partials.acquire(ThreadPool::current_lane());
     std::vector<std::uint32_t>& members = DecodeArena::local().members();
     std::uint64_t chunk_target = 0;
@@ -312,7 +264,16 @@ void StreamedInstance::entry_stats_into(ThreadPool& pool, EntryStats& stats,
                        weight, records);
     }
     target.fetch_add(chunk_target, std::memory_order_relaxed);
-  });
+  };
+  if (lanes < pool.size()) {
+    // Fewer blocks than the pool is wide: one task per block, so at most
+    // `lanes` distinct lane ids claim one.
+    pool.run_tasks(lanes, [&](std::size_t share) {
+      fold(m_ * share / lanes, m_ * (share + 1) / lanes);
+    });
+  } else {
+    parallel_for_chunked(pool, 0, m_, 1, fold);
+  }
   if (!record) {
     partials.merge_into(stats, mode);
     return;

@@ -146,8 +146,8 @@ class Instance {
   }
 
   /// The fingerprint of Ax = y an entry-statistics pass recorded, or
-  /// nullptr. Only StreamedInstance records one: on the quantitative
-  /// channel, on its per-lane record path.
+  /// nullptr. Only StreamedInstance records one, on the quantitative
+  /// channel.
   [[nodiscard]] virtual const QueryFingerprint* fingerprint() const {
     return nullptr;
   }
@@ -217,8 +217,8 @@ class StreamedInstance final : public Instance {
   void query_members(std::uint32_t query,
                      std::vector<std::uint32_t>& out) const override;
   using Instance::entry_stats_into;
-  /// On the quantitative channel, the first pass that runs on per-lane
-  /// records also records the fingerprint.
+  /// On the quantitative channel, the first pass also records the
+  /// fingerprint.
   void entry_stats_into(ThreadPool& pool, EntryStats& out,
                         CountMode mode) const override;
   [[nodiscard]] const QueryFingerprint* fingerprint() const override;

@@ -146,10 +146,18 @@ DecodeArena& DecodeArena::local() {
   return arena;
 }
 
-bool DecodeArena::lane_budget_ok(unsigned lanes, std::size_t entries) {
+unsigned lanes_within_budget(std::size_t budget_bytes, unsigned lanes,
+                             std::size_t entries) {
+  const std::size_t stride = lane_stride_bytes(entries);
+  if (stride == 0) return lanes;
+  return static_cast<unsigned>(
+      std::clamp<std::size_t>(budget_bytes / stride, 1, lanes));
+}
+
+unsigned DecodeArena::record_lanes(unsigned lanes, std::size_t entries) {
   static const std::size_t budget =
       env_budget_bytes("POOLED_ARENA_BUDGET_MB", 1024);
-  return lane_stride_bytes(entries) * lanes <= budget;
+  return lanes_within_budget(budget, lanes, entries);
 }
 
 LanePartials& DecodeArena::lane_partials(unsigned lanes, std::size_t entries) {

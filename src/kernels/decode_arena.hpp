@@ -24,7 +24,9 @@
 // Memory is bounded by the largest decode a thread has run:
 // 32 bytes/entry/lane for the record block plus the score/top-k
 // vectors. POOLED_ARENA_BUDGET_MB (default 1024) caps the lane-partial
-// block; callers fall back to their shared-atomics path beyond it.
+// block by capping its lane count (never below one lane): a pass whose
+// pool is wider than the budget admits runs on fewer lanes, with the
+// same results.
 #pragma once
 
 #include <atomic>
@@ -62,6 +64,12 @@ void arena_account_free(std::size_t bytes);
 void fold_records(const EntryRecord* records, std::size_t n, CountMode mode,
                   bool add, EntryStats& out, std::uint64_t* fingerprint = nullptr);
 
+/// Lanes of a `lanes`-wide pass whose record blocks over `entries`
+/// entries fit `budget_bytes`: clamp(budget / lane stride, 1, lanes),
+/// the stride being one 64-byte-rounded EntryRecord block.
+[[nodiscard]] unsigned lanes_within_budget(std::size_t budget_bytes,
+                                           unsigned lanes, std::size_t entries);
+
 /// Lane-indexed record blocks for one entry-statistics pass.
 /// Slots are claimed lock-free on first acquire and zeroed exactly once
 /// per pass, so a pass that only ever runs on one lane (the batch-engine
@@ -75,7 +83,8 @@ class LanePartials {
   /// fold with epoch = query + 1). `lane_id` is
   /// ThreadPool::current_lane() of the executing thread; ids need not be
   /// dense or bounded by the slot count -- only the number of *distinct*
-  /// concurrent ids is (<= pool.size(), guaranteed by run_tasks).
+  /// ids in one pass is: a pass with as many slots as its pool is wide
+  /// may run any number of tasks, a narrower one at most one per slot.
   [[nodiscard]] EntryRecord* acquire(unsigned lane_id);
 
   /// `mode`'s pair of `out` (resized to the pass's entry count, the other
@@ -106,9 +115,9 @@ class DecodeArena {
   /// The calling thread's arena.
   static DecodeArena& local();
 
-  /// True when a lane-partial block of `lanes` x `entries` fits the
-  /// POOLED_ARENA_BUDGET_MB budget (default 1024).
-  static bool lane_budget_ok(unsigned lanes, std::size_t entries);
+  /// lanes_within_budget under the POOLED_ARENA_BUDGET_MB budget
+  /// (default 1024, read once per process).
+  static unsigned record_lanes(unsigned lanes, std::size_t entries);
 
   // -- named scratch slots (see the affinity contract above) -------------
   double* scores(std::size_t n) { return scores_.ensure(n); }

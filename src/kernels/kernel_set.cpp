@@ -13,11 +13,12 @@ namespace pooled {
 // One registration hook per variant TU; returns nullptr when the build
 // target cannot emit that ISA (the TU still compiles, as a stub).
 const KernelSet* scalar_kernels_impl();
-const KernelSet* sse42_kernels_impl();
 const KernelSet* avx2_kernels_impl();
-const KernelSet* neon_kernels_impl();
 
 namespace {
+
+/// Every variant, in the order the differential tests iterate them.
+constexpr KernelIsa kIsas[] = {KernelIsa::Scalar, KernelIsa::Avx2};
 
 /// True when the *running CPU* can execute the variant (the build already
 /// proved the compiler could emit it, or the impl hook returned null).
@@ -25,52 +26,31 @@ bool cpu_supports(KernelIsa isa) {
   switch (isa) {
     case KernelIsa::Scalar:
       return true;
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-    case KernelIsa::Sse42:
-      return __builtin_cpu_supports("sse4.2") && __builtin_cpu_supports("popcnt");
     case KernelIsa::Avx2:
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
       return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt");
-#endif
-#if defined(__aarch64__)
-    case KernelIsa::Neon:
-      return true;  // NEON is architecturally mandatory on aarch64
-#endif
-    default:
+#else
       return false;
+#endif
   }
+  return false;
 }
 
 const KernelSet* runnable(KernelIsa isa) {
-  const KernelSet* set = nullptr;
-  switch (isa) {
-    case KernelIsa::Scalar:
-      set = scalar_kernels_impl();
-      break;
-    case KernelIsa::Sse42:
-      set = sse42_kernels_impl();
-      break;
-    case KernelIsa::Avx2:
-      set = avx2_kernels_impl();
-      break;
-    case KernelIsa::Neon:
-      set = neon_kernels_impl();
-      break;
-  }
+  const KernelSet* set =
+      isa == KernelIsa::Avx2 ? avx2_kernels_impl() : scalar_kernels_impl();
   return (set != nullptr && cpu_supports(isa)) ? set : nullptr;
 }
 
 const KernelSet* best_available() {
-  for (KernelIsa isa : {KernelIsa::Avx2, KernelIsa::Sse42, KernelIsa::Neon}) {
-    if (const KernelSet* set = runnable(isa)) return set;
-  }
+  if (const KernelSet* set = runnable(KernelIsa::Avx2)) return set;
   return scalar_kernels_impl();
 }
 
 const KernelSet* dispatch() {
   if (const auto name = env_string("POOLED_KERNELS")) {
     if (*name == "auto") return best_available();
-    for (KernelIsa isa : {KernelIsa::Scalar, KernelIsa::Sse42, KernelIsa::Avx2,
-                          KernelIsa::Neon}) {
+    for (KernelIsa isa : kIsas) {
       if (*name == kernel_isa_name(isa)) {
         if (const KernelSet* set = runnable(isa)) return set;
         std::fprintf(stderr,
@@ -82,7 +62,7 @@ const KernelSet* dispatch() {
     }
     std::fprintf(stderr,
                  "pooled: unknown POOLED_KERNELS=%s "
-                 "(expected scalar|sse42|avx2|neon|auto), using auto dispatch\n",
+                 "(expected scalar|avx2|auto), using auto dispatch\n",
                  name->c_str());
   }
   return best_available();
@@ -99,12 +79,8 @@ const char* kernel_isa_name(KernelIsa isa) {
   switch (isa) {
     case KernelIsa::Scalar:
       return "scalar";
-    case KernelIsa::Sse42:
-      return "sse42";
     case KernelIsa::Avx2:
       return "avx2";
-    case KernelIsa::Neon:
-      return "neon";
   }
   return "?";
 }
@@ -117,8 +93,7 @@ const KernelSet* kernels_for(KernelIsa isa) { return runnable(isa); }
 
 std::vector<KernelIsa> available_kernel_isas() {
   std::vector<KernelIsa> isas;
-  for (KernelIsa isa : {KernelIsa::Scalar, KernelIsa::Sse42, KernelIsa::Avx2,
-                        KernelIsa::Neon}) {
+  for (KernelIsa isa : kIsas) {
     if (runnable(isa) != nullptr) isas.push_back(isa);
   }
   return isas;

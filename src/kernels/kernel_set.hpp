@@ -5,9 +5,9 @@
 // regenerating a query's draws from the Philox stream, word-at-a-time
 // operations on bit-packed pool masks for the one-bit channels, and
 // top-k selection over the n scores. This header names those loops as a
-// `KernelSet` of function pointers with a portable scalar implementation
-// plus SIMD variants (SSE4.2 / AVX2 on x86-64, NEON on aarch64) selected
-// once at startup by CPUID-style feature detection. Folding the draws
+// `KernelSet` of function pointers with two implementations: the portable
+// scalar reference and AVX2 (x86-64), selected once at startup by
+// CPUID-style feature detection. Folding the draws
 // into the statistics is not a slot: it is a scatter with one body for
 // every ISA, accumulate_query in kernels/entry_record.hpp.
 //
@@ -18,8 +18,8 @@
 // differential suite (tests/test_kernels.cpp) asserts this on every ISA
 // the host can run.
 //
-// Override for testing/benching: set POOLED_KERNELS=scalar|sse42|avx2|
-// neon before the first decode, or call set_active_kernels() in-process.
+// Override for testing/benching: set POOLED_KERNELS=scalar|avx2|auto
+// before the first decode, or call set_active_kernels() in-process.
 #pragma once
 
 #include <cstddef>
@@ -28,9 +28,9 @@
 
 namespace pooled {
 
-enum class KernelIsa : std::uint8_t { Scalar, Sse42, Avx2, Neon };
+enum class KernelIsa : std::uint8_t { Scalar, Avx2 };
 
-/// Stable lowercase name ("scalar", "sse42", "avx2", "neon").
+/// Stable lowercase name ("scalar", "avx2").
 [[nodiscard]] const char* kernel_isa_name(KernelIsa isa);
 
 struct KernelSet {
@@ -38,8 +38,8 @@ struct KernelSet {
 
   // -- MN score evaluation (one slot per MnScore variant) ---------------
   // All ranges are [lo, hi) so parallel_for chunks can call directly.
-  // Conversions u64/u32 -> double are exact round-to-nearest (the SIMD
-  // variants use the split-high/low magic-constant form, which rounds
+  // Conversions u64/u32 -> double are exact round-to-nearest (the AVX2
+  // variant uses the split-high/low magic-constant form, which rounds
   // identically to a scalar static_cast for the full integer range).
 
   /// out[i] = psi[i] - delta_star[i] * center  (CentralizedPsi; the

@@ -1,9 +1,7 @@
-// Scalar reference bodies shared by every KernelSet variant.
+// Scalar reference bodies shared by both KernelSet variants.
 //
-// INTERNAL to src/kernels/: the scalar set wires these directly; the SIMD
-// sets use them for loop tails and for the slots they do not vectorize
-// (sampling on SSE4.2 and NEON, NEON's top-k fill, the AVX2 sampler's
-// large-count guard).
+// INTERNAL to src/kernels/: the scalar set wires these directly; the AVX2
+// set uses them for loop tails and for its sampler's large-count guard.
 // Keeping one definition per loop is what makes "bit-identical across
 // variants" checkable instead of aspirational.
 #pragma once

@@ -208,7 +208,7 @@ TEST(CrossValidation, EntryStatsEqualMatrixVectorProducts) {
 // The success-rate curve is sigmoidal in m: a coarse 3-point sweep must be
 // monotone for a comfortably separated grid (probabilistic, generous gaps).
 
-TEST(PhaseTransitionShape, SweepIsMonotoneOnSeparatedGrid) {
+TEST(PhaseTransitionShape, SweepIsMonotoneOverSeparatedGrid) {
   ThreadPool pool(4);
   TrialConfig config;
   config.n = 500;

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <random>
+#include <utility>
 
 #include "binarygt/binary_decoders.hpp"
 #include "core/incremental.hpp"
@@ -434,6 +436,27 @@ TEST(KernelArena, LanePartialsZeroedPerPassAndMergedExactly) {
   EXPECT_EQ(a1_every.delta, a2_every.delta);
   EXPECT_EQ(a1.delta_star, a2.delta_star);
   EXPECT_NE(a1.psi, b1.psi);  // different designs genuinely differ
+}
+
+TEST(KernelArena, LaneCapFitsTheBudget) {
+  // 1000 entries fill 32000-byte lane blocks exactly; 1001 round up to
+  // the next 64-byte multiple, 32064.
+  for (const auto& [entries, stride] :
+       {std::pair<std::size_t, std::size_t>{1000, 32000}, {1001, 32064}}) {
+    for (const unsigned lanes : {1u, 2u, 4u, 8u}) {
+      EXPECT_EQ(lanes_within_budget(0, lanes, entries), 1u);
+      EXPECT_EQ(lanes_within_budget(stride - 1, lanes, entries), 1u);
+      for (unsigned j = 1; j <= lanes; ++j) {
+        EXPECT_EQ(lanes_within_budget(j * stride, lanes, entries), j);
+        EXPECT_EQ(lanes_within_budget(j * stride + stride - 1, lanes, entries), j);
+      }
+      for (const std::size_t budget :
+           {lanes * stride, (lanes + 1) * stride, 1000 * lanes * stride,
+            std::numeric_limits<std::size_t>::max()}) {
+        EXPECT_EQ(lanes_within_budget(budget, lanes, entries), lanes);
+      }
+    }
+  }
 }
 
 }  // namespace

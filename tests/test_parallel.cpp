@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <numeric>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "parallel/parallel_for.hpp"
@@ -53,6 +55,23 @@ TEST(ThreadPool, ConsecutiveBatchesDoNotInterfere) {
     const std::size_t count = 100 + static_cast<std::size_t>(round);
     pool.run_tasks(count, [&](std::size_t i) { sum.fetch_add(i); });
     EXPECT_EQ(sum.load(), count * (count - 1) / 2);
+  }
+}
+
+TEST(ThreadPool, BatchRunsOnAtMostCountLanes) {
+  // The entry-statistics pass caps its record blocks below the pool width
+  // and runs one task per block; it relies on a batch of `count` tasks
+  // claiming at most `count` distinct lane ids.
+  ThreadPool pool(4);
+  for (std::size_t count = 1; count <= 3; ++count) {
+    for (int batch = 0; batch < 200; ++batch) {
+      std::atomic<unsigned> lanes_seen{0};  // bit per lane id
+      pool.run_tasks(count, [&](std::size_t) {
+        lanes_seen.fetch_or(1u << ThreadPool::current_lane());
+        std::this_thread::yield();
+      });
+      ASSERT_LE(static_cast<std::size_t>(std::popcount(lanes_seen.load())), count);
+    }
   }
 }
 

@@ -1,4 +1,4 @@
-// Unit tests: contract assertions, CLI parsing, env knobs, timing, logging.
+// Unit tests: contract assertions, CLI parsing, env knobs, timing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,7 +9,6 @@
 #include "support/assert.hpp"
 #include "support/cli.hpp"
 #include "support/env.hpp"
-#include "support/logging.hpp"
 #include "support/timer.hpp"
 
 namespace pooled {
@@ -188,23 +187,6 @@ TEST(Cli, WrongTypeAccessThrows) {
   cli.parse(1, argv);
   EXPECT_THROW(cli.f64("n"), ContractError);
   EXPECT_THROW(cli.i64("never-declared"), ContractError);
-}
-
-TEST(Logging, LevelRoundTrip) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::Error);
-  EXPECT_EQ(log_level(), LogLevel::Error);
-  set_log_level(LogLevel::Debug);
-  EXPECT_EQ(log_level(), LogLevel::Debug);
-  set_log_level(before);
-}
-
-TEST(Logging, SuppressedLinesDoNotEmit) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::Off);
-  // Must not crash or emit; nothing observable to assert beyond survival.
-  POOLED_LOG(Info) << "hidden " << 42;
-  set_log_level(before);
 }
 
 }  // namespace

@@ -237,7 +237,7 @@ def self_test() -> int:
          "grand(); my_rand(); std::uniform_int_distribution<int> d;\n", []),
         ("kernel vector fires", "src/kernels/kernels_avx2.cpp",
          "std::vector<double> tmp(n);\n", ["kernel-alloc"]),
-        ("kernel new fires", "src/kernels/kernels_sse42.cpp",
+        ("kernel new fires", "src/kernels/kernels_scalar.cpp",
          "auto* p = new double[n];\n", ["kernel-alloc"]),
         ("shared kernel header vector fires", "src/kernels/kernels_common.hpp",
          "std::vector<std::uint32_t> members;\n", ["kernel-alloc"]),
