@@ -147,8 +147,10 @@ int fuzz_decode_differential(const std::uint8_t* data, std::size_t size) {
           " diverged from scalar on " + decoder + " of a fuzzed instance";
       POOLED_CHECK(outcome == reference, divergence.c_str());
     }
-    // The served verdict (the fingerprint when the decode recorded one)
-    // must equal the exact pass on a fresh instance from the same spec.
+    // The served verdict (the fingerprint when the decode recorded or
+    // published one, with the exact pass over the queries it does not
+    // cover) must equal the exact pass on a fresh instance from the same
+    // spec.
     if (reference.ok) {
       const auto fresh = spec.to_instance();
       const bool exact = fresh->is_consistent(Signal(fresh->n(), reference.support));

@@ -1,7 +1,6 @@
 #include "adaptive/batched.hpp"
 
 #include "core/incremental.hpp"
-#include "core/instance.hpp"
 #include "core/metrics.hpp"
 #include "support/assert.hpp"
 
@@ -27,7 +26,7 @@ BatchedOutcome run_batched(std::shared_ptr<const PoolingDesign> design,
     const bool stable = estimate == previous_estimate;
     previous_estimate = estimate;
     if (!stable) continue;
-    if (mn.to_instance()->is_consistent(estimate)) {
+    if (mn.is_consistent(estimate)) {
       outcome.stopped = true;
       outcome.success = exact_recovery(estimate, truth);
       return outcome;

@@ -34,9 +34,9 @@ struct BatchedOutcome {
 
 /// Runs the round-based scheme with the MN decoder: each round's
 /// simulated queries fold into one IncrementalMn, and the stopping rule
-/// is the served adapter's (engine/adaptive_adapter.cpp), pruning
-/// included -- the exact check runs only once the estimate survives a
-/// round unchanged.
+/// is the served adapter's (engine/adaptive_adapter.cpp), gate included
+/// -- the accumulator's O(k) fingerprint check runs only once the
+/// estimate survives a round unchanged.
 BatchedOutcome run_batched(std::shared_ptr<const PoolingDesign> design,
                            const Signal& truth, const BatchedConfig& config,
                            ThreadPool& pool);

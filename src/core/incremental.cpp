@@ -1,6 +1,5 @@
 #include "core/incremental.hpp"
 
-#include "core/instance.hpp"
 #include "kernels/decode_arena.hpp"
 #include "support/assert.hpp"
 
@@ -16,10 +15,13 @@ IncrementalMn::IncrementalMn(std::shared_ptr<const PoolingDesign> design,
 void IncrementalMn::fold(std::uint32_t y) {
   // Epoch marking (a record's mark = last query that drew the entry)
   // detects first occurrences without sorting the Γ draws; the records
-  // start zeroed, so epochs are query + 1 as in a streamed pass.
+  // start zeroed, so epochs are query + 1 as in a streamed pass. The
+  // weight is the one a one-shot pass folds, so the fingerprints agree.
+  const std::uint64_t weight = fingerprint_weight(m_);
   accumulate_query(decoder_.count_mode(), scratch_.data(), scratch_.size(),
-                   m() + 1, y, /*weight=*/0, records_.data());
-  y_.push_back(y);
+                   m_ + 1, y, weight, records_.data());
+  target_ += weight * y;
+  ++m_;
 }
 
 void IncrementalMn::add_query(std::uint32_t y) {
@@ -87,8 +89,20 @@ double IncrementalMn::overlap_fraction(const Signal& truth, ThreadPool& pool) co
   return static_cast<double>(estimate.overlap(truth)) / static_cast<double>(k);
 }
 
-std::unique_ptr<StreamedInstance> IncrementalMn::to_instance() const {
-  return std::make_unique<StreamedInstance>(design_, m(), y_);
+bool IncrementalMn::is_consistent(const Signal& candidate) const {
+  POOLED_REQUIRE(candidate.n() == n(), "candidate length mismatch");
+  std::uint64_t sum = 0;
+  for (std::uint32_t entry : candidate.support()) sum += records_[entry].fp;
+  return sum == target_;
+}
+
+QueryFingerprint IncrementalMn::fingerprint() const {
+  QueryFingerprint print;
+  print.entries.resize(records_.size());
+  for (std::size_t i = 0; i < records_.size(); ++i) print.entries[i] = records_[i].fp;
+  print.target = target_;
+  print.queries = m_;
+  return print;
 }
 
 }  // namespace pooled

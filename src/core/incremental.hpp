@@ -4,10 +4,13 @@
 // Γ draws fold into the running per-entry records once and every later
 // estimate reuses them: an estimate after m queries is bit-identical to
 // MnDecoder over the m-query prefix, without regenerating the prefix.
-// The accumulator holds observations only; callers bring the results,
-// either observed (the served `adaptive:mn` decoder folds each round's
-// new queries) or simulated against a truth they own (the Fig. 2 loop
-// and the round-based simulation study).
+// Each fold also adds the query's fingerprint weight r_q, so the records
+// carry the Freivalds fingerprint of the folded prefix (QueryFingerprint
+// in core/instance.hpp) and a candidate is checked against it in O(k).
+// The accumulator holds observations and that fingerprint only; callers
+// bring the results, either observed (the served `adaptive:mn` decoder
+// folds each round's new queries) or simulated against a truth they own
+// (the Fig. 2 loop and the round-based simulation study).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +39,7 @@ class IncrementalMn {
   std::uint32_t add_simulated_query(const Signal& truth);
 
   [[nodiscard]] std::uint32_t n() const { return design_->num_entries(); }
-  [[nodiscard]] std::uint32_t m() const { return static_cast<std::uint32_t>(y_.size()); }
+  [[nodiscard]] std::uint32_t m() const { return m_; }
 
   /// Current weight-k estimate through MnDecoder's scoring and top-k:
   /// O(n) to transpose the records, then the score and selection.
@@ -50,8 +53,15 @@ class IncrementalMn {
   /// Fraction of truth's one-entries currently ranked in the top k.
   [[nodiscard]] double overlap_fraction(const Signal& truth, ThreadPool& pool) const;
 
-  /// Packages the accumulated observations as a streamed instance.
-  [[nodiscard]] std::unique_ptr<class StreamedInstance> to_instance() const;
+  /// Whether the candidate explains the m() folded results, by the
+  /// fingerprint of the folded prefix: O(k), with the one-sided error of
+  /// Instance::is_consistent. Meaningful only when the results are the
+  /// pooled sums themselves (the quantitative channel).
+  [[nodiscard]] bool is_consistent(const Signal& candidate) const;
+
+  /// That fingerprint, covering queries [0, m()), as an instance of the
+  /// same design and results would record it (O(n) copy).
+  [[nodiscard]] QueryFingerprint fingerprint() const;
 
  private:
   /// Folds the draws in scratch_ as query number m() with result `y`.
@@ -64,7 +74,8 @@ class IncrementalMn {
   std::shared_ptr<const PoolingDesign> design_;
   MnDecoder decoder_;
   std::vector<EntryRecord> records_;  ///< one per entry, zeroed at start
-  std::vector<std::uint32_t> y_;
+  std::uint32_t m_ = 0;       ///< queries folded
+  std::uint64_t target_ = 0;  ///< Σ r_q·y_q over the folded queries, wrapping
   std::vector<std::uint32_t> scratch_;
 };
 

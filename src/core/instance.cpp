@@ -96,32 +96,35 @@ std::vector<std::uint32_t> Instance::results_for(const Signal& candidate) const 
 
 bool Instance::is_consistent(const Signal& candidate) const {
   POOLED_REQUIRE(candidate.n() == n(), "candidate length mismatch");
+  // The exact pass starts after the fingerprinted prefix.
+  std::uint32_t first = 0;
   if (const QueryFingerprint* print = fingerprint()) {
     // Freivalds: r·(Ax) = Σ_{i∈S} fp_i against r·y, both mod 2^64.
     std::uint64_t sum = 0;
     for (std::uint32_t entry : candidate.support()) sum += print->entries[entry];
-    return sum == print->target;
+    if (sum != print->target) return false;
+    first = print->queries;
   }
   const auto& y = results();
   DecodeArena& arena = DecodeArena::local();
   std::vector<std::uint32_t>& members = arena.members();
   switch (channel()) {
     case ChannelKind::Quantitative:
-      for (std::uint32_t q = 0; q < m(); ++q) {
+      for (std::uint32_t q = first; q < m(); ++q) {
         query_members(q, members);
         // Capping at the target makes overshooting pools exit early.
         if (observe_quantitative(candidate, members, y[q]) != y[q]) return false;
       }
       return true;
     case ChannelKind::Binary:
-      for (std::uint32_t q = 0; q < m(); ++q) {
+      for (std::uint32_t q = first; q < m(); ++q) {
         query_members(q, members);
         if (observe_binary(candidate, members) != y[q]) return false;
       }
       return true;
     case ChannelKind::Threshold: {
       const std::uint32_t t = channel_threshold();
-      for (std::uint32_t q = 0; q < m(); ++q) {
+      for (std::uint32_t q = first; q < m(); ++q) {
         query_members(q, members);
         if (observe_threshold(candidate, members, t) != y[q]) return false;
       }
@@ -211,6 +214,17 @@ const QueryFingerprint* StreamedInstance::fingerprint() const {
   return fingerprint_.get();
 }
 
+void StreamedInstance::publish_fingerprint(QueryFingerprint print) const {
+  POOLED_REQUIRE(channel_ == ChannelKind::Quantitative,
+                 "only the quantitative channel is linear");
+  POOLED_REQUIRE(print.queries <= m_ && print.entries.size() == n(),
+                 "fingerprint does not fit the instance");
+  const LockGuard lock(fingerprint_mutex_);
+  if (fingerprint_ == nullptr) {
+    fingerprint_ = std::make_unique<const QueryFingerprint>(std::move(print));
+  }
+}
+
 namespace {
 
 /// The per-process key of the fingerprint weights. Drawn from the OS, not
@@ -226,21 +240,21 @@ const std::array<std::uint32_t, 2>& fingerprint_key() {
 /// Domain tag in the weights' Philox counters.
 constexpr std::uint32_t kFingerprintTag = 0x46505257u;  // "FPRW"
 
-/// r_q: one Philox block at counter {q, tag}.
+}  // namespace
+
 std::uint64_t fingerprint_weight(std::uint32_t query) {
+  // One Philox block at counter {q, tag}.
   const auto block = philox4x32({query, 0, kFingerprintTag, 0}, fingerprint_key());
   return (std::uint64_t{block[1]} << 32) | block[0];
 }
-
-}  // namespace
 
 void StreamedInstance::entry_stats_into(ThreadPool& pool, EntryStats& stats,
                                         CountMode mode) const {
   const std::uint32_t num = n();
   // As many lanes as POOLED_ARENA_BUDGET_MB admits, at least one.
   const unsigned lanes = DecodeArena::record_lanes(pool.size(), num);
-  // Only the quantitative channel is linear; the first pass records the
-  // fingerprint, later ones fold a zero weight.
+  // Only the quantitative channel is linear; a pass records the
+  // fingerprint while none is published, later ones fold a zero weight.
   const bool record =
       channel_ == ChannelKind::Quantitative && fingerprint() == nullptr;
   std::atomic<std::uint64_t> target{0};
@@ -278,12 +292,12 @@ void StreamedInstance::entry_stats_into(ThreadPool& pool, EntryStats& stats,
     partials.merge_into(stats, mode);
     return;
   }
-  auto print = std::make_unique<QueryFingerprint>();
-  print->entries.resize(num);
-  partials.merge_into(stats, mode, print->entries.data());
-  print->target = target.load(std::memory_order_relaxed);
-  const LockGuard lock(fingerprint_mutex_);
-  if (fingerprint_ == nullptr) fingerprint_ = std::move(print);
+  QueryFingerprint print;
+  print.entries.resize(num);
+  partials.merge_into(stats, mode, print.entries.data());
+  print.target = target.load(std::memory_order_relaxed);
+  print.queries = m_;
+  publish_fingerprint(std::move(print));
 }
 
 const PackedPools* StreamedInstance::packed_pools(ThreadPool* pool) const {

@@ -96,20 +96,30 @@ struct EntryStats {
 };
 
 /// Freivalds fingerprint (R. Freivalds, IFIP 1977) of the linear system
-/// Ax = y of a quantitative instance, where A_qi counts the draws of
-/// entry i in query q. With 64-bit weights r_q (one Philox block per
-/// query, keyed by a per-process secret drawn from std::random_device so
-/// no client can choose results that collide),
-///   entries[i] = Σ_q r_q A_qi   and   target = Σ_q r_q y_q   (mod 2^64),
-/// so a 0/1 candidate with support S passes iff Σ_{i∈S} entries[i] ==
-/// target: r·(Ax) = r·y, an O(k) test. One-sided: a mismatch proves
-/// Ax != y; a match on an inconsistent candidate has probability
-/// <= 2^(v-64), 2^v the largest power of two dividing every residual of
-/// Ax - y. Residuals are below 2^32 in magnitude, so that is <= 2^-33.
+/// Ax = y of a quantitative instance's first `queries` queries, where
+/// A_qi counts the draws of entry i in query q. With 64-bit weights r_q
+/// (fingerprint_weight),
+///   entries[i] = Σ_{q<c} r_q A_qi   and   target = Σ_{q<c} r_q y_q
+/// (mod 2^64, c = queries), so a 0/1 candidate with support S passes iff
+/// Σ_{i∈S} entries[i] == target: r·(Ax) = r·y over the prefix, an O(k)
+/// test. One-sided: a mismatch proves Ax != y; a match on an
+/// inconsistent candidate has probability <= 2^(v-64), 2^v the largest
+/// power of two dividing every residual of Ax - y. Residuals are below
+/// 2^32 in magnitude, so that is <= 2^-33. A one-shot entry-statistics
+/// pass covers all m queries; an adaptive MN decode covers the prefix it
+/// folded.
 struct QueryFingerprint {
   std::vector<std::uint64_t> entries;
   std::uint64_t target = 0;
+  std::uint32_t queries = 0;  ///< the fingerprint covers queries [0, queries)
 };
+
+/// r_q, query q's fingerprint weight: one Philox block, keyed by a
+/// per-process secret drawn from std::random_device so no client can
+/// choose results that collide. Every fold of a fingerprint (the one-shot
+/// pass and IncrementalMn) draws its weights here, so their fingerprints
+/// agree.
+[[nodiscard]] std::uint64_t fingerprint_weight(std::uint32_t query);
 
 class Instance {
  public:
@@ -145,9 +155,11 @@ class Instance {
     return stats;
   }
 
-  /// The fingerprint of Ax = y an entry-statistics pass recorded, or
-  /// nullptr. Only StreamedInstance records one, on the quantitative
-  /// channel.
+  /// The fingerprint of Ax = y over a query prefix, or nullptr. Only
+  /// StreamedInstance carries one, on the quantitative channel: recorded
+  /// by its entry-statistics pass or published by an adaptive MN decode.
+  /// Once non-null it never changes, so the pointer stays valid for the
+  /// instance's lifetime.
   [[nodiscard]] virtual const QueryFingerprint* fingerprint() const {
     return nullptr;
   }
@@ -164,9 +176,10 @@ class Instance {
   /// the instance's channel).
   [[nodiscard]] std::vector<std::uint32_t> results_for(const Signal& candidate) const;
 
-  /// True if the candidate explains every observed query result. With a
-  /// fingerprint() this is its O(k) test (one-sided error <= 2^-33);
-  /// otherwise the exact pass regenerates every query.
+  /// True if the candidate explains every observed query result. The
+  /// fingerprint() answers the queries it covers in O(k) (one-sided error
+  /// <= 2^-33); the exact pass regenerates the rest, so a fingerprint of
+  /// all m queries leaves no pass, and no fingerprint leaves a full one.
   [[nodiscard]] bool is_consistent(const Signal& candidate) const;
 
   /// Sum of all query results (= sum_i sigma_i * Δ_i); the "one extra
@@ -217,11 +230,18 @@ class StreamedInstance final : public Instance {
   void query_members(std::uint32_t query,
                      std::vector<std::uint32_t>& out) const override;
   using Instance::entry_stats_into;
-  /// On the quantitative channel, the first pass also records the
-  /// fingerprint.
+  /// On the quantitative channel, a pass run while no fingerprint is
+  /// published also records one of all m queries.
   void entry_stats_into(ThreadPool& pool, EntryStats& out,
                         CountMode mode) const override;
   [[nodiscard]] const QueryFingerprint* fingerprint() const override;
+
+  /// Publishes `print` as fingerprint() unless one is already published:
+  /// the first wins, and a published fingerprint is never replaced or
+  /// freed, because concurrent jobs may be reading it. Quantitative
+  /// channel only; `print` covers at most m queries of the n entries.
+  void publish_fingerprint(QueryFingerprint print) const;
+
   [[nodiscard]] ChannelKind channel() const override { return channel_; }
   [[nodiscard]] std::uint32_t channel_threshold() const override {
     return threshold_;
@@ -247,8 +267,8 @@ class StreamedInstance final : public Instance {
   std::vector<std::uint32_t> y_;
   ChannelKind channel_ = ChannelKind::Quantitative;
   std::uint32_t threshold_ = 1;
-  // Published once by the first pass that records it, immutable after:
-  // concurrent passes over a shared instance compute identical values.
+  // Published once, by the first pass or adaptive decode that records it,
+  // and immutable after.
   mutable AnnotatedMutex fingerprint_mutex_;
   mutable std::unique_ptr<const QueryFingerprint> fingerprint_
       POOLED_GUARDED_BY(fingerprint_mutex_);

@@ -50,6 +50,11 @@ DecodeOutcome AdaptiveDecoder::decode(const Instance& instance,
   if (const auto* mn = dynamic_cast<const MnDecoder*>(inner_.get())) {
     incremental.emplace(streamed->design_ptr(), mn->options());
   }
+  // On the linear channel the accumulator's fingerprint checks the
+  // folded prefix in O(k); one-bit channels and other inners check it by
+  // the exact pass.
+  const bool fingerprinted =
+      incremental && streamed->channel() == ChannelKind::Quantitative;
 
   DecodeOutcome outcome;
   outcome.estimate = Signal(instance.n());
@@ -100,14 +105,17 @@ DecodeOutcome AdaptiveDecoder::decode(const Instance& instance,
     // Observable stopping rule: does the estimate reproduce every result
     // observed so far? (Wrong-but-consistent estimates are possible below
     // the information-theoretic threshold; scoring against the truth is
-    // the engine's job, not ours.) The check regenerates the whole
-    // prefix, so it runs only once the estimate survives a round
-    // unchanged -- in the noisy phase the estimate churns every round,
-    // and once it locks in the check fires at once -- or when the
-    // queries run out.
+    // the engine's job, not ours.) The check runs only once the estimate
+    // survives a round unchanged, or when the queries run out. It is O(k)
+    // for MN on the linear channel, but the gate stays: it decides when
+    // the rule may fire, so checking every round would change the rounds
+    // and queries a decode reports.
     const bool exhausted = consumed >= available;
     if (stable || exhausted) {
-      if (prefix(consumed).is_consistent(outcome.estimate)) {
+      const bool consistent = fingerprinted
+                                  ? incremental->is_consistent(outcome.estimate)
+                                  : prefix(consumed).is_consistent(outcome.estimate);
+      if (consistent) {
         stop = StopReason::Converged;
         break;
       }
@@ -116,6 +124,12 @@ DecodeOutcome AdaptiveDecoder::decode(const Instance& instance,
         break;
       }
     }
+  }
+  // The folded prefix's fingerprint goes on the served instance, so the
+  // engine's final check regenerates only the queries after it. The
+  // first fingerprint published on a shared instance stays.
+  if (fingerprinted && incremental->m() > 0 && streamed->fingerprint() == nullptr) {
+    streamed->publish_fingerprint(incremental->fingerprint());
   }
   // `round` is reported as-is: an immediate cancel/deadline stops with 0
   // rounds run, matching the 0 on_round callbacks the stats sink saw.

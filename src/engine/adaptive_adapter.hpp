@@ -15,12 +15,16 @@
 // `adaptive:gt:binary:L=8` is DD over growing binary prefixes. MN inners
 // (every score variant) keep one IncrementalMn per decode and fold only
 // each round's L new queries into it; the estimate is bit-identical to
-// decoding the prefix. Other inners re-decode the whole prefix each
-// round. The outcome reports the real trajectory: rounds run, queries
-// consumed, and why it stopped (converged / round-limit / exhausted /
-// deadline / cancelled). DecodeContext::max_rounds and query_budget
-// tighten the caps per decode; protocol v2 carries them as the `rounds`
-// and `budget` job fields.
+// decoding the prefix. On the quantitative channel the accumulator's
+// fingerprint makes the stopping rule O(k), and the decode publishes it
+// on the instance, so the engine's final check regenerates only the
+// queries the decode did not fold. Other inners re-decode the whole
+// prefix each round and check it by the exact pass, as do MN inners on
+// the one-bit channels. The outcome reports the real trajectory: rounds
+// run, queries consumed, and why it stopped (converged / round-limit /
+// exhausted / deadline / cancelled). DecodeContext::max_rounds and
+// query_budget tighten the caps per decode; protocol v2 carries them as
+// the `rounds` and `budget` job fields.
 #pragma once
 
 #include <cstdint>

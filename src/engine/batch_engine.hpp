@@ -46,9 +46,11 @@ struct DecodeJob {
   std::uint32_t k = 0;
   /// Truth support to score against (overrides the builder's, when both set).
   std::optional<std::vector<std::uint32_t>> truth_support;
-  /// Verify the estimate against every observed query result. Costs one
-  /// pass over the design (comparable to the original simulation), so
-  /// bulk Monte-Carlo callers turn it off.
+  /// Verify the estimate against every observed query result
+  /// (Instance::is_consistent). O(k) for quantitative MN decodes, whose
+  /// pass or fold leaves a fingerprint on the instance; a pass over the
+  /// design (comparable to the original simulation) for the queries no
+  /// fingerprint covers, so bulk Monte-Carlo callers turn it off.
   bool check_consistency = true;
 
   // -- decode options (protocol v2 job fields) --------------------------

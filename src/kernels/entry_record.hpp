@@ -7,11 +7,13 @@
 // 32-byte aligned inside 64-byte aligned lane blocks, so none straddles a
 // line). The score decides what a pass counts (CountMode): first
 // occurrences for Ψ/Δ*, or every draw for the multi-edge ablation's
-// Ψ_multi/Δ. Every draw also adds its query's fingerprint weight r_q, so
-// a quantitative instance can check Ax = y in O(k) afterwards (see
-// QueryFingerprint in core/instance.hpp). LanePartials in
-// kernels/decode_arena.hpp transposes the records into the EntryStats
-// pair the mode names once per pass.
+// Ψ_multi/Δ. Every draw also adds its query's fingerprint weight r_q
+// (fingerprint_weight), so a quantitative instance can check Ax = y in
+// O(k) afterwards (see QueryFingerprint in core/instance.hpp). Two folds
+// pass r_q: StreamedInstance's pass while it records a fingerprint (0
+// once one is published), and IncrementalMn for every query it folds.
+// LanePartials in kernels/decode_arena.hpp transposes the records into
+// the EntryStats pair the mode names once per pass.
 #pragma once
 
 #include <cstddef>

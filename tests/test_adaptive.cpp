@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "adaptive/batched.hpp"
+#include "core/incremental.hpp"
 #include "core/instance.hpp"
 #include "core/mn.hpp"
 #include "core/noise.hpp"
@@ -125,6 +126,43 @@ TEST(Batched, StoppingRuleIsObservableOnly) {
   EXPECT_TRUE(instance->is_consistent(truth));
 }
 
+TEST(Batched, FingerprintStopMatchesTheExactCheck) {
+  // run_batched's stopping rule checks the accumulator's fingerprint; a
+  // replay that checks the same estimates by the exact pass on a fresh
+  // instance must stop at the same round, with the same verdicts.
+  ThreadPool pool(1);
+  const std::uint32_t n = 200, k = 4;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    auto design = std::make_shared<RandomRegularDesign>(n, 40 + seed);
+    const Signal truth = Signal::random(n, k, 50 + seed);
+    for (const std::uint32_t batch : {4u, 16u}) {
+      BatchedConfig config;
+      config.batch_size = batch;
+      config.max_rounds = 60;
+      const BatchedOutcome outcome = run_batched(design, truth, config, pool);
+      IncrementalMn mn(design);
+      BatchedOutcome replay;
+      Signal previous(n);
+      for (std::uint32_t round = 0; round < config.max_rounds && !replay.stopped;
+           ++round) {
+        for (std::uint32_t q = 0; q < batch; ++q) mn.add_simulated_query(truth);
+        ++replay.rounds;
+        replay.total_queries = mn.m();
+        const Signal estimate = mn.decode(k, pool);
+        const bool stable = estimate == previous;
+        previous = estimate;
+        if (!stable) continue;
+        const auto exact = make_streamed_instance(design, mn.m(), truth, pool);
+        EXPECT_EQ(mn.is_consistent(estimate), exact->is_consistent(estimate));
+        replay.stopped = exact->is_consistent(estimate);
+      }
+      EXPECT_EQ(outcome.stopped, replay.stopped) << "seed " << seed << " L " << batch;
+      EXPECT_EQ(outcome.rounds, replay.rounds) << "seed " << seed << " L " << batch;
+      EXPECT_EQ(outcome.total_queries, replay.total_queries);
+    }
+  }
+}
+
 TEST(AdaptiveAdapter, RegistrySpecMatchesTheSimulationStudy) {
   // The serving-side adapter (adaptive:<inner>[:L=...]) replays an
   // archived instance's queries round by round with the same observable
@@ -195,19 +233,23 @@ DecodeOutcome replay_reference(const StreamedInstance& instance,
     }
     consumed = std::min(available, consumed + batch);
     ++round;
-    const StreamedInstance prefix(
-        instance.design_ptr(), consumed,
-        std::vector<std::uint32_t>(y.begin(), y.begin() + consumed),
-        instance.channel(), instance.channel_threshold());
+    const auto prefix = [&] {
+      return StreamedInstance(
+          instance.design_ptr(), consumed,
+          std::vector<std::uint32_t>(y.begin(), y.begin() + consumed),
+          instance.channel(), instance.channel_threshold());
+    };
     DecodeOutcome step =
-        inner.decode(prefix, DecodeContext(context.k, context.thread_pool()));
+        inner.decode(prefix(), DecodeContext(context.k, context.thread_pool()));
     outcome.score_evals += step.score_evals;
     const bool stable = have_estimate && step.estimate == outcome.estimate;
     outcome.estimate = std::move(step.estimate);
     have_estimate = true;
     const bool exhausted = consumed >= available;
     if (stable || exhausted) {
-      if (prefix.is_consistent(outcome.estimate)) {
+      // A prefix no decode ran on carries no fingerprint, so this is the
+      // exact pass the served stopping rule must agree with.
+      if (prefix().is_consistent(outcome.estimate)) {
         outcome.stop = StopReason::Converged;
         break;
       }
@@ -341,6 +383,72 @@ TEST(AdaptiveAdapter, NonMnInnerKeepsThePrefixReplay) {
         make_decoder("adaptive:gt:binary:L=4")->decode(*instance, context);
     EXPECT_EQ(describe(got), describe(want)) << "noisy " << noisy;
   }
+}
+
+TEST(AdaptiveAdapter, PublishesTheFoldedPrefixFingerprint) {
+  ThreadPool pool(2);
+  const std::uint32_t n = 400, k = 5, m = 300;
+  const Signal truth = Signal::random(n, k, 61);
+  const auto exact_verdict = [](const StreamedInstance& instance,
+                                const Signal& candidate) {
+    return StreamedInstance(instance.design_ptr(), instance.m(), instance.results(),
+                            instance.channel(), instance.channel_threshold())
+        .is_consistent(candidate);
+  };
+  // Quantitative MN decodes leave the fingerprint of exactly the queries
+  // they folded: up to convergence, or a budget's prefix.
+  for (const std::uint32_t budget : {0u, 40u}) {
+    const auto instance = channel_instance(n, m, truth, ChannelKind::Quantitative,
+                                           1, /*noisy=*/false, pool);
+    DecodeContext context(k, pool);
+    context.query_budget = budget;
+    const DecodeOutcome outcome =
+        make_decoder("adaptive:mn:L=16")->decode(*instance, context);
+    const QueryFingerprint* print = instance->fingerprint();
+    ASSERT_NE(print, nullptr);
+    EXPECT_EQ(print->queries, outcome.queries);
+    EXPECT_EQ(outcome.queries, budget == 0 ? 128u : budget);
+    EXPECT_EQ(instance->is_consistent(outcome.estimate),
+              exact_verdict(*instance, outcome.estimate));
+    EXPECT_TRUE(instance->is_consistent(truth));
+    // The first fingerprint stays: a later decode that folds more
+    // queries leaves the pointer (which jobs may hold) as it was.
+    (void)make_decoder("adaptive:mn:L=8")->decode(*instance, DecodeContext(k, pool));
+    (void)MnDecoder().decode(*instance, k, pool);
+    EXPECT_EQ(instance->fingerprint(), print);
+  }
+  // A one-shot pass published first: the adaptive decode keeps it.
+  {
+    const auto instance = channel_instance(n, m, truth, ChannelKind::Quantitative,
+                                           1, /*noisy=*/false, pool);
+    (void)MnDecoder().decode(*instance, k, pool);
+    const QueryFingerprint* print = instance->fingerprint();
+    ASSERT_NE(print, nullptr);
+    (void)make_decoder("adaptive:mn:L=16")->decode(*instance, DecodeContext(k, pool));
+    EXPECT_EQ(instance->fingerprint(), print);
+    EXPECT_EQ(print->queries, m);
+  }
+  // One-bit channels are not linear, and non-MN inners fold nothing:
+  // neither publishes, so the verdict stays the exact pass.
+  for (const auto& [spec, channel] :
+       {std::pair{"adaptive:mn:L=16", ChannelKind::Binary},
+        std::pair{"adaptive:mn:L=16", ChannelKind::Threshold},
+        std::pair{"adaptive:omp:L=16", ChannelKind::Quantitative}}) {
+    const auto instance = channel_instance(n, m, truth, channel, 2,
+                                           /*noisy=*/false, pool);
+    (void)make_decoder(spec)->decode(*instance, DecodeContext(k, pool));
+    EXPECT_EQ(instance->fingerprint(), nullptr) << spec;
+  }
+  // Publishing a one-bit fingerprint, or one past m, is refused.
+  const auto binary = channel_instance(n, m, truth, ChannelKind::Binary, 1,
+                                       /*noisy=*/false, pool);
+  QueryFingerprint print;
+  print.entries.resize(n);
+  EXPECT_THROW(binary->publish_fingerprint(print), ContractError);
+  const auto quantitative = channel_instance(n, m, truth, ChannelKind::Quantitative,
+                                             1, /*noisy=*/false, pool);
+  print.queries = m + 1;
+  EXPECT_THROW(quantitative->publish_fingerprint(print), ContractError);
 }
 
 TEST(AdaptiveAdapter, GoldenV2RequestAnswerIsPinned) {

@@ -250,17 +250,29 @@ TEST(IncrementalMn, EventuallyRecovers) {
   EXPECT_TRUE(recovered);
 }
 
-TEST(IncrementalMn, QueryResultsMatchInstanceConversion) {
+TEST(IncrementalMn, FingerprintMatchesTheOneShotPass) {
+  // The folds draw the one-shot pass's weights over the same results, so
+  // the accumulator's fingerprint is the one an instance of its queries
+  // records, in either count mode.
   ThreadPool pool(1);
   const std::uint32_t n = 150, k = 4;
   const Signal truth = Signal::random(n, k, 17);
   auto design = std::make_shared<RandomRegularDesign>(n, 18);
-  IncrementalMn incremental(design);
-  for (int q = 0; q < 25; ++q) incremental.add_simulated_query(truth);
-  const auto instance = incremental.to_instance();
-  EXPECT_EQ(instance->m(), 25u);
-  EXPECT_EQ(instance->results(), simulate_queries(*design, 25, truth, pool));
-  EXPECT_TRUE(instance->is_consistent(truth));
+  for (const MnScore score : {MnScore::CentralizedPsi, MnScore::MultiEdgePsi}) {
+    MnOptions options;
+    options.score = score;
+    IncrementalMn incremental(design, options);
+    for (int q = 0; q < 25; ++q) incremental.add_simulated_query(truth);
+    EXPECT_TRUE(incremental.is_consistent(truth));
+    const auto instance = make_streamed_instance(design, 25, truth, pool);
+    (void)instance->entry_stats(pool);
+    ASSERT_NE(instance->fingerprint(), nullptr);
+    const QueryFingerprint got = incremental.fingerprint();
+    EXPECT_EQ(got.entries, instance->fingerprint()->entries);
+    EXPECT_EQ(got.target, instance->fingerprint()->target);
+    EXPECT_EQ(got.queries, 25u);
+    EXPECT_EQ(instance->fingerprint()->queries, 25u);
+  }
 }
 
 TEST(IncrementalMn, OverlapFractionIsMonotoneAtLargeM) {

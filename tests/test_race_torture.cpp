@@ -163,17 +163,19 @@ TEST(RaceTorture, ResultCacheHitInsertEvict) {
 // ---------------------------------------------------------------------
 // Fingerprint publication: engine jobs on a 4-wide pool decode one
 // shared instance at once. The MN jobs' passes race to publish the
-// instance's fingerprint (the first wins, the rest compute the same
-// values) while other jobs already read it for their verdict; omp jobs
-// never accumulate and check through whatever the instance holds. Every
-// verdict must equal the exact pass on a fresh copy.
+// instance's fingerprint of all m queries, and the adaptive MN jobs
+// race to publish the prefix their rounds folded (the first publish of
+// either wins, the rest keep their own) while other jobs already read it
+// for their verdict: the prefix in O(k), the rest by the exact pass. omp
+// jobs never accumulate and check through whatever the instance holds.
+// Every verdict must equal the exact pass on a fresh copy.
 
 TEST(RaceTorture, SharedInstanceFingerprintPublish) {
   ThreadPool pool(4);
   const BatchEngine engine(pool);
   const std::uint32_t n = 200, k = 4;
   const Signal truth = Signal::random(n, k, 0xF1);
-  const char* const decoders[] = {"mn", "mn:multi-edge", "omp"};
+  const char* const decoders[] = {"mn", "mn:multi-edge", "omp", "adaptive:mn:L=8"};
   const auto deadline = steady_clock::now() + kBatteryBudget;
   std::uint64_t round = 0;
   std::uint64_t consistent = 0;
@@ -187,7 +189,7 @@ TEST(RaceTorture, SharedInstanceFingerprintPublish) {
     for (std::size_t j = 0; j < jobs.size(); ++j) {
       jobs[j].instance = shared;
       jobs[j].k = k;
-      jobs[j].decoder = decoders[j % 3];
+      jobs[j].decoder = decoders[j % std::size(decoders)];
     }
     const std::vector<DecodeReport> reports = engine.run(jobs);
     ASSERT_NE(shared->fingerprint(), nullptr);

@@ -5,13 +5,17 @@
 #include <cmath>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "core/incremental.hpp"
 #include "core/instance.hpp"
 #include "core/mn.hpp"
 #include "core/noise.hpp"
 #include "core/signal.hpp"
 #include "core/thresholds.hpp"
 #include "design/random_regular.hpp"
+#include "engine/adaptive_adapter.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/assert.hpp"
 
@@ -230,9 +234,12 @@ struct Verdicts {
 
   void expect_equal(const Instance& fingerprinted, const Instance& exact,
                     const Signal& candidate) {
-    const bool verdict = exact.is_consistent(candidate);
-    EXPECT_EQ(fingerprinted.is_consistent(candidate), verdict);
-    ++(verdict ? consistent : inconsistent);
+    expect(fingerprinted.is_consistent(candidate), exact.is_consistent(candidate));
+  }
+
+  void expect(bool fingerprinted, bool exact) {
+    EXPECT_EQ(fingerprinted, exact);
+    ++(exact ? consistent : inconsistent);
   }
 };
 
@@ -266,6 +273,48 @@ std::vector<Signal> corrupted_truths(const Signal& truth) {
   added.push_back(outside);
   dropped.pop_back();
   return {Signal(n, swapped), Signal(n, added), Signal(n, dropped), Signal(n)};
+}
+
+/// The partial fingerprints an adaptive MN decode produces, on the
+/// candidates: an IncrementalMn folds the instance's results, and after c
+/// folds
+///  (a) its O(k) verdict must equal the exact pass over the c-query
+///      prefix (c in {1, m/2, m}), and
+///  (b) a fresh copy carrying its fingerprint -- prefix [0, c) in O(k),
+///      the exact pass over [c, m) -- must equal the exact pass over all
+///      m queries (c in {0, 1, m/2, m-1, m}).
+void expect_partial_fingerprints(const StreamedInstance& instance,
+                                 const StreamedInstance& exact,
+                                 const MnOptions& options,
+                                 const std::vector<Signal>& candidates,
+                                 Verdicts& verdicts) {
+  const std::uint32_t m = instance.m();
+  const auto& y = instance.results();
+  std::vector<std::uint32_t> folds = {0, 1, m / 2, m - 1, m};
+  std::sort(folds.begin(), folds.end());
+  folds.erase(std::unique(folds.begin(), folds.end()), folds.end());
+  std::vector<bool> want;
+  for (const Signal& candidate : candidates) want.push_back(exact.is_consistent(candidate));
+  IncrementalMn incremental(instance.design_ptr(), options);
+  for (const std::uint32_t c : folds) {
+    SCOPED_TRACE("prefix of " + std::to_string(c) + " of " + std::to_string(m));
+    while (incremental.m() < c) incremental.add_query(y[incremental.m()]);
+    if (c == 1 || c == m / 2 || c == m) {
+      const StreamedInstance prefix(instance.design_ptr(), c,
+                                    std::vector<std::uint32_t>(y.begin(), y.begin() + c),
+                                    instance.channel(), instance.channel_threshold());
+      for (const Signal& candidate : candidates) {
+        verdicts.expect(incremental.is_consistent(candidate),
+                        prefix.is_consistent(candidate));
+      }
+    }
+    const StreamedInstance carrier = fresh_copy(instance);
+    carrier.publish_fingerprint(incremental.fingerprint());
+    ASSERT_EQ(carrier.fingerprint()->queries, c);
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      verdicts.expect(carrier.is_consistent(candidates[i]), want[i]);
+    }
+  }
 }
 
 TEST(Consistency, FingerprintMatchesExactCheck) {
@@ -317,11 +366,13 @@ TEST(Consistency, FingerprintMatchesExactCheck) {
             const Signal estimate = MnDecoder(options).decode(*noisy, k, pool);
             ASSERT_NE(noisy->fingerprint(), nullptr);
             const StreamedInstance exact = fresh_copy(*noisy);
-            verdicts.expect_equal(*noisy, exact, estimate);
-            verdicts.expect_equal(*noisy, exact, truth);
-            for (const Signal& corrupted : corrupted_truths(truth)) {
-              verdicts.expect_equal(*noisy, exact, corrupted);
+            std::vector<Signal> candidates = corrupted_truths(truth);
+            candidates.push_back(estimate);
+            candidates.push_back(truth);
+            for (const Signal& candidate : candidates) {
+              verdicts.expect_equal(*noisy, exact, candidate);
             }
+            expect_partial_fingerprints(*noisy, exact, options, candidates, verdicts);
           }
         }
       }
@@ -351,6 +402,20 @@ TEST(Consistency, FingerprintMatchesExactCheck) {
         EntryStats stats;
         instance.entry_stats_into(pool, stats, mode);
         EXPECT_TRUE(instance.is_consistent(truth));
+      }
+      // Nor does an adaptive MN decode publish its fold's fingerprint
+      // there, in either count mode: the verdict stays the exact pass.
+      for (const MnScore score : {MnScore::CentralizedPsi, MnScore::MultiEdgePsi}) {
+        const StreamedInstance served = fresh_copy(instance);
+        MnOptions options;
+        options.score = score;
+        const DecodeOutcome outcome =
+            AdaptiveDecoder(std::make_shared<MnDecoder>(options), AdaptiveOptions{4})
+                .decode(served, DecodeContext(k, pool));
+        EXPECT_EQ(served.fingerprint(), nullptr);
+        EXPECT_TRUE(served.is_consistent(truth));
+        EXPECT_EQ(served.is_consistent(outcome.estimate),
+                  fresh_copy(instance).is_consistent(outcome.estimate));
       }
     }
   }
