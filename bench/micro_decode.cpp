@@ -1,6 +1,6 @@
 // MICRO: the reconstruction pipeline -- entry-statistics accumulation
 // (the paper's two matrix-vector products), top-k selection vs. the full
-// parallel sort, SpMV, and end-to-end MN decode on both backends.
+// parallel sort, SpMV, and end-to-end MN decode.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -23,7 +23,6 @@ struct Fixture {
   Signal truth;
   std::shared_ptr<RandomRegularDesign> design;
   std::unique_ptr<StreamedInstance> streamed;
-  std::unique_ptr<StoredInstance> stored;
 
   explicit Fixture(std::uint32_t n_in, ThreadPool& pool)
       : n(n_in),
@@ -33,7 +32,6 @@ struct Fixture {
         truth(Signal::random(n_in, k, 1)),
         design(std::make_shared<RandomRegularDesign>(n_in, 2)) {
     streamed = make_streamed_instance(design, m, truth, pool);
-    stored = make_stored_instance(*design, m, truth, pool);
   }
 };
 
@@ -56,41 +54,18 @@ void BM_EntryStatsStreamed(benchmark::State& state) {
 BENCHMARK(BM_EntryStatsStreamed)->Arg(1000)->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_EntryStatsStored(benchmark::State& state) {
-  ThreadPool pool;
-  Fixture& f = fixture(static_cast<std::uint32_t>(state.range(0)));
-  for (auto _ : state) {
-    const EntryStats stats = f.stored->entry_stats(pool);
-    benchmark::DoNotOptimize(stats.psi.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          f.m * (f.n / 2));
-}
-BENCHMARK(BM_EntryStatsStored)->Arg(1000)->Arg(10000)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_MnDecode(benchmark::State& state) {
   ThreadPool pool;
   Fixture& f = fixture(static_cast<std::uint32_t>(state.range(0)));
-  const bool streamed = state.range(1) != 0;
   const auto decoder = make_decoder("mn");
-  const Instance& instance =
-      streamed ? static_cast<const Instance&>(*f.streamed)
-               : static_cast<const Instance&>(*f.stored);
   const DecodeContext context(f.k, pool);
   for (auto _ : state) {
-    const DecodeOutcome outcome = decoder->decode(instance, context);
+    const DecodeOutcome outcome = decoder->decode(*f.streamed, context);
     benchmark::DoNotOptimize(outcome.estimate.k());
   }
-  state.SetLabel(streamed ? "streamed" : "stored");
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * f.n);
 }
-BENCHMARK(BM_MnDecode)
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MnDecode)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 void BM_SelectTopK(benchmark::State& state) {
   ThreadPool pool;
@@ -120,8 +95,7 @@ BENCHMARK(BM_SelectTopK)
 void BM_SpMV(benchmark::State& state) {
   ThreadPool pool;
   Fixture& f = fixture(static_cast<std::uint32_t>(state.range(0)));
-  const auto graph = materialize_graph(*f.streamed);
-  const CsrMatrix a = CsrMatrix::from_graph_entry_rows(graph, true);
+  const CsrMatrix a = CsrMatrix::from_instance(*f.streamed, true).transpose();
   std::vector<double> y(f.m, 1.0), out;
   for (auto _ : state) {
     a.multiply(pool, y, out);

@@ -22,7 +22,7 @@ class FistaDecoder final : public Decoder {
   explicit FistaDecoder(FistaOptions options = {});
 
   using Decoder::decode;
-  [[nodiscard]] DecodeOutcome decode(const Instance& instance,
+  [[nodiscard]] DecodeOutcome decode(const StreamedInstance& instance,
                                      const DecodeContext& context) const override;
   [[nodiscard]] std::string name() const override { return "fista-l1"; }
 

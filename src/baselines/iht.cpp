@@ -12,7 +12,7 @@ namespace pooled {
 
 IhtDecoder::IhtDecoder(IhtOptions options) : options_(options) {}
 
-DecodeOutcome IhtDecoder::decode(const Instance& instance,
+DecodeOutcome IhtDecoder::decode(const StreamedInstance& instance,
                                  const DecodeContext& context) const {
   const std::uint32_t k = context.k;
   ThreadPool& pool = context.thread_pool();
@@ -20,9 +20,8 @@ DecodeOutcome IhtDecoder::decode(const Instance& instance,
   POOLED_REQUIRE(k <= n, "weight k exceeds signal length");
   if (k == 0) return one_shot_outcome(Signal(n), instance);
 
-  const auto graph = materialize_graph(instance);
-  const CsrMatrix a = CsrMatrix::from_graph_query_rows(graph);
-  const CsrMatrix at = CsrMatrix::from_graph_entry_rows(graph);
+  const CsrMatrix a = CsrMatrix::from_instance(instance);
+  const CsrMatrix at = a.transpose();
 
   std::vector<double> y(instance.m());
   for (std::uint32_t q = 0; q < instance.m(); ++q) {

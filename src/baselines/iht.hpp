@@ -16,7 +16,7 @@ class IhtDecoder final : public Decoder {
   explicit IhtDecoder(IhtOptions options = {});
 
   using Decoder::decode;
-  [[nodiscard]] DecodeOutcome decode(const Instance& instance,
+  [[nodiscard]] DecodeOutcome decode(const StreamedInstance& instance,
                                      const DecodeContext& context) const override;
   [[nodiscard]] std::string name() const override { return "iht"; }
 

@@ -11,7 +11,7 @@
 
 namespace pooled {
 
-DecodeOutcome OmpDecoder::decode(const Instance& instance,
+DecodeOutcome OmpDecoder::decode(const StreamedInstance& instance,
                                  const DecodeContext& context) const {
   const std::uint32_t k = context.k;
   ThreadPool& pool = context.thread_pool();
@@ -20,9 +20,8 @@ DecodeOutcome OmpDecoder::decode(const Instance& instance,
   POOLED_REQUIRE(k <= n, "weight k exceeds signal length");
   if (k == 0) return one_shot_outcome(Signal(n), instance);
 
-  const auto graph = materialize_graph(instance);
-  // Columns of A are entry rows of the transpose; both views are needed.
-  const CsrMatrix cols = CsrMatrix::from_graph_entry_rows(graph);  // n rows
+  // Columns of A are the entry rows of its transpose.
+  const CsrMatrix cols = CsrMatrix::from_instance(instance).transpose();  // n rows
 
   std::vector<double> residual(m);
   for (std::uint32_t q = 0; q < m; ++q) {

@@ -13,7 +13,7 @@ namespace pooled {
 class OmpDecoder final : public Decoder {
  public:
   using Decoder::decode;
-  [[nodiscard]] DecodeOutcome decode(const Instance& instance,
+  [[nodiscard]] DecodeOutcome decode(const StreamedInstance& instance,
                                      const DecodeContext& context) const override;
   [[nodiscard]] std::string name() const override { return "omp"; }
 };

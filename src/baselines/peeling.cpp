@@ -2,6 +2,7 @@
 
 #include <deque>
 
+#include "linalg/csr_matrix.hpp"
 #include "support/assert.hpp"
 
 namespace pooled {
@@ -15,10 +16,13 @@ enum class State : std::uint8_t { Unknown, Zero, One };
 PeelingDecoder::PeelingDecoder(bool fill_unresolved_as_zero)
     : fill_zero_(fill_unresolved_as_zero) {}
 
-PeelingOutcome PeelingDecoder::decode_detailed(const Instance& instance) const {
+PeelingOutcome PeelingDecoder::decode_detailed(const StreamedInstance& instance) const {
   const std::uint32_t n = instance.n();
   const std::uint32_t m = instance.m();
-  const auto graph = materialize_graph(instance);
+  // Query rows of A (distinct entries, valued by multiplicity) and its
+  // entry rows (distinct queries).
+  const CsrMatrix a = CsrMatrix::from_instance(instance);
+  const CsrMatrix at = a.transpose();
   const auto& y = instance.results();
 
   std::vector<State> state(n, State::Unknown);
@@ -28,7 +32,9 @@ PeelingOutcome PeelingDecoder::decode_detailed(const Instance& instance) const {
   std::vector<std::int64_t> unresolved(m);
   for (std::uint32_t q = 0; q < m; ++q) {
     residual[q] = y[q];
-    unresolved[q] = static_cast<std::int64_t>(graph.query_size(q));
+    for (double times : a.row_values(q)) {
+      unresolved[q] += static_cast<std::int64_t>(times);
+    }
   }
 
   std::deque<std::uint32_t> worklist;
@@ -42,12 +48,16 @@ PeelingOutcome PeelingDecoder::decode_detailed(const Instance& instance) const {
   const auto resolve = [&](std::uint32_t entry, State value) {
     POOLED_ASSERT(state[entry] == State::Unknown);
     state[entry] = value;
-    for (const MultiEdge& e : graph.entry_row(entry)) {
-      unresolved[e.node] -= e.multiplicity;
-      if (value == State::One) residual[e.node] -= e.multiplicity;
-      if (!queued[e.node]) {
-        worklist.push_back(e.node);
-        queued[e.node] = 1;
+    const auto queries = at.row_indices(entry);
+    const auto times = at.row_values(entry);
+    for (std::size_t s = 0; s < queries.size(); ++s) {
+      const std::uint32_t q = queries[s];
+      const auto multiplicity = static_cast<std::int64_t>(times[s]);
+      unresolved[q] -= multiplicity;
+      if (value == State::One) residual[q] -= multiplicity;
+      if (!queued[q]) {
+        worklist.push_back(q);
+        queued[q] = 1;
       }
     }
   };
@@ -61,12 +71,12 @@ PeelingOutcome PeelingDecoder::decode_detailed(const Instance& instance) const {
     POOLED_ASSERT(residual[q] >= 0 && residual[q] <= unresolved[q]);
     if (unresolved[q] == 0) continue;
     if (residual[q] == 0) {
-      for (const MultiEdge& e : graph.query_row(q)) {
-        if (state[e.node] == State::Unknown) resolve(e.node, State::Zero);
+      for (std::uint32_t entry : a.row_indices(q)) {
+        if (state[entry] == State::Unknown) resolve(entry, State::Zero);
       }
     } else if (residual[q] == unresolved[q]) {
-      for (const MultiEdge& e : graph.query_row(q)) {
-        if (state[e.node] == State::Unknown) resolve(e.node, State::One);
+      for (std::uint32_t entry : a.row_indices(q)) {
+        if (state[entry] == State::Unknown) resolve(entry, State::One);
       }
     }
   }
@@ -92,7 +102,7 @@ PeelingOutcome PeelingDecoder::decode_detailed(const Instance& instance) const {
   return outcome;
 }
 
-DecodeOutcome PeelingDecoder::decode(const Instance& instance,
+DecodeOutcome PeelingDecoder::decode(const StreamedInstance& instance,
                                      const DecodeContext& context) const {
   // k is ignored (peeling infers the weight itself) and the propagation
   // is inherently sequential per cascade, so the pool goes unused.

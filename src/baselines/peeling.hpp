@@ -28,11 +28,11 @@ class PeelingDecoder final : public Decoder {
   explicit PeelingDecoder(bool fill_unresolved_as_zero = true);
 
   using Decoder::decode;
-  [[nodiscard]] DecodeOutcome decode(const Instance& instance,
+  [[nodiscard]] DecodeOutcome decode(const StreamedInstance& instance,
                                      const DecodeContext& context) const override;
 
   /// Full outcome with resolution accounting (for the comparison bench).
-  [[nodiscard]] PeelingOutcome decode_detailed(const Instance& instance) const;
+  [[nodiscard]] PeelingOutcome decode_detailed(const StreamedInstance& instance) const;
 
   [[nodiscard]] std::string name() const override { return "peeling"; }
 

@@ -7,7 +7,7 @@ namespace pooled {
 
 RandomGuessDecoder::RandomGuessDecoder(std::uint64_t seed) : seed_(seed) {}
 
-DecodeOutcome RandomGuessDecoder::decode(const Instance& instance,
+DecodeOutcome RandomGuessDecoder::decode(const StreamedInstance& instance,
                                          const DecodeContext& context) const {
   // Key the guess on the instance shape so repeated calls differ per
   // instance but stay reproducible; a context seed overrides the

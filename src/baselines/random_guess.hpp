@@ -11,7 +11,7 @@ class RandomGuessDecoder final : public Decoder {
   explicit RandomGuessDecoder(std::uint64_t seed = 0xBADD1Eull);
 
   using Decoder::decode;
-  [[nodiscard]] DecodeOutcome decode(const Instance& instance,
+  [[nodiscard]] DecodeOutcome decode(const StreamedInstance& instance,
                                      const DecodeContext& context) const override;
   [[nodiscard]] std::string name() const override { return "random-guess"; }
 

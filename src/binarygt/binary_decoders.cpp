@@ -207,16 +207,13 @@ BinaryDecodeResult decode_dd(const StreamedInstance& instance, ThreadPool* pool)
   return decode_dd_scan(instance);
 }
 
-DecodeOutcome BinaryGtDecoder::decode(const Instance& instance,
+DecodeOutcome BinaryGtDecoder::decode(const StreamedInstance& instance,
                                       const DecodeContext& context) const {
   // The context only supplies the pool that parallelizes the one-time
   // pool bit-pack.
-  const auto* streamed = dynamic_cast<const StreamedInstance*>(&instance);
-  POOLED_REQUIRE(streamed != nullptr,
-                 "gt decoders need a design-backed (streamed) instance");
   ThreadPool* pool = &context.thread_pool();
-  BinaryDecodeResult result = rule_ == Rule::Dd ? decode_dd(*streamed, pool)
-                                                : decode_comp(*streamed, pool);
+  BinaryDecodeResult result = rule_ == Rule::Dd ? decode_dd(instance, pool)
+                                                : decode_comp(instance, pool);
   return one_shot_outcome(std::move(result.estimate), instance, instance.n());
 }
 

@@ -75,7 +75,7 @@ class BinaryGtDecoder final : public Decoder {
   explicit BinaryGtDecoder(Rule rule) : rule_(rule) {}
 
   using Decoder::decode;
-  [[nodiscard]] DecodeOutcome decode(const Instance& instance,
+  [[nodiscard]] DecodeOutcome decode(const StreamedInstance& instance,
                                      const DecodeContext& context) const override;
   [[nodiscard]] std::string name() const override;
 

@@ -38,7 +38,7 @@ ThreadPool& DecodeContext::thread_pool() const {
   return *pool;
 }
 
-DecodeOutcome one_shot_outcome(Signal estimate, const Instance& instance,
+DecodeOutcome one_shot_outcome(Signal estimate, const StreamedInstance& instance,
                                std::uint64_t score_evals) {
   DecodeOutcome outcome;
   outcome.estimate = std::move(estimate);
@@ -49,7 +49,7 @@ DecodeOutcome one_shot_outcome(Signal estimate, const Instance& instance,
   return outcome;
 }
 
-Signal Decoder::decode(const Instance& instance, std::uint32_t k,
+Signal Decoder::decode(const StreamedInstance& instance, std::uint32_t k,
                        ThreadPool& pool) const {
   DecodeOutcome outcome = decode(instance, DecodeContext(k, pool));
   return std::move(outcome.estimate);

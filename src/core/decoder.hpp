@@ -114,7 +114,7 @@ struct DecodeOutcome {
 /// Fills the one-shot diagnostic shape: one round over all m observed
 /// queries, StopReason::Completed. `score_evals` is decoder-specific.
 [[nodiscard]] DecodeOutcome one_shot_outcome(Signal estimate,
-                                             const Instance& instance,
+                                             const StreamedInstance& instance,
                                              std::uint64_t score_evals = 0);
 
 class Decoder {
@@ -123,7 +123,7 @@ class Decoder {
 
   /// Reconstructs a weight-context.k estimate of the hidden signal from
   /// (G, y) and reports how the decode went.
-  [[nodiscard]] virtual DecodeOutcome decode(const Instance& instance,
+  [[nodiscard]] virtual DecodeOutcome decode(const StreamedInstance& instance,
                                              const DecodeContext& context) const = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
@@ -131,7 +131,7 @@ class Decoder {
   /// v1-shaped convenience: builds a context from (k, pool) and returns
   /// just the estimate. Non-virtual -- implementations override the
   /// context form and re-export this with `using Decoder::decode;`.
-  [[nodiscard]] Signal decode(const Instance& instance, std::uint32_t k,
+  [[nodiscard]] Signal decode(const StreamedInstance& instance, std::uint32_t k,
                               ThreadPool& pool) const;
 };
 

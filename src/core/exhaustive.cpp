@@ -19,7 +19,7 @@ namespace {
 /// above C(n,k) ~ 10^6.
 class Enumerator {
  public:
-  Enumerator(const Instance& instance, std::uint32_t k, std::uint64_t cap)
+  Enumerator(const StreamedInstance& instance, std::uint32_t k, std::uint64_t cap)
       : n_(instance.n()), m_(instance.m()), k_(k), cap_(cap),
         targets_(instance.results()) {
     POOLED_REQUIRE(k_ <= n_, "weight exceeds signal length");
@@ -132,7 +132,7 @@ class Enumerator {
 
 }  // namespace
 
-ConsistencyCount count_consistent(const Instance& instance, std::uint32_t k,
+ConsistencyCount count_consistent(const StreamedInstance& instance, std::uint32_t k,
                                   const Signal* truth, std::uint64_t enumeration_cap) {
   Enumerator enumerator(instance, k, enumeration_cap);
   ConsistencyCount result;
@@ -153,7 +153,7 @@ ConsistencyCount count_consistent(const Instance& instance, std::uint32_t k,
   return result;
 }
 
-std::optional<Signal> exhaustive_unique_decode(const Instance& instance,
+std::optional<Signal> exhaustive_unique_decode(const StreamedInstance& instance,
                                                std::uint32_t k,
                                                std::uint64_t enumeration_cap) {
   Enumerator enumerator(instance, k, enumeration_cap);
@@ -172,7 +172,7 @@ std::optional<Signal> exhaustive_unique_decode(const Instance& instance,
   return Signal(instance.n(), std::move(found));
 }
 
-DecodeOutcome ExhaustiveDecoder::decode(const Instance& instance,
+DecodeOutcome ExhaustiveDecoder::decode(const StreamedInstance& instance,
                                         const DecodeContext& context) const {
   // Enumeration is sequential by nature at toy sizes; the pool is unused.
   Enumerator enumerator(instance, context.k, 100'000'000);

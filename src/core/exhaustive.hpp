@@ -33,14 +33,14 @@ struct ConsistencyCount {
 
 /// Counts consistent weight-k vectors by full enumeration.
 /// Aborts (truncated=true) once `enumeration_cap` vectors were scanned.
-ConsistencyCount count_consistent(const Instance& instance, std::uint32_t k,
+ConsistencyCount count_consistent(const StreamedInstance& instance, std::uint32_t k,
                                   const Signal* truth = nullptr,
                                   std::uint64_t enumeration_cap = 100'000'000);
 
 /// The information-theoretically optimal (exponential-time) decoder:
 /// returns the unique consistent weight-k vector, or nullopt if zero or
 /// multiple vectors are consistent (the student must guess -> failure).
-std::optional<Signal> exhaustive_unique_decode(const Instance& instance,
+std::optional<Signal> exhaustive_unique_decode(const StreamedInstance& instance,
                                                std::uint32_t k,
                                                std::uint64_t enumeration_cap =
                                                    100'000'000);
@@ -51,7 +51,7 @@ std::optional<Signal> exhaustive_unique_decode(const Instance& instance,
 class ExhaustiveDecoder final : public Decoder {
  public:
   using Decoder::decode;
-  [[nodiscard]] DecodeOutcome decode(const Instance& instance,
+  [[nodiscard]] DecodeOutcome decode(const StreamedInstance& instance,
                                      const DecodeContext& context) const override;
   [[nodiscard]] std::string name() const override { return "exhaustive"; }
 };

@@ -55,8 +55,8 @@ class IncrementalMn {
 
   /// Whether the candidate explains the m() folded results, by the
   /// fingerprint of the folded prefix: O(k), with the one-sided error of
-  /// Instance::is_consistent. Meaningful only when the results are the
-  /// pooled sums themselves (the quantitative channel).
+  /// StreamedInstance::is_consistent. Meaningful only when the results
+  /// are the pooled sums themselves (the quantitative channel).
   [[nodiscard]] bool is_consistent(const Signal& candidate) const;
 
   /// That fingerprint, covering queries [0, m()), as an instance of the

@@ -23,16 +23,15 @@ std::uint32_t pooled_sum(const Signal& candidate,
   return sum;
 }
 
-// Per-channel pooled observations, shared by results_for/is_consistent
-// (the channel switch is hoisted to their per-decode level). Each loop
-// stops as soon as the outcome is decided: the quantitative scan once
-// the partial sum exceeds `cap` (sums only grow -- callers pass the
-// observed target, or no cap to get the exact sum), the OR channel at
-// the first one-entry, the threshold channel once the count reaches T.
+// Per-channel pooled observations of is_consistent (the channel switch
+// is hoisted to its per-decode level). Each loop stops as soon as the
+// outcome is decided: the quantitative scan once the partial sum exceeds
+// the observed target (sums only grow), the OR channel at the first
+// one-entry, the threshold channel once the count reaches T.
 
 std::uint32_t observe_quantitative(const Signal& candidate,
                                    const std::vector<std::uint32_t>& members,
-                                   std::uint32_t cap = 0xFFFFFFFFu) {
+                                   std::uint32_t cap) {
   std::uint32_t sum = 0;
   for (std::uint32_t entry : members) {
     sum += candidate.value(entry);
@@ -62,39 +61,7 @@ std::uint32_t observe_threshold(const Signal& candidate,
 
 }  // namespace
 
-std::vector<std::uint32_t> Instance::results_for(const Signal& candidate) const {
-  POOLED_REQUIRE(candidate.n() == n(), "candidate length mismatch");
-  std::vector<std::uint32_t> y(m());
-  DecodeArena& arena = DecodeArena::local();
-  std::vector<std::uint32_t>& members = arena.members();
-  // Channel dispatch hoisted out of the per-query loop; the one-bit
-  // channels stop scanning a pool as soon as the outcome is decided.
-  switch (channel()) {
-    case ChannelKind::Quantitative:
-      for (std::uint32_t q = 0; q < m(); ++q) {
-        query_members(q, members);
-        y[q] = observe_quantitative(candidate, members);
-      }
-      break;
-    case ChannelKind::Binary:
-      for (std::uint32_t q = 0; q < m(); ++q) {
-        query_members(q, members);
-        y[q] = observe_binary(candidate, members);
-      }
-      break;
-    case ChannelKind::Threshold: {
-      const std::uint32_t t = channel_threshold();
-      for (std::uint32_t q = 0; q < m(); ++q) {
-        query_members(q, members);
-        y[q] = observe_threshold(candidate, members, t);
-      }
-      break;
-    }
-  }
-  return y;
-}
-
-bool Instance::is_consistent(const Signal& candidate) const {
+bool StreamedInstance::is_consistent(const Signal& candidate) const {
   POOLED_REQUIRE(candidate.n() == n(), "candidate length mismatch");
   // The exact pass starts after the fingerprinted prefix.
   std::uint32_t first = 0;
@@ -134,52 +101,10 @@ bool Instance::is_consistent(const Signal& candidate) const {
   return true;
 }
 
-std::uint64_t Instance::total_result() const {
+std::uint64_t StreamedInstance::total_result() const {
   std::uint64_t total = 0;
   for (std::uint32_t value : results()) total += value;
   return total;
-}
-
-// ---------------------------------------------------------------------------
-// StoredInstance
-
-StoredInstance::StoredInstance(BipartiteMultigraph graph, std::vector<std::uint32_t> y)
-    : graph_(std::move(graph)), y_(std::move(y)) {
-  POOLED_REQUIRE(y_.size() == graph_.num_queries(),
-                 "result vector length must equal query count");
-}
-
-void StoredInstance::query_members(std::uint32_t query,
-                                   std::vector<std::uint32_t>& out) const {
-  out.clear();
-  for (const MultiEdge& e : graph_.query_row(query)) {
-    for (std::uint32_t c = 0; c < e.multiplicity; ++c) out.push_back(e.node);
-  }
-}
-
-void StoredInstance::entry_stats_into(ThreadPool& pool, EntryStats& stats,
-                                      CountMode mode) const {
-  const std::uint32_t num = n();
-  stats.resize(num, mode);
-  const bool every_draw = mode == CountMode::EveryDraw;
-  parallel_for(
-      pool, 0, num,
-      [&](std::size_t i) {
-        std::uint64_t sum = 0, count = 0;
-        for (const MultiEdge& e : graph_.entry_row(static_cast<std::uint32_t>(i))) {
-          const std::uint64_t times = every_draw ? e.multiplicity : 1;
-          sum += times * y_[e.node];
-          count += times;
-        }
-        if (every_draw) {
-          stats.psi_multi[i] = sum;
-          stats.delta[i] = count;
-        } else {
-          stats.psi[i] = sum;
-          stats.delta_star[i] = static_cast<std::uint32_t>(count);
-        }
-      },
-      /*grain=*/256);  // each element walks an adjacency row
 }
 
 // ---------------------------------------------------------------------------
@@ -222,6 +147,10 @@ void StreamedInstance::publish_fingerprint(QueryFingerprint print) const {
   const LockGuard lock(fingerprint_mutex_);
   if (fingerprint_ == nullptr) {
     fingerprint_ = std::make_unique<const QueryFingerprint>(std::move(print));
+  } else if (fingerprint_->queries < m_ && print.queries == m_) {
+    // Jobs may hold the partial one's pointer: it lives on in superseded_.
+    superseded_ = std::move(fingerprint_);
+    fingerprint_ = std::make_unique<const QueryFingerprint>(std::move(print));
   }
 }
 
@@ -254,9 +183,11 @@ void StreamedInstance::entry_stats_into(ThreadPool& pool, EntryStats& stats,
   // As many lanes as POOLED_ARENA_BUDGET_MB admits, at least one.
   const unsigned lanes = DecodeArena::record_lanes(pool.size(), num);
   // Only the quantitative channel is linear; a pass records the
-  // fingerprint while none is published, later ones fold a zero weight.
-  const bool record =
-      channel_ == ChannelKind::Quantitative && fingerprint() == nullptr;
+  // fingerprint while none of all m queries is published, later ones
+  // fold a zero weight.
+  const QueryFingerprint* published = fingerprint();
+  const bool record = channel_ == ChannelKind::Quantitative &&
+                      (published == nullptr || published->queries < m_);
   std::atomic<std::uint64_t> target{0};
   // Per-lane private records (no atomics, no per-chunk allocation): each
   // executing thread folds its queries into its lane's block, one cache
@@ -324,22 +255,6 @@ std::vector<std::uint32_t> simulate_queries(const PoolingDesign& design,
   return y;
 }
 
-std::unique_ptr<StoredInstance> make_stored_instance(const PoolingDesign& design,
-                                                     std::uint32_t m,
-                                                     const Signal& truth,
-                                                     ThreadPool& pool) {
-  POOLED_REQUIRE(design.num_entries() == truth.n(), "design/signal length mismatch");
-  BipartiteMultigraph::Builder builder(design.num_entries(), m);
-  std::vector<std::uint32_t> y(m);
-  std::vector<std::uint32_t> members;
-  for (std::uint32_t q = 0; q < m; ++q) {
-    design.query_members(q, members);
-    y[q] = pooled_sum(truth, members);
-    builder.add_query(members);
-  }
-  return std::make_unique<StoredInstance>(builder.finalize(&pool), std::move(y));
-}
-
 std::unique_ptr<StreamedInstance> make_streamed_instance(
     std::shared_ptr<const PoolingDesign> design, std::uint32_t m,
     const Signal& truth, ThreadPool& pool, ChannelKind channel,
@@ -350,22 +265,6 @@ std::unique_ptr<StreamedInstance> make_streamed_instance(
   return std::make_unique<StreamedInstance>(
       std::move(design), m, std::move(y), channel,
       channel == ChannelKind::Threshold ? threshold : 1);
-}
-
-std::uint32_t estimate_k_extra_query(const Signal& truth) {
-  // One additional parallel query pooling every entry once returns
-  // sum_i sigma(i) = k exactly.
-  return truth.k();
-}
-
-BipartiteMultigraph materialize_graph(const Instance& instance) {
-  BipartiteMultigraph::Builder builder(instance.n(), instance.m());
-  std::vector<std::uint32_t> members;
-  for (std::uint32_t q = 0; q < instance.m(); ++q) {
-    instance.query_members(q, members);
-    builder.add_query(members);
-  }
-  return builder.finalize();
 }
 
 }  // namespace pooled

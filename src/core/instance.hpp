@@ -1,15 +1,11 @@
 // A pooled-data instance: the observable data (G, y) handed to the
 // student in the teacher-student model.
 //
-// Two backends share one interface:
-//  * StoredInstance   -- materializes the bipartite multigraph; right for
-//                        small/medium n, exhaustive decoding, and tests.
-//  * StreamedInstance -- keeps only (design, m, y) and regenerates any
-//                        query from its Philox stream; O(n + m) memory,
-//                        right for paper-scale n where the graph has
-//                        ~m*n/2 edges.
-// Both produce bit-identical entry statistics for the same design+seed,
-// which the test suite asserts.
+// StreamedInstance keeps only (design, m, y) and regenerates any query
+// from the design's keyed Philox stream: O(n + m) memory, where the
+// graph itself has ~m*n/2 edges at paper scale. Every decoder reads this
+// one class; the baselines that need matrix access build a CsrMatrix
+// from it (linalg/csr_matrix.hpp).
 #pragma once
 
 #include <cstdint>
@@ -19,7 +15,6 @@
 
 #include "core/signal.hpp"
 #include "design/design.hpp"
-#include "graph/bipartite.hpp"
 #include "graph/packed_pools.hpp"
 #include "support/thread_annotations.hpp"
 
@@ -121,26 +116,33 @@ struct QueryFingerprint {
 /// agree.
 [[nodiscard]] std::uint64_t fingerprint_weight(std::uint32_t query);
 
-class Instance {
+/// Instance that regenerates queries from the design's keyed streams.
+/// Optionally carries a one-bit observation channel: the group-testing
+/// instances of §I.D / §VI are this class with y 0/1 per query, decoded
+/// by COMP/DD (binarygt/) and threshold-MN (thresholdgt/) directly.
+class StreamedInstance {
  public:
-  virtual ~Instance() = default;
+  StreamedInstance(std::shared_ptr<const PoolingDesign> design, std::uint32_t m,
+                   std::vector<std::uint32_t> y,
+                   ChannelKind channel = ChannelKind::Quantitative,
+                   std::uint32_t threshold = 1);
 
-  [[nodiscard]] virtual std::uint32_t n() const = 0;
-  [[nodiscard]] virtual std::uint32_t m() const = 0;
+  [[nodiscard]] std::uint32_t n() const { return design_->num_entries(); }
+  [[nodiscard]] std::uint32_t m() const { return m_; }
 
   /// Query results y (the only signal-dependent observable).
-  [[nodiscard]] virtual const std::vector<std::uint32_t>& results() const = 0;
+  [[nodiscard]] const std::vector<std::uint32_t>& results() const { return y_; }
 
   /// Membership draws of query j, duplicates included.
-  virtual void query_members(std::uint32_t query,
-                             std::vector<std::uint32_t>& out) const = 0;
+  void query_members(std::uint32_t query, std::vector<std::uint32_t>& out) const;
 
   /// Computes the per-entry aggregates `mode` names (parallel over
-  /// queries/entries) into `out`: that pair gets n() entries, the other
-  /// pair is emptied. Decoders pass arena-owned stats so the steady state
-  /// allocates nothing.
-  virtual void entry_stats_into(ThreadPool& pool, EntryStats& out,
-                                CountMode mode) const = 0;
+  /// queries) into `out`: that pair gets n() entries, the other pair is
+  /// emptied. Decoders pass arena-owned stats so the steady state
+  /// allocates nothing. On the quantitative channel, a pass run while the
+  /// published fingerprint covers fewer than m queries (or none is
+  /// published) also records one of all m queries.
+  void entry_stats_into(ThreadPool& pool, EntryStats& out, CountMode mode) const;
 
   /// The Distinct pass (Ψ, Δ*), which the centred MN score reads.
   void entry_stats_into(ThreadPool& pool, EntryStats& out) const {
@@ -155,26 +157,25 @@ class Instance {
     return stats;
   }
 
-  /// The fingerprint of Ax = y over a query prefix, or nullptr. Only
-  /// StreamedInstance carries one, on the quantitative channel: recorded
-  /// by its entry-statistics pass or published by an adaptive MN decode.
-  /// Once non-null it never changes, so the pointer stays valid for the
-  /// instance's lifetime.
-  [[nodiscard]] virtual const QueryFingerprint* fingerprint() const {
-    return nullptr;
-  }
+  /// The fingerprint of Ax = y over a query prefix, or nullptr; only the
+  /// quantitative channel carries one, recorded by the entry-statistics
+  /// pass or published by an adaptive MN decode. A returned pointer stays
+  /// valid for the instance's lifetime (see publish_fingerprint).
+  [[nodiscard]] const QueryFingerprint* fingerprint() const;
+
+  /// Publishes `print` as fingerprint() when none is published, or when
+  /// `print` covers all m queries and the published one does not. So at
+  /// most one fingerprint is ever superseded, and it stays allocated
+  /// until the instance dies, because concurrent jobs may be reading it.
+  /// Quantitative channel only; `print` covers at most m queries of the
+  /// n entries.
+  void publish_fingerprint(QueryFingerprint print) const;
 
   /// Output channel the observed results() went through.
-  [[nodiscard]] virtual ChannelKind channel() const {
-    return ChannelKind::Quantitative;
-  }
+  [[nodiscard]] ChannelKind channel() const { return channel_; }
 
   /// Threshold T for ChannelKind::Threshold (1 otherwise).
-  [[nodiscard]] virtual std::uint32_t channel_threshold() const { return 1; }
-
-  /// y(candidate): results the candidate signal would produce (through
-  /// the instance's channel).
-  [[nodiscard]] std::vector<std::uint32_t> results_for(const Signal& candidate) const;
+  [[nodiscard]] std::uint32_t channel_threshold() const { return threshold_; }
 
   /// True if the candidate explains every observed query result. The
   /// fingerprint() answers the queries it covers in O(k) (one-sided error
@@ -182,70 +183,8 @@ class Instance {
   /// all m queries leaves no pass, and no fingerprint leaves a full one.
   [[nodiscard]] bool is_consistent(const Signal& candidate) const;
 
-  /// Sum of all query results (= sum_i sigma_i * Δ_i); the "one extra
-  /// query over all entries" k-estimator uses results_for on the all-ones
-  /// probe instead, see estimate_k().
+  /// Sum of all query results (= sum_i sigma_i * Δ_i).
   [[nodiscard]] std::uint64_t total_result() const;
-};
-
-/// Instance with a materialized graph.
-class StoredInstance final : public Instance {
- public:
-  StoredInstance(BipartiteMultigraph graph, std::vector<std::uint32_t> y);
-
-  [[nodiscard]] std::uint32_t n() const override { return graph_.num_entries(); }
-  [[nodiscard]] std::uint32_t m() const override { return graph_.num_queries(); }
-  [[nodiscard]] const std::vector<std::uint32_t>& results() const override {
-    return y_;
-  }
-  void query_members(std::uint32_t query,
-                     std::vector<std::uint32_t>& out) const override;
-  using Instance::entry_stats_into;
-  void entry_stats_into(ThreadPool& pool, EntryStats& out,
-                        CountMode mode) const override;
-
-  [[nodiscard]] const BipartiteMultigraph& graph() const { return graph_; }
-
- private:
-  BipartiteMultigraph graph_;
-  std::vector<std::uint32_t> y_;
-};
-
-/// Instance that regenerates queries from the design's keyed streams.
-/// Optionally carries a one-bit observation channel: the group-testing
-/// instances of §I.D / §VI are this class with y 0/1 per query, decoded
-/// by COMP/DD (binarygt/) and threshold-MN (thresholdgt/) directly.
-class StreamedInstance final : public Instance {
- public:
-  StreamedInstance(std::shared_ptr<const PoolingDesign> design, std::uint32_t m,
-                   std::vector<std::uint32_t> y,
-                   ChannelKind channel = ChannelKind::Quantitative,
-                   std::uint32_t threshold = 1);
-
-  [[nodiscard]] std::uint32_t n() const override { return design_->num_entries(); }
-  [[nodiscard]] std::uint32_t m() const override { return m_; }
-  [[nodiscard]] const std::vector<std::uint32_t>& results() const override {
-    return y_;
-  }
-  void query_members(std::uint32_t query,
-                     std::vector<std::uint32_t>& out) const override;
-  using Instance::entry_stats_into;
-  /// On the quantitative channel, a pass run while no fingerprint is
-  /// published also records one of all m queries.
-  void entry_stats_into(ThreadPool& pool, EntryStats& out,
-                        CountMode mode) const override;
-  [[nodiscard]] const QueryFingerprint* fingerprint() const override;
-
-  /// Publishes `print` as fingerprint() unless one is already published:
-  /// the first wins, and a published fingerprint is never replaced or
-  /// freed, because concurrent jobs may be reading it. Quantitative
-  /// channel only; `print` covers at most m queries of the n entries.
-  void publish_fingerprint(QueryFingerprint print) const;
-
-  [[nodiscard]] ChannelKind channel() const override { return channel_; }
-  [[nodiscard]] std::uint32_t channel_threshold() const override {
-    return threshold_;
-  }
 
   [[nodiscard]] const PoolingDesign& design() const { return *design_; }
   /// Shared ownership of the design (prefix, noisy and channel-collapsed
@@ -267,10 +206,13 @@ class StreamedInstance final : public Instance {
   std::vector<std::uint32_t> y_;
   ChannelKind channel_ = ChannelKind::Quantitative;
   std::uint32_t threshold_ = 1;
-  // Published once, by the first pass or adaptive decode that records it,
-  // and immutable after.
+  // Published by the first pass or adaptive decode that records one;
+  // a partial one is superseded at most once, by a full one, and then
+  // kept alive in superseded_.
   mutable AnnotatedMutex fingerprint_mutex_;
   mutable std::unique_ptr<const QueryFingerprint> fingerprint_
+      POOLED_GUARDED_BY(fingerprint_mutex_);
+  mutable std::unique_ptr<const QueryFingerprint> superseded_
       POOLED_GUARDED_BY(fingerprint_mutex_);
   mutable std::once_flag packed_once_;
   mutable std::unique_ptr<const PackedPools> packed_;
@@ -284,27 +226,12 @@ std::vector<std::uint32_t> simulate_queries(
     ThreadPool& pool, ChannelKind channel = ChannelKind::Quantitative,
     std::uint32_t threshold = 1);
 
-/// Teacher step, stored backend: draw the graph, run the queries.
-std::unique_ptr<StoredInstance> make_stored_instance(const PoolingDesign& design,
-                                                     std::uint32_t m,
-                                                     const Signal& truth,
-                                                     ThreadPool& pool);
-
-/// Teacher step, streamed backend, on any channel: binary group testing
-/// is `ChannelKind::Binary`, threshold-T group testing
+/// Teacher step on any channel: binary group testing is
+/// `ChannelKind::Binary`, threshold-T group testing
 /// `(ChannelKind::Threshold, T)`.
 std::unique_ptr<StreamedInstance> make_streamed_instance(
     std::shared_ptr<const PoolingDesign> design, std::uint32_t m,
     const Signal& truth, ThreadPool& pool,
     ChannelKind channel = ChannelKind::Quantitative, std::uint32_t threshold = 1);
-
-/// Exact Hamming weight from one additional all-entries query (the
-/// paper's observation that k need not be known a priori).
-std::uint32_t estimate_k_extra_query(const Signal& truth);
-
-/// Materializes the full bipartite multigraph of an instance (regenerates
-/// every query). Baseline decoders that need matrix access use this; cost
-/// is O(sum of pool sizes) time and memory.
-BipartiteMultigraph materialize_graph(const Instance& instance);
 
 }  // namespace pooled

@@ -119,7 +119,7 @@ std::vector<std::uint32_t> select_top_k(std::vector<double>& scores, std::uint32
   return top_k_support(scores.data(), scores.size(), k, full_sort, pool);
 }
 
-MnResult MnDecoder::decode_scored(const Instance& instance, std::uint32_t k,
+MnResult MnDecoder::decode_scored(const StreamedInstance& instance, std::uint32_t k,
                                   ThreadPool& pool) const {
   POOLED_REQUIRE(k <= instance.n(), "weight k exceeds signal length");
   const EntryStats stats = instance.entry_stats(pool, count_mode());
@@ -129,7 +129,7 @@ MnResult MnDecoder::decode_scored(const Instance& instance, std::uint32_t k,
   return MnResult{Signal(instance.n(), std::move(support)), std::move(scores)};
 }
 
-DecodeOutcome MnDecoder::decode(const Instance& instance,
+DecodeOutcome MnDecoder::decode(const StreamedInstance& instance,
                                 const DecodeContext& context) const {
   ThreadPool& pool = context.thread_pool();
   // Zero-alloc steady state: statistics and scores live in the decoding

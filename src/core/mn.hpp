@@ -47,11 +47,11 @@ class MnDecoder final : public Decoder {
   explicit MnDecoder(MnOptions options = {});
 
   using Decoder::decode;
-  [[nodiscard]] DecodeOutcome decode(const Instance& instance,
+  [[nodiscard]] DecodeOutcome decode(const StreamedInstance& instance,
                                      const DecodeContext& context) const override;
 
   /// Decode keeping the score vector (used by diagnostics and examples).
-  [[nodiscard]] MnResult decode_scored(const Instance& instance, std::uint32_t k,
+  [[nodiscard]] MnResult decode_scored(const StreamedInstance& instance, std::uint32_t k,
                                        ThreadPool& pool) const;
 
   /// Scores from precomputed entry statistics, as a fresh vector.

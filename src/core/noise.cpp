@@ -161,22 +161,15 @@ void apply_noise(std::vector<std::uint32_t>& results, const NoiseModel& model,
   }
 }
 
-std::shared_ptr<const Instance> with_noise(std::shared_ptr<const Instance> instance,
-                                           const NoiseModel& model) {
+std::shared_ptr<const StreamedInstance> with_noise(
+    std::shared_ptr<const StreamedInstance> instance, const NoiseModel& model) {
   POOLED_REQUIRE(instance != nullptr, "with_noise needs an instance");
   if (!model.enabled()) return instance;
   std::vector<std::uint32_t> y = instance->results();
   apply_noise(y, model, instance->channel());
-  if (const auto* streamed = dynamic_cast<const StreamedInstance*>(instance.get())) {
-    return std::make_shared<StreamedInstance>(streamed->design_ptr(), streamed->m(),
-                                              std::move(y), streamed->channel(),
-                                              streamed->channel_threshold());
-  }
-  if (const auto* stored = dynamic_cast<const StoredInstance*>(instance.get())) {
-    return std::make_shared<StoredInstance>(stored->graph(), std::move(y));
-  }
-  POOLED_REQUIRE(false, "with_noise supports streamed and stored instances only");
-  return instance;
+  return std::make_shared<StreamedInstance>(instance->design_ptr(), instance->m(),
+                                            std::move(y), instance->channel(),
+                                            instance->channel_threshold());
 }
 
 }  // namespace pooled

@@ -88,10 +88,10 @@ struct NoiseModel {
 void apply_noise(std::vector<std::uint32_t>& results, const NoiseModel& model,
                  ChannelKind channel = ChannelKind::Quantitative);
 
-/// Instance with `model` applied to its results; returns the input
-/// unchanged (no copy) when the model is disabled. Works for the streamed
-/// and stored backends; throws ContractError for other instance types.
-std::shared_ptr<const Instance> with_noise(std::shared_ptr<const Instance> instance,
-                                           const NoiseModel& model);
+/// Instance with `model` applied to its results, on the same design and
+/// channel; returns the input unchanged (no copy) when the model is
+/// disabled.
+std::shared_ptr<const StreamedInstance> with_noise(
+    std::shared_ptr<const StreamedInstance> instance, const NoiseModel& model);
 
 }  // namespace pooled

@@ -22,7 +22,6 @@ class ColumnRegularDesign final : public PoolingDesign {
                      std::vector<std::uint32_t>& out) const override;
   [[nodiscard]] double expected_pool_size() const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] bool unbounded() const override { return false; }
 
   [[nodiscard]] std::uint32_t num_queries() const { return m_; }
   [[nodiscard]] std::uint32_t entry_degree() const { return degree_; }

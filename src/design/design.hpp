@@ -1,8 +1,9 @@
 // Pooling designs: how each query selects its pool of entries.
 //
 // A design is a *deterministic* function of (seed, query index): the same
-// design object always regenerates the same pools. This is what lets the
-// streamed instance backend re-derive any query without storing the graph.
+// design object always regenerates the same pools. This is what lets an
+// instance (core/instance.hpp: design, m and the results y) re-derive any
+// query without storing the graph.
 #pragma once
 
 #include <cstdint>
@@ -30,10 +31,6 @@ class PoolingDesign {
 
   /// Human-readable identification for reports.
   [[nodiscard]] virtual std::string name() const = 0;
-
-  /// True if query_members can be called for any index without preparation
-  /// (false for materialized designs bounded by a fixed m).
-  [[nodiscard]] virtual bool unbounded() const { return true; }
 };
 
 /// Built-in design kinds (see the matching classes for semantics).

@@ -20,12 +20,9 @@ AdaptiveDecoder::AdaptiveDecoder(std::shared_ptr<const Decoder> inner,
   POOLED_REQUIRE(options_.batch_size >= 1, "adaptive batch size L must be >= 1");
 }
 
-DecodeOutcome AdaptiveDecoder::decode(const Instance& instance,
+DecodeOutcome AdaptiveDecoder::decode(const StreamedInstance& instance,
                                       const DecodeContext& context) const {
   const Timer timer;
-  const auto* streamed = dynamic_cast<const StreamedInstance*>(&instance);
-  POOLED_REQUIRE(streamed != nullptr,
-                 "adaptive decoding needs a design-backed (streamed) instance");
   const auto& y = instance.results();
   // The instance's m queries are the budget; the context may tighten it.
   const std::uint32_t available = static_cast<std::uint32_t>(
@@ -38,9 +35,9 @@ DecodeOutcome AdaptiveDecoder::decode(const Instance& instance,
   // keep working and the stopping rule observes through the channel).
   const auto prefix = [&](std::uint32_t count) {
     return StreamedInstance(
-        streamed->design_ptr(), count,
+        instance.design_ptr(), count,
         std::vector<std::uint32_t>(y.begin(), y.begin() + count),
-        streamed->channel(), streamed->channel_threshold());
+        instance.channel(), instance.channel_threshold());
   };
   // MN inners fold each round's new queries into one accumulator instead
   // of re-decoding the prefix. The fold is serial: at paper scale a
@@ -48,13 +45,13 @@ DecodeOutcome AdaptiveDecoder::decode(const Instance& instance,
   // every round costs.
   std::optional<IncrementalMn> incremental;
   if (const auto* mn = dynamic_cast<const MnDecoder*>(inner_.get())) {
-    incremental.emplace(streamed->design_ptr(), mn->options());
+    incremental.emplace(instance.design_ptr(), mn->options());
   }
   // On the linear channel the accumulator's fingerprint checks the
   // folded prefix in O(k); one-bit channels and other inners check it by
   // the exact pass.
   const bool fingerprinted =
-      incremental && streamed->channel() == ChannelKind::Quantitative;
+      incremental && instance.channel() == ChannelKind::Quantitative;
 
   DecodeOutcome outcome;
   outcome.estimate = Signal(instance.n());
@@ -126,10 +123,11 @@ DecodeOutcome AdaptiveDecoder::decode(const Instance& instance,
     }
   }
   // The folded prefix's fingerprint goes on the served instance, so the
-  // engine's final check regenerates only the queries after it. The
-  // first fingerprint published on a shared instance stays.
-  if (fingerprinted && incremental->m() > 0 && streamed->fingerprint() == nullptr) {
-    streamed->publish_fingerprint(incremental->fingerprint());
+  // engine's final check regenerates only the queries after it. A
+  // fingerprint already published on a shared instance stays; a later
+  // one-shot pass may supersede a partial one (publish_fingerprint).
+  if (fingerprinted && incremental->m() > 0 && instance.fingerprint() == nullptr) {
+    instance.publish_fingerprint(incremental->fingerprint());
   }
   // `round` is reported as-is: an immediate cancel/deadline stops with 0
   // rounds run, matching the 0 on_round callbacks the stats sink saw.

@@ -44,7 +44,7 @@ class AdaptiveDecoder final : public Decoder {
   AdaptiveDecoder(std::shared_ptr<const Decoder> inner, AdaptiveOptions options);
 
   using Decoder::decode;
-  [[nodiscard]] DecodeOutcome decode(const Instance& instance,
+  [[nodiscard]] DecodeOutcome decode(const StreamedInstance& instance,
                                      const DecodeContext& context) const override;
 
   /// "adaptive-<inner>-L<batch>".

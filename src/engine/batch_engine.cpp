@@ -89,7 +89,7 @@ DecodeReport execute(const DecodeJob& job, std::size_t index, ThreadPool& pool,
   context.cancel = job.cancel;
   context.stats = job.stats;
 
-  const Instance& instance = *bundle.instance;
+  const StreamedInstance& instance = *bundle.instance;
   report.decoder_name = decoder->name();
   report.n = instance.n();
   const Timer decode_timer;

@@ -28,7 +28,7 @@ class TraceSpan;
 
 /// Instance plus (optionally) the hidden truth it was generated from.
 struct InstanceBundle {
-  std::shared_ptr<const Instance> instance;
+  std::shared_ptr<const StreamedInstance> instance;
   std::optional<std::vector<std::uint32_t>> truth_support;
 };
 
@@ -37,7 +37,7 @@ struct InstanceBundle {
 /// worker, so expensive construction overlaps with other jobs), then
 /// serialized `spec`.
 struct DecodeJob {
-  std::shared_ptr<const Instance> instance;
+  std::shared_ptr<const StreamedInstance> instance;
   std::function<InstanceBundle(ThreadPool&)> build;
   std::optional<InstanceSpec> spec;
 
@@ -47,10 +47,10 @@ struct DecodeJob {
   /// Truth support to score against (overrides the builder's, when both set).
   std::optional<std::vector<std::uint32_t>> truth_support;
   /// Verify the estimate against every observed query result
-  /// (Instance::is_consistent). O(k) for quantitative MN decodes, whose
-  /// pass or fold leaves a fingerprint on the instance; a pass over the
-  /// design (comparable to the original simulation) for the queries no
-  /// fingerprint covers, so bulk Monte-Carlo callers turn it off.
+  /// (StreamedInstance::is_consistent). O(k) for quantitative MN decodes,
+  /// whose pass or fold leaves a fingerprint on the instance; a pass over
+  /// the design (comparable to the original simulation) for the queries
+  /// no fingerprint covers, so bulk Monte-Carlo callers turn it off.
   bool check_consistency = true;
 
   // -- decode options (protocol v2 job fields) --------------------------

@@ -1,7 +1,9 @@
 #include "linalg/csr_matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
 
+#include "core/instance.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/assert.hpp"
@@ -21,40 +23,28 @@ CsrMatrix::CsrMatrix(std::uint32_t rows, std::uint32_t cols,
   POOLED_REQUIRE(row_offsets_.back() == col_idx_.size(), "CSR offsets inconsistent");
 }
 
-namespace {
-
-CsrMatrix build_from_rows(std::uint32_t rows, std::uint32_t cols, bool binary,
-                          const auto& row_span_of) {
-  std::vector<std::size_t> offsets(rows + 1, 0);
-  for (std::uint32_t r = 0; r < rows; ++r) {
-    offsets[r + 1] = offsets[r] + row_span_of(r).size();
-  }
-  std::vector<std::uint32_t> col_idx(offsets.back());
-  std::vector<double> values(offsets.back());
-  for (std::uint32_t r = 0; r < rows; ++r) {
-    std::size_t slot = offsets[r];
-    for (const MultiEdge& e : row_span_of(r)) {
-      col_idx[slot] = e.node;
-      values[slot] = binary ? 1.0 : static_cast<double>(e.multiplicity);
-      ++slot;
+CsrMatrix CsrMatrix::from_instance(const StreamedInstance& instance, bool binary) {
+  const std::uint32_t n = instance.n();
+  const std::uint32_t m = instance.m();
+  std::vector<std::size_t> offsets(m + 1, 0);
+  std::vector<std::uint32_t> col_idx;
+  std::vector<double> values;
+  std::vector<std::uint32_t> members;
+  for (std::uint32_t q = 0; q < m; ++q) {
+    instance.query_members(q, members);
+    std::sort(members.begin(), members.end());
+    // One slot per run of equal draws.
+    for (std::size_t i = 0; i < members.size();) {
+      POOLED_REQUIRE(members[i] < n, "query references unknown entry");
+      std::size_t j = i;
+      while (j < members.size() && members[j] == members[i]) ++j;
+      col_idx.push_back(members[i]);
+      values.push_back(binary ? 1.0 : static_cast<double>(j - i));
+      i = j;
     }
+    offsets[q + 1] = col_idx.size();
   }
-  return CsrMatrix(rows, cols, std::move(offsets), std::move(col_idx),
-                   std::move(values));
-}
-
-}  // namespace
-
-CsrMatrix CsrMatrix::from_graph_query_rows(const BipartiteMultigraph& graph,
-                                           bool binary) {
-  return build_from_rows(graph.num_queries(), graph.num_entries(), binary,
-                         [&](std::uint32_t q) { return graph.query_row(q); });
-}
-
-CsrMatrix CsrMatrix::from_graph_entry_rows(const BipartiteMultigraph& graph,
-                                           bool binary) {
-  return build_from_rows(graph.num_entries(), graph.num_queries(), binary,
-                         [&](std::uint32_t x) { return graph.entry_row(x); });
+  return CsrMatrix(m, n, std::move(offsets), std::move(col_idx), std::move(values));
 }
 
 std::span<const std::uint32_t> CsrMatrix::row_indices(std::uint32_t row) const {

@@ -4,17 +4,18 @@
 // matrix A in N_0^{m x n} (A_qj = multiplicity of entry j in query q);
 // the MN statistics are the matrix-vector products Psi = A* y, Delta* =
 // A* 1 with A* the 0/1 (distinct) pattern -- see the paper's
-// "Parallelized Reconstruction" discussion.
+// "Parallelized Reconstruction" discussion. The baselines that need
+// matrix access (peeling, OMP, FISTA, IHT) build A once per decode with
+// from_instance and walk its entry rows through transpose().
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "graph/bipartite.hpp"
-
 namespace pooled {
 
+class StreamedInstance;
 class ThreadPool;
 
 class CsrMatrix {
@@ -24,14 +25,13 @@ class CsrMatrix {
             std::vector<std::size_t> row_offsets, std::vector<std::uint32_t> col_idx,
             std::vector<double> values);
 
-  /// Biadjacency matrix of the design graph, rows = queries.
-  /// `binary` replaces multiplicities by 1 (the distinct pattern M).
-  static CsrMatrix from_graph_query_rows(const BipartiteMultigraph& graph,
-                                         bool binary = false);
-
-  /// Transposed biadjacency (rows = entries).
-  static CsrMatrix from_graph_entry_rows(const BipartiteMultigraph& graph,
-                                         bool binary = false);
+  /// Biadjacency matrix A of the instance's design graph (regenerates
+  /// every query): row q holds query q's distinct entries in increasing
+  /// order, each valued by its number of draws (multiplicity). `binary`
+  /// replaces multiplicities by 1 (the distinct pattern M). Rejects a
+  /// draw outside [0, n).
+  static CsrMatrix from_instance(const StreamedInstance& instance,
+                                 bool binary = false);
 
   [[nodiscard]] std::uint32_t rows() const { return rows_; }
   [[nodiscard]] std::uint32_t cols() const { return cols_; }

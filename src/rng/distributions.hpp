@@ -2,7 +2,7 @@
 //
 // All samplers are deterministic functions of the generator sequence, so
 // replaying a PhiloxStream replays the identical draws -- the property the
-// streamed instance backend relies on.
+// streamed instance relies on.
 #pragma once
 
 #include <cmath>

@@ -29,9 +29,10 @@ NoiseModel trial_noise_model(const TrialConfig& config, const TrialSeeds& seeds)
 
 }  // namespace
 
-std::unique_ptr<Instance> build_trial_instance(const TrialConfig& config,
-                                               std::uint64_t trial_index,
-                                               Signal& truth_out, ThreadPool& pool) {
+std::unique_ptr<StreamedInstance> build_trial_instance(const TrialConfig& config,
+                                                       std::uint64_t trial_index,
+                                                       Signal& truth_out,
+                                                       ThreadPool& pool) {
   const TrialSeeds seeds = trial_seeds(config.seed_base, trial_index);
   DesignParams params;
   params.n = config.n;
@@ -44,14 +45,8 @@ std::unique_ptr<Instance> build_trial_instance(const TrialConfig& config,
   if (config.noise.enabled()) {
     apply_noise(y, trial_noise_model(config, seeds));
   }
-  if (config.streamed) {
-    return std::make_unique<StreamedInstance>(std::move(design), config.m,
-                                              std::move(y));
-  }
-  // Stored backend: materialize the graph for the same queries.
-  auto stored_graph = materialize_graph(
-      StreamedInstance(design, config.m, std::vector<std::uint32_t>(config.m, 0)));
-  return std::make_unique<StoredInstance>(std::move(stored_graph), std::move(y));
+  return std::make_unique<StreamedInstance>(std::move(design), config.m,
+                                            std::move(y));
 }
 
 TrialResult run_trial(const TrialConfig& config, const Decoder& decoder,

@@ -23,7 +23,6 @@ struct TrialConfig {
   std::uint64_t gamma = 0;      ///< 0 = paper's n/2 (RandomRegular/Distinct)
   double p = 0.5;               ///< Bernoulli inclusion probability
   std::uint64_t seed_base = 1;
-  bool streamed = true;         ///< streamed vs. stored instance backend
   /// First-class channel noise applied to each trial's results (the
   /// model's seed is decorrelated per trial via the trial's design seed).
   NoiseModel noise;
@@ -64,8 +63,9 @@ AggregateResult run_trials(const TrialConfig& config, const Decoder& decoder,
 
 /// Builds the instance of one trial (shared by benches that need the raw
 /// observables, e.g. the exhaustive Z_k counter).
-std::unique_ptr<Instance> build_trial_instance(const TrialConfig& config,
-                                               std::uint64_t trial_index,
-                                               Signal& truth_out, ThreadPool& pool);
+std::unique_ptr<StreamedInstance> build_trial_instance(const TrialConfig& config,
+                                                       std::uint64_t trial_index,
+                                                       Signal& truth_out,
+                                                       ThreadPool& pool);
 
 }  // namespace pooled

@@ -22,7 +22,7 @@ std::uint64_t threshold_gt_gamma(std::uint32_t n, std::uint32_t k,
       static_cast<std::uint64_t>(std::llround(gamma)), 1, n);
 }
 
-ThresholdDecodeResult decode_threshold_mn(const Instance& instance,
+ThresholdDecodeResult decode_threshold_mn(const StreamedInstance& instance,
                                           std::uint32_t k, ThreadPool& pool) {
   const std::uint32_t n = instance.n();
   const std::uint32_t m = instance.m();
@@ -59,10 +59,10 @@ ThresholdGtDecoder::ThresholdGtDecoder(std::uint32_t threshold)
   POOLED_REQUIRE(threshold_ >= 1, "gt threshold must be >= 1");
 }
 
-DecodeOutcome ThresholdGtDecoder::decode(const Instance& instance,
+DecodeOutcome ThresholdGtDecoder::decode(const StreamedInstance& instance,
                                          const DecodeContext& context) const {
   // Scores `one_bit`; the outcome (and its consistency) is `instance`'s.
-  const auto decode_one_bit = [&](const Instance& one_bit) {
+  const auto decode_one_bit = [&](const StreamedInstance& one_bit) {
     return one_shot_outcome(
         std::move(decode_threshold_mn(one_bit, context.k, context.thread_pool())
                       .estimate),
@@ -81,14 +81,11 @@ DecodeOutcome ThresholdGtDecoder::decode(const Instance& instance,
                        std::to_string(threshold_));
     return decode_one_bit(instance);
   }
-  const auto* streamed = dynamic_cast<const StreamedInstance*>(&instance);
-  POOLED_REQUIRE(streamed != nullptr,
-                 "gt decoders need a design-backed (streamed) instance");
   std::vector<std::uint32_t> y = instance.results();
   for (std::uint32_t& value : y) {
     value = apply_channel(value, ChannelKind::Threshold, threshold_);
   }
-  return decode_one_bit(StreamedInstance(streamed->design_ptr(), streamed->m(),
+  return decode_one_bit(StreamedInstance(instance.design_ptr(), instance.m(),
                                          std::move(y), ChannelKind::Threshold,
                                          threshold_));
 }

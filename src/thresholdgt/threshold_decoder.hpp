@@ -53,7 +53,7 @@ struct ThresholdDecodeResult {
 /// MN-style scoring of a one-bit (binary or threshold channel) instance.
 /// On 0/1 results the Distinct entry-statistics pass MN uses is exactly
 /// (positive-test count, distinct-query count) per entry.
-ThresholdDecodeResult decode_threshold_mn(const Instance& instance,
+ThresholdDecodeResult decode_threshold_mn(const StreamedInstance& instance,
                                           std::uint32_t k, ThreadPool& pool);
 
 /// The `gt:threshold:<T>` registry spec (named "gt-threshold-<T>"). A
@@ -66,7 +66,7 @@ class ThresholdGtDecoder final : public Decoder {
   explicit ThresholdGtDecoder(std::uint32_t threshold);
 
   using Decoder::decode;
-  [[nodiscard]] DecodeOutcome decode(const Instance& instance,
+  [[nodiscard]] DecodeOutcome decode(const StreamedInstance& instance,
                                      const DecodeContext& context) const override;
   [[nodiscard]] std::string name() const override;
 

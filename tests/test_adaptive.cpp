@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -193,19 +194,6 @@ TEST(AdaptiveAdapter, RegistrySpecMatchesTheSimulationStudy) {
   EXPECT_GE(fine.rounds, outcome.rounds);
 }
 
-TEST(AdaptiveAdapter, RequiresADesignBackedInstance) {
-  ThreadPool pool(1);
-  const std::uint32_t n = 60, k = 3, m = 40;
-  auto design = std::make_shared<RandomRegularDesign>(n, 3);
-  const Signal truth = Signal::random(n, k, 5);
-  const auto streamed = make_streamed_instance(design, m, truth, pool);
-  const auto stored = make_stored_instance(*design, m, truth, pool);
-  const auto adaptive = make_decoder("adaptive:mn:L=4");
-  EXPECT_NO_THROW((void)adaptive->decode(*streamed, DecodeContext(k, pool)));
-  EXPECT_THROW((void)adaptive->decode(*stored, DecodeContext(k, pool)),
-               ContractError);
-}
-
 // ---- incremental MN vs prefix replay ----------------------------------
 //
 // The reference is the adapter's round loop with every round re-decoding
@@ -269,10 +257,10 @@ std::shared_ptr<const StreamedInstance> channel_instance(
   auto design = std::make_shared<RandomRegularDesign>(n, 1000 + n);
   std::vector<std::uint32_t> y = simulate_queries(*design, m, truth, pool);
   for (std::uint32_t& value : y) value = apply_channel(value, channel, threshold);
-  std::shared_ptr<const Instance> instance = std::make_shared<StreamedInstance>(
+  std::shared_ptr<const StreamedInstance> instance = std::make_shared<StreamedInstance>(
       std::move(design), m, std::move(y), channel, threshold);
   if (noisy) instance = with_noise(instance, NoiseModel::symmetric(0.05, 7 + n));
-  return std::dynamic_pointer_cast<const StreamedInstance>(instance);
+  return instance;
 }
 
 std::string describe(const DecodeOutcome& outcome) {
@@ -411,11 +399,17 @@ TEST(AdaptiveAdapter, PublishesTheFoldedPrefixFingerprint) {
     EXPECT_EQ(instance->is_consistent(outcome.estimate),
               exact_verdict(*instance, outcome.estimate));
     EXPECT_TRUE(instance->is_consistent(truth));
-    // The first fingerprint stays: a later decode that folds more
-    // queries leaves the pointer (which jobs may hold) as it was.
+    // A later adaptive decode keeps the published prefix. A one-shot
+    // pass supersedes it with the fingerprint of all m queries, and the
+    // old pointer (which jobs may hold) stays unchanged and readable.
     (void)make_decoder("adaptive:mn:L=8")->decode(*instance, DecodeContext(k, pool));
-    (void)MnDecoder().decode(*instance, k, pool);
     EXPECT_EQ(instance->fingerprint(), print);
+    (void)MnDecoder().decode(*instance, k, pool);
+    ASSERT_NE(instance->fingerprint(), nullptr);
+    EXPECT_EQ(instance->fingerprint()->queries, m);
+    EXPECT_EQ(print->queries, outcome.queries);
+    EXPECT_EQ(print->entries.size(), n);
+    EXPECT_TRUE(instance->is_consistent(truth));
   }
   // A one-shot pass published first: the adaptive decode keeps it.
   {
@@ -449,6 +443,55 @@ TEST(AdaptiveAdapter, PublishesTheFoldedPrefixFingerprint) {
                                              1, /*noisy=*/false, pool);
   print.queries = m + 1;
   EXPECT_THROW(quantitative->publish_fingerprint(print), ContractError);
+}
+
+/// A random-regular design that counts its query regenerations.
+class CountingDesign final : public PoolingDesign {
+ public:
+  CountingDesign(std::uint32_t n, std::uint64_t seed) : inner_(n, seed) {}
+
+  [[nodiscard]] std::uint32_t num_entries() const override {
+    return inner_.num_entries();
+  }
+  void query_members(std::uint32_t query,
+                     std::vector<std::uint32_t>& out) const override {
+    regenerated.fetch_add(1, std::memory_order_relaxed);
+    inner_.query_members(query, out);
+  }
+  [[nodiscard]] double expected_pool_size() const override {
+    return inner_.expected_pool_size();
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+
+  mutable std::atomic<std::uint64_t> regenerated{0};
+
+ private:
+  RandomRegularDesign inner_;
+};
+
+TEST(AdaptiveAdapter, OneShotPassSupersedesABudgetPrefixFingerprint) {
+  // One instance, shared in process: a budgeted adaptive decode publishes
+  // its prefix first, and the later one-shot pass still leaves a
+  // fingerprint of all m queries, so the verdict regenerates nothing.
+  ThreadPool pool(2);
+  const std::uint32_t n = 400, k = 5, m = 300;
+  const Signal truth = Signal::random(n, k, 61);
+  const auto design = std::make_shared<CountingDesign>(n, 1400);
+  const StreamedInstance instance(design, m, simulate_queries(*design, m, truth, pool));
+  DecodeContext context(k, pool);
+  context.query_budget = 40;
+  (void)make_decoder("adaptive:mn:L=16")->decode(instance, context);
+  const QueryFingerprint* prefix = instance.fingerprint();
+  ASSERT_NE(prefix, nullptr);
+  EXPECT_EQ(prefix->queries, 40u);
+  const Signal estimate = MnDecoder().decode(instance, k, pool);
+  ASSERT_NE(instance.fingerprint(), nullptr);
+  EXPECT_EQ(instance.fingerprint()->queries, m);
+  EXPECT_EQ(prefix->queries, 40u);
+  const std::uint64_t regenerated = design->regenerated.load();
+  EXPECT_TRUE(instance.is_consistent(truth));
+  (void)instance.is_consistent(estimate);
+  EXPECT_EQ(design->regenerated.load(), regenerated);
 }
 
 TEST(AdaptiveAdapter, GoldenV2RequestAnswerIsPinned) {

@@ -17,17 +17,18 @@
 namespace pooled {
 namespace {
 
-std::unique_ptr<Instance> dense_instance(std::uint32_t n, std::uint32_t m,
-                                         const Signal& truth, std::uint64_t seed,
-                                         ThreadPool& pool) {
+std::unique_ptr<StreamedInstance> dense_instance(std::uint32_t n, std::uint32_t m,
+                                                 const Signal& truth, std::uint64_t seed,
+                                                 ThreadPool& pool) {
   auto design = std::make_shared<RandomRegularDesign>(n, seed);
   return make_streamed_instance(std::move(design), m, truth, pool);
 }
 
 /// Sparse column-regular instance: the regime peeling is designed for.
-std::unique_ptr<Instance> sparse_instance(std::uint32_t n, std::uint32_t m,
-                                          std::uint32_t degree, const Signal& truth,
-                                          std::uint64_t seed, ThreadPool& pool) {
+std::unique_ptr<StreamedInstance> sparse_instance(std::uint32_t n, std::uint32_t m,
+                                                  std::uint32_t degree,
+                                                  const Signal& truth, std::uint64_t seed,
+                                                  ThreadPool& pool) {
   auto design = std::make_shared<ColumnRegularDesign>(n, m, degree, seed);
   return make_streamed_instance(std::move(design), m, truth, pool);
 }

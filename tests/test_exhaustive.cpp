@@ -14,9 +14,9 @@
 namespace pooled {
 namespace {
 
-std::unique_ptr<Instance> tiny_instance(std::uint32_t n, std::uint32_t m,
-                                        const Signal& truth, std::uint64_t seed,
-                                        ThreadPool& pool) {
+std::unique_ptr<StreamedInstance> tiny_instance(std::uint32_t n, std::uint32_t m,
+                                                const Signal& truth, std::uint64_t seed,
+                                                ThreadPool& pool) {
   auto design = std::make_shared<RandomRegularDesign>(n, seed);
   return make_streamed_instance(std::move(design), m, truth, pool);
 }

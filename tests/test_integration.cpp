@@ -11,6 +11,7 @@
 #include "core/mn.hpp"
 #include "core/thresholds.hpp"
 #include "design/design.hpp"
+#include "linalg/csr_matrix.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/montecarlo.hpp"
 #include "sim/sweep.hpp"
@@ -170,7 +171,7 @@ TEST(Determinism, EndToEndIndependentOfThreads) {
 // ---------------------------------------------------------------------------
 // Cross-validation of the two score pathways: instance entry statistics
 // feeding MnDecoder must equal the paper's matrix formulation computed
-// through explicit SpMV on the materialized graph.
+// through explicit SpMV on the design's biadjacency matrix.
 
 TEST(CrossValidation, EntryStatsEqualMatrixVectorProducts) {
   ThreadPool pool(2);
@@ -187,18 +188,19 @@ TEST(CrossValidation, EntryStatsEqualMatrixVectorProducts) {
 
   // Paper formulation: Psi = M y and Delta* = M 1 with M the distinct
   // (0/1) entry-by-query pattern.
-  const auto graph = materialize_graph(*instance);
-  std::vector<double> y(m), ones(m, 1.0);
+  const CsrMatrix pattern =
+      CsrMatrix::from_instance(*instance, /*binary=*/true).transpose();
+  std::vector<double> y(m), ones(m, 1.0), psi_product, star_product;
   for (std::uint32_t q = 0; q < m; ++q) {
     y[q] = static_cast<double>(instance->results()[q]);
   }
+  pattern.multiply(pool, y, psi_product);
+  pattern.multiply(pool, ones, star_product);
   std::vector<std::uint64_t> psi(n, 0);
   std::vector<std::uint32_t> delta_star(n, 0);
   for (std::uint32_t i = 0; i < n; ++i) {
-    for (const MultiEdge& e : graph.entry_row(i)) {
-      psi[i] += instance->results()[e.node];
-      ++delta_star[i];
-    }
+    psi[i] = static_cast<std::uint64_t>(psi_product[i]);
+    delta_star[i] = static_cast<std::uint32_t>(star_product[i]);
   }
   EXPECT_EQ(stats.psi, psi);
   EXPECT_EQ(stats.delta_star, delta_star);

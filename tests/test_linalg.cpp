@@ -2,29 +2,35 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <random>
 #include <vector>
 
-#include "graph/bipartite.hpp"
+#include "core/instance.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/csr_matrix.hpp"
 #include "linalg/vector_ops.hpp"
 #include "parallel/thread_pool.hpp"
+#include "reference.hpp"
 #include "support/assert.hpp"
 
 namespace pooled {
 namespace {
 
-BipartiteMultigraph small_graph() {
-  BipartiteMultigraph::Builder builder(4, 3);
-  builder.add_query(std::vector<std::uint32_t>{0, 1, 1});  // row 0: 1,2,0,0
-  builder.add_query(std::vector<std::uint32_t>{2});        // row 1: 0,0,1,0
-  builder.add_query(std::vector<std::uint32_t>{0, 3});     // row 2: 1,0,0,1
-  return builder.finalize();
+/// The biadjacency matrix of a 3-query design over 4 entries.
+CsrMatrix small_matrix(bool binary = false) {
+  const StreamedInstance instance(
+      std::make_shared<ExplicitDesign>(4, std::vector<std::vector<std::uint32_t>>{
+                                              {0, 1, 1},  // row 0: 1,2,0,0
+                                              {2},        // row 1: 0,0,1,0
+                                              {0, 3},     // row 2: 1,0,0,1
+                                          }),
+      3, {0, 0, 0});
+  return CsrMatrix::from_instance(instance, binary);
 }
 
-TEST(Csr, FromGraphQueryRowsKeepsMultiplicities) {
-  const CsrMatrix a = CsrMatrix::from_graph_query_rows(small_graph());
+TEST(Csr, FromInstanceKeepsMultiplicities) {
+  const CsrMatrix a = small_matrix();
   EXPECT_EQ(a.rows(), 3u);
   EXPECT_EQ(a.cols(), 4u);
   EXPECT_EQ(a.nonzeros(), 5u);
@@ -38,13 +44,13 @@ TEST(Csr, FromGraphQueryRowsKeepsMultiplicities) {
 }
 
 TEST(Csr, BinaryPatternDropsMultiplicities) {
-  const CsrMatrix a = CsrMatrix::from_graph_query_rows(small_graph(), true);
+  const CsrMatrix a = small_matrix(/*binary=*/true);
   const auto val = a.row_values(0);
   EXPECT_DOUBLE_EQ(val[1], 1.0);
 }
 
 TEST(Csr, MultiplyMatchesDense) {
-  const CsrMatrix a = CsrMatrix::from_graph_query_rows(small_graph());
+  const CsrMatrix a = small_matrix();
   ThreadPool pool(2);
   const std::vector<double> x = {1.0, 2.0, 3.0, 4.0};
   std::vector<double> out;
@@ -57,14 +63,14 @@ TEST(Csr, MultiplyMatchesDense) {
 }
 
 TEST(Csr, MultiplyRejectsDimensionMismatch) {
-  const CsrMatrix a = CsrMatrix::from_graph_query_rows(small_graph());
+  const CsrMatrix a = small_matrix();
   ThreadPool pool(1);
   std::vector<double> out;
   EXPECT_THROW(a.multiply(pool, std::vector<double>{1.0}, out), ContractError);
 }
 
 TEST(Csr, TransposeRoundTrip) {
-  const CsrMatrix a = CsrMatrix::from_graph_query_rows(small_graph());
+  const CsrMatrix a = small_matrix();
   const CsrMatrix at = a.transpose();
   EXPECT_EQ(at.rows(), a.cols());
   EXPECT_EQ(at.cols(), a.rows());
@@ -78,21 +84,18 @@ TEST(Csr, TransposeRoundTrip) {
   for (std::size_t i = 0; i < ax.size(); ++i) EXPECT_DOUBLE_EQ(ax[i], att_x[i]);
 }
 
-TEST(Csr, EntryRowsViewEqualsTranspose) {
-  const auto g = small_graph();
-  const CsrMatrix at1 = CsrMatrix::from_graph_entry_rows(g);
-  const CsrMatrix at2 = CsrMatrix::from_graph_query_rows(g).transpose();
+TEST(Csr, TransposeMultipliesAsTheEntryRows) {
+  const CsrMatrix at = small_matrix().transpose();
   ThreadPool pool(1);
   const std::vector<double> y = {2.0, 3.0, 5.0};
-  std::vector<double> r1, r2;
-  at1.multiply(pool, y, r1);
-  at2.multiply(pool, y, r2);
-  ASSERT_EQ(r1.size(), r2.size());
-  for (std::size_t i = 0; i < r1.size(); ++i) EXPECT_DOUBLE_EQ(r1[i], r2[i]);
+  std::vector<double> r;
+  at.multiply(pool, y, r);
+  // Dense columns of [1 2 0 0; 0 0 1 0; 1 0 0 1] against y.
+  EXPECT_EQ(r, (std::vector<double>{7.0, 4.0, 3.0, 5.0}));
 }
 
 TEST(Csr, ColumnNorms) {
-  const CsrMatrix a = CsrMatrix::from_graph_query_rows(small_graph());
+  const CsrMatrix a = small_matrix();
   const auto norms = a.column_norms();
   ASSERT_EQ(norms.size(), 4u);
   EXPECT_DOUBLE_EQ(norms[0], std::sqrt(2.0));  // column 0: 1 and 1

@@ -18,9 +18,9 @@
 namespace pooled {
 namespace {
 
-std::unique_ptr<Instance> make_instance(std::uint32_t n, std::uint32_t m,
-                                        const Signal& truth, std::uint64_t seed,
-                                        ThreadPool& pool) {
+std::unique_ptr<StreamedInstance> make_instance(std::uint32_t n, std::uint32_t m,
+                                                const Signal& truth, std::uint64_t seed,
+                                                ThreadPool& pool) {
   auto design = std::make_shared<RandomRegularDesign>(n, seed);
   return make_streamed_instance(std::move(design), m, truth, pool);
 }

@@ -72,7 +72,7 @@ TEST(NoiseModel_, SymmetricNoiseOnOneBitChannelsIsABitFlipAtTheRate) {
   for (std::uint32_t v : g) EXPECT_LE(v, 1u);
 }
 
-TEST(NoiseModel_, WithNoiseRebuildsStreamedAndStoredInstances) {
+TEST(NoiseModel_, WithNoiseRebuildsTheInstance) {
   ThreadPool pool(1);
   TrialConfig config;
   config.n = 200;
@@ -80,25 +80,19 @@ TEST(NoiseModel_, WithNoiseRebuildsStreamedAndStoredInstances) {
   config.m = 60;
   config.seed_base = 23;
   Signal truth(1);
-  config.streamed = true;
-  std::shared_ptr<const Instance> streamed =
-      build_trial_instance(config, 0, truth, pool);
-  config.streamed = false;
-  std::shared_ptr<const Instance> stored =
+  std::shared_ptr<const StreamedInstance> instance =
       build_trial_instance(config, 0, truth, pool);
 
   // Disabled model: the very same object comes back, no copy.
-  EXPECT_EQ(with_noise(streamed, NoiseModel{}).get(), streamed.get());
+  EXPECT_EQ(with_noise(instance, NoiseModel{}).get(), instance.get());
 
   const NoiseModel model = NoiseModel::symmetric(0.5, 31);
-  const auto noisy_streamed = with_noise(streamed, model);
-  const auto noisy_stored = with_noise(stored, model);
-  // Same perturbation on both backends; originals untouched.
-  EXPECT_EQ(noisy_streamed->results(), noisy_stored->results());
-  EXPECT_EQ(streamed->results(), stored->results());
-  EXPECT_NE(noisy_streamed->results(), streamed->results());
-  EXPECT_EQ(noisy_streamed->n(), streamed->n());
-  EXPECT_EQ(noisy_streamed->m(), streamed->m());
+  const auto noisy = with_noise(instance, model);
+  // Perturbed results on the same design; the original untouched.
+  EXPECT_NE(noisy->results(), instance->results());
+  EXPECT_EQ(noisy->n(), instance->n());
+  EXPECT_EQ(noisy->m(), instance->m());
+  EXPECT_EQ(&noisy->design(), &instance->design());
 }
 
 TEST(SymmetricNoise, ZeroRateIsIdentity) {
@@ -203,23 +197,6 @@ TEST(NoisyTrials, NoiseRateZeroMatchesCleanPath) {
   const TrialResult b = run_trial(noisy, decoder, 2, pool);
   EXPECT_EQ(a.exact, b.exact);
   EXPECT_DOUBLE_EQ(a.overlap, b.overlap);
-}
-
-TEST(NoisyTrials, StoredBackendCarriesTheSameNoisyResults) {
-  ThreadPool pool(1);
-  TrialConfig config;
-  config.n = 200;
-  config.k = 4;
-  config.m = 60;
-  config.seed_base = 19;
-  config.noise = NoiseModel::symmetric(0.3);
-  Signal t1(1), t2(1);
-  config.streamed = true;
-  const auto streamed = build_trial_instance(config, 0, t1, pool);
-  config.streamed = false;
-  const auto stored = build_trial_instance(config, 0, t2, pool);
-  EXPECT_EQ(t1, t2);
-  EXPECT_EQ(streamed->results(), stored->results());
 }
 
 }  // namespace

@@ -7,55 +7,53 @@
 #include "core/exhaustive.hpp"
 #include "core/instance.hpp"
 #include "core/mn.hpp"
-#include "graph/bipartite.hpp"
+#include "linalg/csr_matrix.hpp"
 #include "parallel/thread_pool.hpp"
+#include "reference.hpp"
 
 namespace pooled {
 namespace {
 
 // Memberships chosen to match Fig. 1's edge structure: a3 contains x1
 // twice (the dashed multi-edge) and the query results equal the figure's.
-StoredInstance figure_one_instance() {
-  BipartiteMultigraph::Builder builder(7, 5);
-  builder.add_query(std::vector<std::uint32_t>{0, 1, 3});        // a1: x1,x2,x4
-  builder.add_query(std::vector<std::uint32_t>{1, 2, 4});        // a2: x2,x3,x5
-  builder.add_query(std::vector<std::uint32_t>{0, 0, 4, 5});     // a3: x1 twice, x5, x6
-  builder.add_query(std::vector<std::uint32_t>{4, 5, 6});        // a4: x5,x6,x7
-  builder.add_query(std::vector<std::uint32_t>{2, 3, 1});        // a5: x3,x4,x2
-  const Signal sigma(7, {0, 1, 4});                              // (1,1,0,0,1,0,0)
-  BipartiteMultigraph graph = builder.finalize();
-  std::vector<std::uint32_t> y;
-  for (std::uint32_t q = 0; q < 5; ++q) {
-    std::uint32_t sum = 0;
-    for (const MultiEdge& e : graph.query_row(q)) {
-      sum += e.multiplicity * sigma.value(e.node);
-    }
-    y.push_back(sum);
-  }
-  return StoredInstance(std::move(graph), std::move(y));
+StreamedInstance figure_one_instance() {
+  auto design = std::make_shared<ExplicitDesign>(
+      7, std::vector<std::vector<std::uint32_t>>{
+             {0, 1, 3},     // a1: x1,x2,x4
+             {1, 2, 4},     // a2: x2,x3,x5
+             {0, 0, 4, 5},  // a3: x1 twice, x5, x6
+             {4, 5, 6},     // a4: x5,x6,x7
+             {2, 3, 1},     // a5: x3,x4,x2
+         });
+  const Signal sigma(7, {0, 1, 4});  // (1,1,0,0,1,0,0)
+  ThreadPool pool(1);
+  return StreamedInstance(design, 5, simulate_queries(*design, 5, sigma, pool));
 }
 
 TEST(PaperFigureOne, QueryResultsMatchThePublishedVector) {
-  const StoredInstance instance = figure_one_instance();
+  const StreamedInstance instance = figure_one_instance();
   EXPECT_EQ(instance.results(), (std::vector<std::uint32_t>{2, 2, 3, 1, 1}));
 }
 
 TEST(PaperFigureOne, MultiEdgeCountsTwiceInA3) {
-  const StoredInstance instance = figure_one_instance();
+  const StreamedInstance instance = figure_one_instance();
   // a3 = {x1, x1, x5, x6}: sigma has x1 = 1 (twice) and x5 = 1 -> 3.
   EXPECT_EQ(instance.results()[2], 3u);
-  EXPECT_EQ(instance.graph().query_size(2), 4u);
-  EXPECT_EQ(instance.graph().query_row(2).size(), 3u);  // 3 distinct entries
+  // 4 draws, 3 distinct entries.
+  std::vector<std::uint32_t> members;
+  instance.query_members(2, members);
+  EXPECT_EQ(members.size(), 4u);
+  EXPECT_EQ(CsrMatrix::from_instance(instance).row_indices(2).size(), 3u);
 }
 
 TEST(PaperFigureOne, TruthIsConsistent) {
-  const StoredInstance instance = figure_one_instance();
+  const StreamedInstance instance = figure_one_instance();
   EXPECT_TRUE(instance.is_consistent(Signal(7, {0, 1, 4})));
   EXPECT_FALSE(instance.is_consistent(Signal(7, {0, 1, 5})));
 }
 
 TEST(PaperFigureOne, ExhaustiveSearchFindsTheTruthUniquely) {
-  const StoredInstance instance = figure_one_instance();
+  const StreamedInstance instance = figure_one_instance();
   const Signal sigma(7, {0, 1, 4});
   const ConsistencyCount count = count_consistent(instance, 3, &sigma);
   // These five queries pin sigma down exactly.
@@ -67,7 +65,7 @@ TEST(PaperFigureOne, ExhaustiveSearchFindsTheTruthUniquely) {
 
 TEST(PaperFigureOne, EntryStatsByHand) {
   ThreadPool pool(1);
-  const StoredInstance instance = figure_one_instance();
+  const StreamedInstance instance = figure_one_instance();
   const EntryStats stats = instance.entry_stats(pool);
   const EntryStats every = instance.entry_stats(pool, CountMode::EveryDraw);
   // x1 (index 0): distinct queries a1, a3 -> Ψ = 2 + 3 = 5, Δ = 3, Δ* = 2.
@@ -87,7 +85,7 @@ TEST(PaperFigureOne, MnScoresByHand) {
   //   x4: 3 − 2·1.5 = 0       x5: 6 − 3·1.5 = 1.5   x6: 4 − 2·1.5 = 1
   //   x7: 1 − 1·1.5 = −0.5
   ThreadPool pool(1);
-  const StoredInstance instance = figure_one_instance();
+  const StreamedInstance instance = figure_one_instance();
   const MnResult result = MnDecoder().decode_scored(instance, 3, pool);
   const std::vector<double> expected = {2.0, 0.5, 0.0, 0.0, 1.5, 1.0, -0.5};
   ASSERT_EQ(result.scores.size(), expected.size());

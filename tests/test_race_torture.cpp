@@ -164,18 +164,28 @@ TEST(RaceTorture, ResultCacheHitInsertEvict) {
 // Fingerprint publication: engine jobs on a 4-wide pool decode one
 // shared instance at once. The MN jobs' passes race to publish the
 // instance's fingerprint of all m queries, and the adaptive MN jobs
-// race to publish the prefix their rounds folded (the first publish of
-// either wins, the rest keep their own) while other jobs already read it
-// for their verdict: the prefix in O(k), the rest by the exact pass. omp
-// jobs never accumulate and check through whatever the instance holds.
-// Every verdict must equal the exact pass on a fresh copy.
+// race to publish the prefix their rounds folded, a budgeted one only
+// its budget's prefix (the first publish of either wins; a full one then
+// supersedes a partial one once, the rest keep their own) while other
+// jobs already read it for their verdict: the prefix in O(k), the rest
+// by the exact pass. omp jobs never accumulate and check through
+// whatever the instance holds. Every verdict must equal the exact pass
+// on a fresh copy.
 
 TEST(RaceTorture, SharedInstanceFingerprintPublish) {
   ThreadPool pool(4);
   const BatchEngine engine(pool);
   const std::uint32_t n = 200, k = 4;
   const Signal truth = Signal::random(n, k, 0xF1);
-  const char* const decoders[] = {"mn", "mn:multi-edge", "omp", "adaptive:mn:L=8"};
+  struct Decode {
+    const char* spec;
+    std::uint32_t budget;
+  };
+  const Decode decodes[] = {{"mn", 0},
+                            {"mn:multi-edge", 0},
+                            {"omp", 0},
+                            {"adaptive:mn:L=8", 0},
+                            {"adaptive:mn:L=4", 12}};
   const auto deadline = steady_clock::now() + kBatteryBudget;
   std::uint64_t round = 0;
   std::uint64_t consistent = 0;
@@ -185,11 +195,12 @@ TEST(RaceTorture, SharedInstanceFingerprintPublish) {
     auto design = std::make_shared<RandomRegularDesign>(n, 500 + round);
     const std::shared_ptr<const StreamedInstance> shared =
         make_streamed_instance(design, m, truth, pool);
-    std::vector<DecodeJob> jobs(12);
+    std::vector<DecodeJob> jobs(15);
     for (std::size_t j = 0; j < jobs.size(); ++j) {
       jobs[j].instance = shared;
       jobs[j].k = k;
-      jobs[j].decoder = decoders[j % std::size(decoders)];
+      jobs[j].decoder = decodes[j % std::size(decodes)].spec;
+      jobs[j].budget = decodes[j % std::size(decodes)].budget;
     }
     const std::vector<DecodeReport> reports = engine.run(jobs);
     ASSERT_NE(shared->fingerprint(), nullptr);

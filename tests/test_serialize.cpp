@@ -173,7 +173,9 @@ TEST(Serialize, ChanneledInstanceChecksConsistencyThroughTheChannel) {
   // The truth reproduces the OR outcomes even though its quantitative
   // counts differ from the stored 0/1 values.
   EXPECT_TRUE(instance->is_consistent(truth));
-  EXPECT_EQ(instance->results_for(truth), y);
+  EXPECT_EQ(simulate_queries(instance->design(), instance->m(), truth, pool,
+                             instance->channel(), instance->channel_threshold()),
+            y);
 }
 
 TEST(Serialize, DigestIsStableAndContentSensitive) {

@@ -1,4 +1,4 @@
-// Unit tests: Signal model and the two Instance backends.
+// Unit tests: Signal model and the streamed instance.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,9 @@
 #include "core/thresholds.hpp"
 #include "design/random_regular.hpp"
 #include "engine/adaptive_adapter.hpp"
+#include "linalg/csr_matrix.hpp"
 #include "parallel/thread_pool.hpp"
+#include "reference.hpp"
 #include "support/assert.hpp"
 
 namespace pooled {
@@ -89,20 +91,13 @@ TEST(Signal, OverlapRejectsLengthMismatch) {
   EXPECT_THROW(a.overlap(b), ContractError);
 }
 
-class InstanceBackends : public ::testing::TestWithParam<bool> {
- protected:
-  // Builds the same logical instance through either backend.
-  std::unique_ptr<Instance> build(std::uint32_t n, std::uint32_t m,
-                                  const Signal& truth, ThreadPool& pool) const {
-    auto design = std::make_shared<RandomRegularDesign>(n, 4242);
-    if (GetParam()) {
-      return make_streamed_instance(design, m, truth, pool);
-    }
-    return make_stored_instance(*design, m, truth, pool);
-  }
-};
+std::unique_ptr<StreamedInstance> build(std::uint32_t n, std::uint32_t m,
+                                        const Signal& truth, ThreadPool& pool) {
+  return make_streamed_instance(std::make_shared<RandomRegularDesign>(n, 4242), m,
+                                truth, pool);
+}
 
-TEST_P(InstanceBackends, ShapeAndResultsRange) {
+TEST(InstanceBackends, ShapeAndResultsRange) {
   ThreadPool pool(2);
   const std::uint32_t n = 200, m = 40;
   const Signal truth = Signal::random(n, 10, 5);
@@ -114,7 +109,7 @@ TEST_P(InstanceBackends, ShapeAndResultsRange) {
   for (auto y : instance->results()) EXPECT_LE(y, n);
 }
 
-TEST_P(InstanceBackends, ResultsMatchManualRecount) {
+TEST(InstanceBackends, ResultsMatchManualRecount) {
   ThreadPool pool(2);
   const std::uint32_t n = 150, m = 25;
   const Signal truth = Signal::random(n, 12, 6);
@@ -128,14 +123,14 @@ TEST_P(InstanceBackends, ResultsMatchManualRecount) {
   }
 }
 
-TEST_P(InstanceBackends, TruthIsAlwaysConsistent) {
+TEST(InstanceBackends, TruthIsAlwaysConsistent) {
   ThreadPool pool(2);
   const Signal truth = Signal::random(100, 7, 9);
   const auto instance = build(100, 30, truth, pool);
   EXPECT_TRUE(instance->is_consistent(truth));
 }
 
-TEST_P(InstanceBackends, WrongCandidateIsInconsistentAtThisScale) {
+TEST(InstanceBackends, WrongCandidateIsInconsistentAtThisScale) {
   ThreadPool pool(2);
   const Signal truth = Signal::random(100, 7, 9);
   const auto instance = build(100, 30, truth, pool);
@@ -149,14 +144,16 @@ TEST_P(InstanceBackends, WrongCandidateIsInconsistentAtThisScale) {
   EXPECT_FALSE(instance->is_consistent(Signal(100, support)));
 }
 
-TEST_P(InstanceBackends, ResultsForTruthEqualsResults) {
+TEST(InstanceBackends, ResultsForTruthEqualsResults) {
   ThreadPool pool(2);
   const Signal truth = Signal::random(120, 9, 10);
   const auto instance = build(120, 20, truth, pool);
-  EXPECT_EQ(instance->results_for(truth), instance->results());
+  EXPECT_EQ(simulate_queries(instance->design(), instance->m(), truth, pool,
+                             instance->channel(), instance->channel_threshold()),
+            instance->results());
 }
 
-TEST_P(InstanceBackends, EntryStatsInvariants) {
+TEST(InstanceBackends, EntryStatsInvariants) {
   ThreadPool pool(2);
   const std::uint32_t n = 300, m = 50;
   const Signal truth = Signal::random(n, 15, 11);
@@ -173,9 +170,15 @@ TEST_P(InstanceBackends, EntryStatsInvariants) {
   }
   // Total edge mass = m * Γ = m * n/2.
   EXPECT_EQ(total_delta, static_cast<std::uint64_t>(m) * (n / 2));
+  // And every statistic is the naive per-query loop's.
+  const EntryStats reference = naive_entry_stats(*instance);
+  EXPECT_EQ(stats.psi, reference.psi);
+  EXPECT_EQ(stats.delta_star, reference.delta_star);
+  EXPECT_EQ(every.psi_multi, reference.psi_multi);
+  EXPECT_EQ(every.delta, reference.delta);
 }
 
-TEST_P(InstanceBackends, TotalResultMatchesSum) {
+TEST(InstanceBackends, TotalResultMatchesSum) {
   ThreadPool pool(1);
   const Signal truth = Signal::random(80, 5, 13);
   const auto instance = build(80, 15, truth, pool);
@@ -184,16 +187,11 @@ TEST_P(InstanceBackends, TotalResultMatchesSum) {
   EXPECT_EQ(instance->total_result(), total);
 }
 
-INSTANTIATE_TEST_SUITE_P(StoredAndStreamed, InstanceBackends,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Streamed" : "Stored";
-                         });
-
 TEST(InstanceEquivalence, BackendsProduceIdenticalObservables) {
-  // One lane and many: the streamed pass folds draws into per-lane
-  // records and merges them. At n = 7 (Γ = 3) most draws repeat an entry
-  // of their own query, which is what the first-occurrence mask decides.
+  // The streamed pass against the naive per-query loop, on one lane and
+  // many: the pass folds draws into per-lane records and merges them. At
+  // n = 7 (Γ = 3) most draws repeat an entry of their own query, which is
+  // what the first-occurrence mask decides.
   for (const unsigned width : {1u, 4u}) {
     for (const std::uint32_t n : {7u, 400u}) {
       ThreadPool pool(width);
@@ -201,16 +199,13 @@ TEST(InstanceEquivalence, BackendsProduceIdenticalObservables) {
       const Signal truth = Signal::random(n, n < 40 ? 2 : 20, 3);
       auto design = std::make_shared<RandomRegularDesign>(n, 999);
       const auto streamed = make_streamed_instance(design, m, truth, pool);
-      const auto stored = make_stored_instance(*design, m, truth, pool);
-      EXPECT_EQ(streamed->results(), stored->results());
       const EntryStats s1 = streamed->entry_stats(pool);
-      const EntryStats s2 = stored->entry_stats(pool);
       const EntryStats e1 = streamed->entry_stats(pool, CountMode::EveryDraw);
-      const EntryStats e2 = stored->entry_stats(pool, CountMode::EveryDraw);
-      EXPECT_EQ(s1.psi, s2.psi) << "width " << width << " n " << n;
-      EXPECT_EQ(e1.psi_multi, e2.psi_multi) << "width " << width << " n " << n;
-      EXPECT_EQ(e1.delta, e2.delta) << "width " << width << " n " << n;
-      EXPECT_EQ(s1.delta_star, s2.delta_star) << "width " << width << " n " << n;
+      const EntryStats reference = naive_entry_stats(*streamed);
+      EXPECT_EQ(s1.psi, reference.psi) << "width " << width << " n " << n;
+      EXPECT_EQ(e1.psi_multi, reference.psi_multi) << "width " << width << " n " << n;
+      EXPECT_EQ(e1.delta, reference.delta) << "width " << width << " n " << n;
+      EXPECT_EQ(s1.delta_star, reference.delta_star) << "width " << width << " n " << n;
     }
   }
 }
@@ -232,8 +227,8 @@ struct Verdicts {
   std::uint64_t consistent = 0;
   std::uint64_t inconsistent = 0;
 
-  void expect_equal(const Instance& fingerprinted, const Instance& exact,
-                    const Signal& candidate) {
+  void expect_equal(const StreamedInstance& fingerprinted,
+                    const StreamedInstance& exact, const Signal& candidate) {
     expect(fingerprinted.is_consistent(candidate), exact.is_consistent(candidate));
   }
 
@@ -352,15 +347,13 @@ TEST(Consistency, FingerprintMatchesExactCheck) {
       for (const double factor : {0.5, 1.0, 2.0}) {
         const auto m = static_cast<std::uint32_t>(factor * m_mn);
         const Signal truth = Signal::random(n, k, n + m);
-        const std::shared_ptr<const Instance> clean = make_streamed_instance(
+        const std::shared_ptr<const StreamedInstance> clean = make_streamed_instance(
             std::make_shared<RandomRegularDesign>(n, n * m), m, truth, pool);
         for (const NoiseModel& noise :
              {NoiseModel{}, NoiseModel::symmetric(0.2, 7), NoiseModel::gaussian(1.0, 9)}) {
           for (const MnScore score : {MnScore::CentralizedPsi, MnScore::RawPsi,
                                       MnScore::NormalizedPsi, MnScore::MultiEdgePsi}) {
-            const auto noisy = std::dynamic_pointer_cast<const StreamedInstance>(
-                with_noise(clean, noise));
-            ASSERT_NE(noisy, nullptr);
+            const auto noisy = with_noise(clean, noise);
             MnOptions options;
             options.score = score;
             const Signal estimate = MnDecoder(options).decode(*noisy, k, pool);
@@ -421,28 +414,26 @@ TEST(Consistency, FingerprintMatchesExactCheck) {
   }
 }
 
-TEST(Instance, MaterializeGraphRoundTrips) {
+TEST(Instance, MatrixRowsHoldEveryDraw) {
   ThreadPool pool(1);
   const std::uint32_t n = 100, m = 12;
   const Signal truth = Signal::random(n, 6, 21);
   auto design = std::make_shared<RandomRegularDesign>(n, 31);
   const auto streamed = make_streamed_instance(design, m, truth, pool);
-  const auto graph = materialize_graph(*streamed);
-  EXPECT_EQ(graph.num_entries(), n);
-  EXPECT_EQ(graph.num_queries(), m);
-  // Pool sizes must equal Γ.
-  for (std::uint32_t q = 0; q < m; ++q) EXPECT_EQ(graph.query_size(q), n / 2);
+  const CsrMatrix a = CsrMatrix::from_instance(*streamed);
+  EXPECT_EQ(a.cols(), n);
+  EXPECT_EQ(a.rows(), m);
+  // Pool sizes (draws, multiplicities included) must equal Γ.
+  for (std::uint32_t q = 0; q < m; ++q) {
+    double draws = 0;
+    for (double times : a.row_values(q)) draws += times;
+    EXPECT_EQ(draws, n / 2);
+  }
 }
 
-TEST(Instance, EstimateKExtraQuery) {
-  const Signal truth = Signal::random(500, 22, 2);
-  EXPECT_EQ(estimate_k_extra_query(truth), 22u);
-}
-
-TEST(Instance, StoredRejectsMismatchedResultLength) {
-  BipartiteMultigraph::Builder builder(4);
-  builder.add_query(std::vector<std::uint32_t>{0, 1});
-  EXPECT_THROW(StoredInstance(builder.finalize(), {1, 2}), ContractError);
+TEST(Instance, RejectsMismatchedResultLength) {
+  EXPECT_THROW(StreamedInstance(std::make_shared<RandomRegularDesign>(4, 1), 2, {1}),
+               ContractError);
 }
 
 }  // namespace

@@ -38,24 +38,6 @@ TEST(RunTrial, IsReproducible) {
   EXPECT_DOUBLE_EQ(a.overlap, b.overlap);
 }
 
-TEST(RunTrial, StoredAndStreamedBackendsAgree) {
-  ThreadPool pool(2);
-  TrialConfig config;
-  config.n = 300;
-  config.k = 5;
-  config.m = 100;
-  config.seed_base = 7;
-  const MnDecoder decoder;
-  for (std::uint64_t trial = 0; trial < 4; ++trial) {
-    config.streamed = true;
-    const TrialResult streamed = run_trial(config, decoder, trial, pool);
-    config.streamed = false;
-    const TrialResult stored = run_trial(config, decoder, trial, pool);
-    EXPECT_EQ(streamed.exact, stored.exact);
-    EXPECT_DOUBLE_EQ(streamed.overlap, stored.overlap);
-  }
-}
-
 TEST(RunTrials, AggregatesConsistently) {
   ThreadPool pool(4);
   TrialConfig config;

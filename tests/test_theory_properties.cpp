@@ -14,8 +14,8 @@
 #include "core/instance.hpp"
 #include "core/thresholds.hpp"
 #include "design/random_regular.hpp"
-#include "graph/degree_stats.hpp"
 #include "parallel/thread_pool.hpp"
+#include "reference.hpp"
 #include "stats/summary.hpp"
 
 namespace pooled {
@@ -62,9 +62,11 @@ TEST(TheoryConcentration, EventRHoldsAtModerateScale) {
   const std::uint32_t n = 5000, m = 600;
   const Signal truth = Signal::random(n, 12, 5);
   auto design = std::make_shared<RandomRegularDesign>(n, 6);
-  const auto stored = make_stored_instance(*design, m, truth, pool);
-  const DegreeStats degrees = compute_degree_stats(stored->graph(), pool);
-  EXPECT_EQ(count_concentration_violations(degrees, m, 4.0), 0u);
+  const auto instance = make_streamed_instance(design, m, truth, pool);
+  const EntryStats every = instance->entry_stats(pool, CountMode::EveryDraw);
+  const EntryStats distinct = instance->entry_stats(pool);
+  EXPECT_EQ(count_concentration_violations(every.delta, distinct.delta_star, m, 4.0),
+            0u);
 }
 
 // Corollary 4: conditioned on entry j's edges, S_j = Ψ_j - 1{σ_j} Δ_j has
