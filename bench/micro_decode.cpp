@@ -1,6 +1,7 @@
 // MICRO: the reconstruction pipeline -- entry-statistics accumulation
 // (the paper's two matrix-vector products), top-k selection vs. the full
-// parallel sort, SpMV, and end-to-end MN decode.
+// parallel sort, SpMV, end-to-end MN decode, and the round loop of an
+// adaptive MN decode.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -67,6 +68,23 @@ void BM_MnDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_MnDecode)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
 
+void BM_AdaptiveMn(benchmark::State& state) {
+  // In-process adaptive:mn:L=16 at n=10^4 (m=806) on a pool of the given
+  // width: the cost of its rounds without a server in front.
+  ThreadPool pool(static_cast<unsigned>(state.range(0)));
+  Fixture& f = fixture(10000);
+  const auto decoder = make_decoder("adaptive:mn:L=16");
+  const DecodeContext context(f.k, pool);
+  std::uint32_t rounds = 0;
+  for (auto _ : state) {
+    const DecodeOutcome outcome = decoder->decode(*f.streamed, context);
+    rounds = outcome.rounds;
+    benchmark::DoNotOptimize(outcome.estimate.k());
+  }
+  state.counters["rounds"] = rounds;
+}
+BENCHMARK(BM_AdaptiveMn)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
 void BM_SelectTopK(benchmark::State& state) {
   ThreadPool pool;
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -81,7 +99,7 @@ void BM_SelectTopK(benchmark::State& state) {
     auto top = select_top_k(copy, k, full_sort, pool);
     benchmark::DoNotOptimize(top.data());
   }
-  state.SetLabel(full_sort ? "parallel-sort" : "nth-element");
+  state.SetLabel(full_sort ? "parallel-sort" : "scan");
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }

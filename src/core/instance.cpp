@@ -3,6 +3,7 @@
 #include <array>
 #include <atomic>
 #include <random>
+#include <utility>
 
 #include "kernels/decode_arena.hpp"
 #include "parallel/parallel_for.hpp"
@@ -65,7 +66,7 @@ bool StreamedInstance::is_consistent(const Signal& candidate) const {
   POOLED_REQUIRE(candidate.n() == n(), "candidate length mismatch");
   // The exact pass starts after the fingerprinted prefix.
   std::uint32_t first = 0;
-  if (const QueryFingerprint* print = fingerprint()) {
+  if (const auto print = fingerprint()) {
     // Freivalds: r·(Ax) = Σ_{i∈S} fp_i against r·y, both mod 2^64.
     std::uint64_t sum = 0;
     for (std::uint32_t entry : candidate.support()) sum += print->entries[entry];
@@ -134,9 +135,9 @@ void StreamedInstance::query_members(std::uint32_t query,
   design_->query_members(query, out);
 }
 
-const QueryFingerprint* StreamedInstance::fingerprint() const {
+std::shared_ptr<const QueryFingerprint> StreamedInstance::fingerprint() const {
   const LockGuard lock(fingerprint_mutex_);
-  return fingerprint_.get();
+  return fingerprint_;
 }
 
 void StreamedInstance::publish_fingerprint(QueryFingerprint print) const {
@@ -144,13 +145,12 @@ void StreamedInstance::publish_fingerprint(QueryFingerprint print) const {
                  "only the quantitative channel is linear");
   POOLED_REQUIRE(print.queries <= m_ && print.entries.size() == n(),
                  "fingerprint does not fit the instance");
+  auto fresh = std::make_shared<const QueryFingerprint>(std::move(print));
+  // The replaced print dies outside the lock, once no job reads it.
+  std::shared_ptr<const QueryFingerprint> replaced;
   const LockGuard lock(fingerprint_mutex_);
-  if (fingerprint_ == nullptr) {
-    fingerprint_ = std::make_unique<const QueryFingerprint>(std::move(print));
-  } else if (fingerprint_->queries < m_ && print.queries == m_) {
-    // Jobs may hold the partial one's pointer: it lives on in superseded_.
-    superseded_ = std::move(fingerprint_);
-    fingerprint_ = std::make_unique<const QueryFingerprint>(std::move(print));
+  if (fingerprint_ == nullptr || fresh->queries > fingerprint_->queries) {
+    replaced = std::exchange(fingerprint_, std::move(fresh));
   }
 }
 
@@ -185,7 +185,7 @@ void StreamedInstance::entry_stats_into(ThreadPool& pool, EntryStats& stats,
   // Only the quantitative channel is linear; a pass records the
   // fingerprint while none of all m queries is published, later ones
   // fold a zero weight.
-  const QueryFingerprint* published = fingerprint();
+  const auto published = fingerprint();
   const bool record = channel_ == ChannelKind::Quantitative &&
                       (published == nullptr || published->queries < m_);
   std::atomic<std::uint64_t> target{0};
@@ -206,7 +206,7 @@ void StreamedInstance::entry_stats_into(ThreadPool& pool, EntryStats& stats,
       // Epochs are query+1: nonzero, and unique within this pass's
       // zeroed records, so first occurrences are detected in O(1).
       accumulate_query(mode, members.data(), members.size(), query + 1, y_[q],
-                       weight, records);
+                       weight, RecordLayout{records});
     }
     target.fetch_add(chunk_target, std::memory_order_relaxed);
   };

@@ -159,16 +159,15 @@ class StreamedInstance {
 
   /// The fingerprint of Ax = y over a query prefix, or nullptr; only the
   /// quantitative channel carries one, recorded by the entry-statistics
-  /// pass or published by an adaptive MN decode. A returned pointer stays
-  /// valid for the instance's lifetime (see publish_fingerprint).
-  [[nodiscard]] const QueryFingerprint* fingerprint() const;
+  /// pass or published by an adaptive MN decode. The returned print stays
+  /// readable while the caller holds it, even once a longer one replaces
+  /// it (see publish_fingerprint).
+  [[nodiscard]] std::shared_ptr<const QueryFingerprint> fingerprint() const;
 
-  /// Publishes `print` as fingerprint() when none is published, or when
-  /// `print` covers all m queries and the published one does not. So at
-  /// most one fingerprint is ever superseded, and it stays allocated
-  /// until the instance dies, because concurrent jobs may be reading it.
-  /// Quantitative channel only; `print` covers at most m queries of the
-  /// n entries.
+  /// Publishes `print` as fingerprint() when it covers more queries than
+  /// the published one (or none is published), so concurrent publishers
+  /// leave the longest prefix. Quantitative channel only; `print` covers
+  /// at most m queries of the n entries.
   void publish_fingerprint(QueryFingerprint print) const;
 
   /// Output channel the observed results() went through.
@@ -206,13 +205,9 @@ class StreamedInstance {
   std::vector<std::uint32_t> y_;
   ChannelKind channel_ = ChannelKind::Quantitative;
   std::uint32_t threshold_ = 1;
-  // Published by the first pass or adaptive decode that records one;
-  // a partial one is superseded at most once, by a full one, and then
-  // kept alive in superseded_.
+  // The longest prefix any pass or adaptive decode has published.
   mutable AnnotatedMutex fingerprint_mutex_;
-  mutable std::unique_ptr<const QueryFingerprint> fingerprint_
-      POOLED_GUARDED_BY(fingerprint_mutex_);
-  mutable std::unique_ptr<const QueryFingerprint> superseded_
+  mutable std::shared_ptr<const QueryFingerprint> fingerprint_
       POOLED_GUARDED_BY(fingerprint_mutex_);
   mutable std::once_flag packed_once_;
   mutable std::unique_ptr<const PackedPools> packed_;

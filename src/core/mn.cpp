@@ -19,16 +19,15 @@ namespace {
 constexpr std::size_t kScoreGrain = 8192;
 
 /// Shared top-k body over a raw score array. The partial-ranking path
-/// runs through select_top_k_into (arena scratch, zero-alloc); the
-/// full-sort path is Algorithm 1 as written, ranking all n coordinates.
+/// is select_top_k_into's one scan; the full-sort path is Algorithm 1 as
+/// written, ranking all n coordinates.
 std::vector<std::uint32_t> top_k_support(const double* scores, std::size_t n,
                                          std::uint32_t k, bool full_sort,
                                          ThreadPool& pool) {
   POOLED_REQUIRE(k <= n, "cannot select more entries than exist");
   std::vector<std::uint32_t> support(k);
-  DecodeArena& arena = DecodeArena::local();
   if (full_sort) {
-    std::uint32_t* order = arena.order(n);
+    std::uint32_t* order = DecodeArena::local().order(n);
     std::iota(order, order + n, 0u);
     const auto better = [&](std::uint32_t a, std::uint32_t b) {
       if (scores[a] != scores[b]) return scores[a] > scores[b];
@@ -38,8 +37,7 @@ std::vector<std::uint32_t> top_k_support(const double* scores, std::size_t n,
     std::copy_n(order, k, support.begin());
     std::sort(support.begin(), support.end());
   } else {
-    select_top_k_into(active_kernels(), scores, n, k, arena.topk_values(n),
-                      support.data());
+    select_top_k_into(scores, n, k, support.data());
   }
   return support;
 }

@@ -32,7 +32,7 @@ enum class MnScore {
 struct MnOptions {
   MnScore score = MnScore::CentralizedPsi;
   /// Use the parallel merge sort over all n scores (the paper's
-  /// parallel-sort formulation) instead of nth_element selection. Both
+  /// parallel-sort formulation) instead of the one-scan selection. Both
   /// return identical supports; selection is the faster default.
   bool full_sort = false;
 };

@@ -40,13 +40,21 @@ DecodeOutcome AdaptiveDecoder::decode(const StreamedInstance& instance,
         instance.channel(), instance.channel_threshold());
   };
   // MN inners fold each round's new queries into one accumulator instead
-  // of re-decoding the prefix. The fold is serial: at paper scale a
-  // parallel fold of L queries saves less than merging per-lane records
-  // every round costs.
+  // of re-decoding the prefix. A round of L queries is too little work to
+  // split over the pool (a batch's worker wake-up costs about what the
+  // fold saves), so one pool batch folds the next rounds ahead instead,
+  // one per task, each into its own delta block; the loop then takes them
+  // in order. Rounds past the budget or the rounds cap never fold, and a
+  // round folded ahead that the loop never reaches is dropped.
   std::optional<IncrementalMn> incremental;
   if (const auto* mn = dynamic_cast<const MnDecoder*>(inner_.get())) {
     incremental.emplace(instance.design_ptr(), mn->options());
   }
+  // The last query any round may read: the budget, or the rounds cap.
+  const auto limit = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+      available, context.max_rounds > 0
+                     ? std::uint64_t{context.max_rounds} * options_.batch_size
+                     : available));
   // On the linear channel the accumulator's fingerprint checks the
   // folded prefix in O(k); one-bit channels and other inners check it by
   // the exact pass.
@@ -58,7 +66,8 @@ DecodeOutcome AdaptiveDecoder::decode(const StreamedInstance& instance,
   // The round's estimate over the first `count` queries.
   const auto estimate_prefix = [&](std::uint32_t count) {
     if (incremental) {
-      while (incremental->m() < count) incremental->add_query(y[incremental->m()]);
+      incremental->fold_round(y, options_.batch_size, limit, context.thread_pool());
+      POOLED_DCHECK(incremental->m() == count, "rounds fold in the loop's order");
       Signal estimate = incremental->decode(context.k, context.thread_pool());
       outcome.score_evals += instance.n();  // one score per entry, as MN's
       return estimate;
@@ -123,10 +132,10 @@ DecodeOutcome AdaptiveDecoder::decode(const StreamedInstance& instance,
     }
   }
   // The folded prefix's fingerprint goes on the served instance, so the
-  // engine's final check regenerates only the queries after it. A
-  // fingerprint already published on a shared instance stays; a later
-  // one-shot pass may supersede a partial one (publish_fingerprint).
-  if (fingerprinted && incremental->m() > 0 && instance.fingerprint() == nullptr) {
+  // engine's final check regenerates only the queries after it. On a
+  // shared instance it replaces a shorter published prefix and leaves a
+  // longer one (publish_fingerprint).
+  if (fingerprinted && incremental->m() > 0) {
     instance.publish_fingerprint(incremental->fingerprint());
   }
   // `round` is reported as-is: an immediate cancel/deadline stops with 0

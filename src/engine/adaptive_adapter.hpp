@@ -15,7 +15,11 @@
 // `adaptive:gt:binary:L=8` is DD over growing binary prefixes. MN inners
 // (every score variant) keep one IncrementalMn per decode and fold only
 // each round's L new queries into it; the estimate is bit-identical to
-// decoding the prefix. On the quantitative channel the accumulator's
+// decoding the prefix. On a pool the accumulator folds the next rounds
+// ahead, one pool batch for as many rounds as the pool is wide (at most
+// four), and the loop takes them in order; rounds it never reaches are
+// dropped unseen, so rounds, queries and the verdict are those of the
+// serial fold. On the quantitative channel the accumulator's
 // fingerprint makes the stopping rule O(k), and the decode publishes it
 // on the instance, so the engine's final check regenerates only the
 // queries the decode did not fold. Other inners re-decode the whole

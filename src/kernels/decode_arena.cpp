@@ -16,9 +16,15 @@ constexpr std::size_t round_up(std::size_t bytes) {
   return (bytes + (kAlign - 1)) & ~(kAlign - 1);
 }
 
-/// Bytes per lane of a record block over `entries` entries.
-constexpr std::size_t lane_stride_bytes(std::size_t entries) {
-  return round_up(entries * sizeof(EntryRecord));
+/// Bytes per lane of a block of `entries` records.
+constexpr std::size_t lane_stride_bytes(std::size_t entries,
+                                        std::size_t record_bytes = sizeof(EntryRecord)) {
+  return round_up(entries * record_bytes);
+}
+
+std::size_t arena_budget_bytes() {
+  static const std::size_t budget = env_budget_bytes("POOLED_ARENA_BUDGET_MB", 1024);
+  return budget;
 }
 
 std::atomic<std::uint64_t> g_arena_live{0};
@@ -147,17 +153,20 @@ DecodeArena& DecodeArena::local() {
 }
 
 unsigned lanes_within_budget(std::size_t budget_bytes, unsigned lanes,
-                             std::size_t entries) {
-  const std::size_t stride = lane_stride_bytes(entries);
+                             std::size_t entries, std::size_t record_bytes) {
+  const std::size_t stride = lane_stride_bytes(entries, record_bytes);
   if (stride == 0) return lanes;
   return static_cast<unsigned>(
       std::clamp<std::size_t>(budget_bytes / stride, 1, lanes));
 }
 
 unsigned DecodeArena::record_lanes(unsigned lanes, std::size_t entries) {
-  static const std::size_t budget =
-      env_budget_bytes("POOLED_ARENA_BUDGET_MB", 1024);
-  return lanes_within_budget(budget, lanes, entries);
+  return lanes_within_budget(arena_budget_bytes(), lanes, entries);
+}
+
+unsigned DecodeArena::delta_blocks(unsigned lanes, std::size_t entries) {
+  return lanes_within_budget(arena_budget_bytes(), lanes, entries,
+                             sizeof(DeltaRecord));
 }
 
 LanePartials& DecodeArena::lane_partials(unsigned lanes, std::size_t entries) {

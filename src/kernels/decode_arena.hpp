@@ -1,7 +1,7 @@
 // Per-thread decode scratch: aligned buffers that grow once and are
 // reused for every subsequent decode, replacing the per-call / per-chunk
 // std::vector allocations in the hot paths (entry statistics, scoring,
-// top-k selection, consistency scans).
+// full-sort ranking, consistency scans, rounds folded ahead).
 //
 // Thread-affinity contract
 // ------------------------
@@ -19,14 +19,20 @@
 //     written by pool workers, indexed by `ThreadPool::current_lane()`.
 //     The caller's run_tasks barrier is what makes that hand-off safe;
 //     the slot map tolerates foreign lane ids (a worker of a wider pool
-//     driving a narrower one inline).
+//     driving a narrower one inline). Delta blocks (one DeltaRecord per
+//     entry per round that IncrementalMn folds ahead, past the first)
+//     follow the same hand-off, one block per task; each executing lane
+//     keeps the first-occurrence marks of its task in its *own* arena.
 //
 // Memory is bounded by the largest decode a thread has run:
-// 32 bytes/entry/lane for the record block plus the score/top-k
-// vectors. POOLED_ARENA_BUDGET_MB (default 1024) caps the lane-partial
-// block by capping its lane count (never below one lane): a pass whose
-// pool is wider than the budget admits runs on fewer lanes, with the
-// same results.
+// 32 bytes/entry/lane for the record block, 16 bytes/entry for each round
+// past the first of one fold-ahead batch (at most three), 4 bytes/entry for
+// a lane's marks, plus the score and ranking vectors. POOLED_ARENA_BUDGET_MB (default
+// 1024) caps the lane-partial block by capping its lane count, and the
+// delta blocks by capping the rounds one batch folds ahead, never below
+// one: a pass whose pool is wider than the budget admits runs on fewer
+// lanes, and an adaptive decode folds fewer rounds ahead (one means the
+// serial fold, with no delta block at all), with the same results.
 #pragma once
 
 #include <atomic>
@@ -64,11 +70,12 @@ void arena_account_free(std::size_t bytes);
 void fold_records(const EntryRecord* records, std::size_t n, CountMode mode,
                   bool add, EntryStats& out, std::uint64_t* fingerprint = nullptr);
 
-/// Lanes of a `lanes`-wide pass whose record blocks over `entries`
-/// entries fit `budget_bytes`: clamp(budget / lane stride, 1, lanes),
-/// the stride being one 64-byte-rounded EntryRecord block.
-[[nodiscard]] unsigned lanes_within_budget(std::size_t budget_bytes,
-                                           unsigned lanes, std::size_t entries);
+/// Lanes of a `lanes`-wide pass whose blocks of `entries` records of
+/// `record_bytes` each fit `budget_bytes`: clamp(budget / lane stride, 1,
+/// lanes), the stride being one 64-byte-rounded block.
+[[nodiscard]] unsigned lanes_within_budget(
+    std::size_t budget_bytes, unsigned lanes, std::size_t entries,
+    std::size_t record_bytes = sizeof(EntryRecord));
 
 /// Lane-indexed record blocks for one entry-statistics pass.
 /// Slots are claimed lock-free on first acquire and zeroed exactly once
@@ -119,10 +126,14 @@ class DecodeArena {
   /// (default 1024, read once per process).
   static unsigned record_lanes(unsigned lanes, std::size_t entries);
 
+  /// The same for delta blocks of `entries` DeltaRecords: how many rounds
+  /// one batch of a `lanes`-wide pool may fold ahead.
+  static unsigned delta_blocks(unsigned lanes, std::size_t entries);
+
   // -- named scratch slots (see the affinity contract above) -------------
   double* scores(std::size_t n) { return scores_.ensure(n); }
-  double* topk_values(std::size_t n) { return topk_values_.ensure(n); }
   std::uint32_t* order(std::size_t n) { return order_.ensure(n); }
+  std::uint32_t* marks(std::size_t n) { return marks_.ensure(n); }
   std::uint64_t* words_a(std::size_t n) { return words_a_.ensure(n); }
   std::uint64_t* words_b(std::size_t n) { return words_b_.ensure(n); }
   std::vector<std::uint32_t>& members() { return members_; }
@@ -132,6 +143,15 @@ class DecodeArena {
   /// map; the returned reference is valid until the next call on this
   /// thread).
   LanePartials& lane_partials(unsigned lanes, std::size_t entries);
+
+  /// `count` DeltaRecords for one fold-ahead batch, contents undefined.
+  /// Each call starts a new claim: delta_claim() changes, so a holder of
+  /// an earlier claim can tell that its blocks are gone.
+  DeltaRecord* deltas(std::size_t count) {
+    ++delta_claim_;
+    return deltas_.ensure(count);
+  }
+  [[nodiscard]] std::uint64_t delta_claim() const { return delta_claim_; }
 
  private:
   template <typename T>
@@ -162,8 +182,10 @@ class DecodeArena {
   };
 
   Buffer<double> scores_;
-  Buffer<double> topk_values_;
   Buffer<std::uint32_t> order_;
+  Buffer<std::uint32_t> marks_;
+  Buffer<DeltaRecord> deltas_;
+  std::uint64_t delta_claim_ = 0;
   Buffer<std::uint64_t> words_a_;
   Buffer<std::uint64_t> words_b_;
   std::vector<std::uint32_t> members_;

@@ -2,14 +2,15 @@
 //
 // Every decode in the system bottoms out in a handful of tight loops:
 // evaluating the four MN score variants over per-entry statistics,
-// regenerating a query's draws from the Philox stream, word-at-a-time
-// operations on bit-packed pool masks for the one-bit channels, and
-// top-k selection over the n scores. This header names those loops as a
-// `KernelSet` of function pointers with two implementations: the portable
-// scalar reference and AVX2 (x86-64), selected once at startup by
-// CPUID-style feature detection. Folding the draws
-// into the statistics is not a slot: it is a scatter with one body for
-// every ISA, accumulate_query in kernels/entry_record.hpp.
+// regenerating a query's draws from the Philox stream, and word-at-a-time
+// operations on bit-packed pool masks for the one-bit channels. This
+// header names those loops as a `KernelSet` of function pointers with two
+// implementations: the portable scalar reference and AVX2 (x86-64),
+// selected once at startup by CPUID-style feature detection. Two loops
+// are not slots, because one portable body serves every ISA: folding the
+// draws into the statistics (a scatter, accumulate_query in
+// kernels/entry_record.hpp) and the top-k selection over the n scores
+// (one scan, select_top_k_into below).
 //
 // Contract: every variant is *bit-identical* to the scalar reference --
 // same IEEE-754 operations in the same per-element order (the library
@@ -82,18 +83,6 @@ struct KernelSet {
   /// popcount(a & b).
   std::uint64_t (*and_popcount)(const std::uint64_t* a, const std::uint64_t* b,
                                 std::size_t words);
-
-  // -- top-k selection ---------------------------------------------------
-
-  /// Number of scores strictly greater than `pivot`.
-  std::size_t (*count_greater)(const double* scores, std::size_t n, double pivot);
-  /// Writes the ascending indices i with scores[i] > pivot, plus the
-  /// first `ties` indices (in ascending order) with scores[i] == pivot,
-  /// into out -- exactly k = (#greater + ties) total. With pivot = the
-  /// k-th largest score this is the deterministic (score desc, index asc)
-  /// top-k of select_top_k.
-  void (*topk_fill)(const double* scores, std::size_t n, double pivot,
-                    std::size_t ties, std::uint32_t* out, std::size_t k);
 };
 
 /// The set chosen at startup (best available ISA, or the POOLED_KERNELS
@@ -112,13 +101,13 @@ struct KernelSet {
 /// decodes.
 const KernelSet& set_active_kernels(const KernelSet& set);
 
-/// Exact deterministic top-k under (score desc, index asc) via the given
-/// kernel set: nth_element over a values copy finds the k-th largest
-/// score (branch-light: plain doubles, no index indirection), then one
-/// SIMD scan fills the k ascending indices. `values_scratch` must hold n
-/// doubles (clobbered), `out` holds k indices. Scores must be NaN-free.
-void select_top_k_into(const KernelSet& kernels, const double* scores,
-                       std::size_t n, std::uint32_t k, double* values_scratch,
+/// Exact deterministic top-k under (score desc, index asc): the k <= n
+/// best indices, ascending, into out[0, k). One scan keeps the k best so
+/// far in a heap in `out` (worst on top); a later index enters only by
+/// scoring strictly higher than that worst, so ties keep the lower index.
+/// O(n) plus O(log k) per entry that enters, O(n log k) at worst
+/// (ascending scores). Scores must be NaN-free.
+void select_top_k_into(const double* scores, std::size_t n, std::uint32_t k,
                        std::uint32_t* out);
 
 }  // namespace pooled

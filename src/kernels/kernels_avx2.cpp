@@ -328,53 +328,6 @@ uint64_t avx2_and_popcount(const uint64_t* a, const uint64_t* b, size_t words) {
       kernels::scalar_and_popcount);
 }
 
-// -- top-k scans ------------------------------------------------------------
-
-size_t avx2_count_greater(const double* scores, size_t n, double pivot) {
-  const __m256d pivot_v = _mm256_set1_pd(pivot);
-  size_t count = 0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d x = _mm256_loadu_pd(scores + i);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(x, pivot_v, _CMP_GT_OQ));
-    count += static_cast<size_t>(__builtin_popcount(static_cast<unsigned>(mask)));
-  }
-  count += kernels::scalar_count_greater(scores + i, n - i, pivot);
-  return count;
-}
-
-void avx2_topk_fill(const double* scores, size_t n, double pivot, size_t ties,
-                    uint32_t* out, size_t k) {
-  const __m256d pivot_v = _mm256_set1_pd(pivot);
-  size_t taken = 0;
-  size_t ties_taken = 0;
-  size_t i = 0;
-  for (; i + 4 <= n && taken < k; i += 4) {
-    const __m256d x = _mm256_loadu_pd(scores + i);
-    const int gt = _mm256_movemask_pd(_mm256_cmp_pd(x, pivot_v, _CMP_GT_OQ));
-    const int eq = _mm256_movemask_pd(_mm256_cmp_pd(x, pivot_v, _CMP_EQ_OQ));
-    if ((gt | eq) == 0) continue;  // the common skip: k << n
-    for (size_t j = 0; j < 4 && taken < k; ++j) {
-      if ((gt >> j) & 1) {
-        out[taken++] = static_cast<uint32_t>(i + j);
-      } else if (((eq >> j) & 1) != 0 && ties_taken < ties) {
-        out[taken++] = static_cast<uint32_t>(i + j);
-        ++ties_taken;
-      }
-    }
-  }
-  // Scalar tail continues with the shared accept logic.
-  for (; i < n && taken < k; ++i) {
-    const double s = scores[i];
-    if (s > pivot) {
-      out[taken++] = static_cast<uint32_t>(i);
-    } else if (s == pivot && ties_taken < ties) {
-      out[taken++] = static_cast<uint32_t>(i);
-      ++ties_taken;
-    }
-  }
-}
-
 }  // namespace
 
 const KernelSet* avx2_kernels_impl() {
@@ -389,8 +342,6 @@ const KernelSet* avx2_kernels_impl() {
       avx2_popcount_words,
       avx2_andnot_popcount,
       avx2_and_popcount,
-      avx2_count_greater,
-      avx2_topk_fill,
   };
   return &set;
 }

@@ -129,29 +129,4 @@ inline std::uint64_t scalar_and_popcount(const std::uint64_t* a,
   return total;
 }
 
-// ---------------------------------------------------------------------------
-// Top-k scans
-
-inline std::size_t scalar_count_greater(const double* scores, std::size_t n,
-                                        double pivot) {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n; ++i) count += scores[i] > pivot ? 1 : 0;
-  return count;
-}
-
-inline void scalar_topk_fill(const double* scores, std::size_t n, double pivot,
-                             std::size_t ties, std::uint32_t* out, std::size_t k) {
-  std::size_t taken = 0;
-  std::size_t ties_taken = 0;
-  for (std::size_t i = 0; i < n && taken < k; ++i) {
-    const double s = scores[i];
-    if (s > pivot) {
-      out[taken++] = static_cast<std::uint32_t>(i);
-    } else if (s == pivot && ties_taken < ties) {
-      out[taken++] = static_cast<std::uint32_t>(i);
-      ++ties_taken;
-    }
-  }
-}
-
 }  // namespace pooled::kernels

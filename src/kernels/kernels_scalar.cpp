@@ -18,8 +18,6 @@ const KernelSet* scalar_kernels_impl() {
       scalar_popcount_words,
       scalar_andnot_popcount,
       scalar_and_popcount,
-      scalar_count_greater,
-      scalar_topk_fill,
   };
   return &set;
 }

@@ -41,6 +41,11 @@ class ThreadPool {
     return static_cast<unsigned>(workers_.size()) + 1;
   }
 
+  /// Lanes a run_tasks batch from the calling thread would run on:
+  /// size(), or 1 inside a task (the batch runs inline) and on a
+  /// one-thread pool.
+  [[nodiscard]] unsigned batch_width() const { return inside_task_ ? 1 : size(); }
+
   /// Runs fn(i) for all i in [0, count), blocking until completion.
   /// Task indices are claimed dynamically (atomic counter), so uneven
   /// tasks load-balance automatically.

@@ -49,8 +49,7 @@ ThresholdDecodeResult decode_threshold_mn(const StreamedInstance& instance,
   });
 
   std::vector<std::uint32_t> support(k);
-  select_top_k_into(kernels, scores.data(), n, k, arena.topk_values(n),
-                    support.data());
+  select_top_k_into(scores.data(), n, k, support.data());
   return ThresholdDecodeResult{Signal(n, std::move(support)), std::move(scores)};
 }
 

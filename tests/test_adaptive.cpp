@@ -21,6 +21,7 @@
 #include "engine/batch_engine.hpp"
 #include "engine/protocol.hpp"
 #include "engine/registry.hpp"
+#include "kernels/decode_arena.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/assert.hpp"
 
@@ -392,18 +393,24 @@ TEST(AdaptiveAdapter, PublishesTheFoldedPrefixFingerprint) {
     context.query_budget = budget;
     const DecodeOutcome outcome =
         make_decoder("adaptive:mn:L=16")->decode(*instance, context);
-    const QueryFingerprint* print = instance->fingerprint();
+    const std::shared_ptr<const QueryFingerprint> print = instance->fingerprint();
     ASSERT_NE(print, nullptr);
     EXPECT_EQ(print->queries, outcome.queries);
     EXPECT_EQ(outcome.queries, budget == 0 ? 128u : budget);
     EXPECT_EQ(instance->is_consistent(outcome.estimate),
               exact_verdict(*instance, outcome.estimate));
     EXPECT_TRUE(instance->is_consistent(truth));
-    // A later adaptive decode keeps the published prefix. A one-shot
-    // pass supersedes it with the fingerprint of all m queries, and the
-    // old pointer (which jobs may hold) stays unchanged and readable.
-    (void)make_decoder("adaptive:mn:L=8")->decode(*instance, DecodeContext(k, pool));
-    EXPECT_EQ(instance->fingerprint(), print);
+    // A later adaptive decode replaces the published prefix only with a
+    // longer one. A one-shot pass supersedes it with the fingerprint of
+    // all m queries, and the old print (which jobs may hold) stays
+    // unchanged and readable.
+    const DecodeOutcome fine =
+        make_decoder("adaptive:mn:L=8")->decode(*instance, DecodeContext(k, pool));
+    if (fine.queries > outcome.queries) {
+      EXPECT_EQ(instance->fingerprint()->queries, fine.queries);
+    } else {
+      EXPECT_EQ(instance->fingerprint().get(), print.get());
+    }
     (void)MnDecoder().decode(*instance, k, pool);
     ASSERT_NE(instance->fingerprint(), nullptr);
     EXPECT_EQ(instance->fingerprint()->queries, m);
@@ -416,10 +423,10 @@ TEST(AdaptiveAdapter, PublishesTheFoldedPrefixFingerprint) {
     const auto instance = channel_instance(n, m, truth, ChannelKind::Quantitative,
                                            1, /*noisy=*/false, pool);
     (void)MnDecoder().decode(*instance, k, pool);
-    const QueryFingerprint* print = instance->fingerprint();
+    const QueryFingerprint* print = instance->fingerprint().get();
     ASSERT_NE(print, nullptr);
     (void)make_decoder("adaptive:mn:L=16")->decode(*instance, DecodeContext(k, pool));
-    EXPECT_EQ(instance->fingerprint(), print);
+    EXPECT_EQ(instance->fingerprint().get(), print);
     EXPECT_EQ(print->queries, m);
   }
   // One-bit channels are not linear, and non-MN inners fold nothing:
@@ -481,7 +488,7 @@ TEST(AdaptiveAdapter, OneShotPassSupersedesABudgetPrefixFingerprint) {
   DecodeContext context(k, pool);
   context.query_budget = 40;
   (void)make_decoder("adaptive:mn:L=16")->decode(instance, context);
-  const QueryFingerprint* prefix = instance.fingerprint();
+  const std::shared_ptr<const QueryFingerprint> prefix = instance.fingerprint();
   ASSERT_NE(prefix, nullptr);
   EXPECT_EQ(prefix->queries, 40u);
   const Signal estimate = MnDecoder().decode(instance, k, pool);
@@ -492,6 +499,210 @@ TEST(AdaptiveAdapter, OneShotPassSupersedesABudgetPrefixFingerprint) {
   EXPECT_TRUE(instance.is_consistent(truth));
   (void)instance.is_consistent(estimate);
   EXPECT_EQ(design->regenerated.load(), regenerated);
+}
+
+TEST(AdaptiveAdapter, LongerPrefixSupersedesAShorterOne) {
+  // One instance, shared in process: a budgeted adaptive decode publishes
+  // its 40-query prefix, and a later unbudgeted one that folds 128
+  // queries replaces it, so the second verdict regenerates only the 172
+  // queries after that prefix, not the 260 after the first.
+  ThreadPool pool(2);
+  const std::uint32_t n = 400, k = 5, m = 300;
+  const Signal truth = Signal::random(n, k, 61);
+  const auto design = std::make_shared<CountingDesign>(n, 1400);
+  const StreamedInstance instance(design, m, simulate_queries(*design, m, truth, pool));
+  const auto decoder = make_decoder("adaptive:mn:L=16");
+  DecodeContext budgeted(k, pool);
+  budgeted.query_budget = 40;
+  (void)decoder->decode(instance, budgeted);
+  const std::shared_ptr<const QueryFingerprint> prefix = instance.fingerprint();
+  ASSERT_NE(prefix, nullptr);
+  EXPECT_EQ(prefix->queries, 40u);
+  const DecodeOutcome outcome = decoder->decode(instance, DecodeContext(k, pool));
+  ASSERT_EQ(outcome.stop, StopReason::Converged);
+  EXPECT_EQ(outcome.queries, 128u);
+  ASSERT_NE(instance.fingerprint(), nullptr);
+  EXPECT_EQ(instance.fingerprint()->queries, 128u);
+  EXPECT_EQ(prefix->queries, 40u);  // the replaced print stays readable
+  const std::uint64_t regenerated = design->regenerated.load();
+  EXPECT_TRUE(instance.is_consistent(outcome.estimate));
+  EXPECT_EQ(design->regenerated.load() - regenerated, 172u);
+  // A shorter prefix never replaces a longer one.
+  (void)decoder->decode(instance, budgeted);
+  EXPECT_EQ(instance.fingerprint()->queries, 128u);
+}
+
+// ---- fold-ahead vs the serial fold --------------------------------------
+//
+// A pool wider than one lane folds rounds ahead; the reference runs the
+// adapter's round loop with every query folded through
+// IncrementalMn::add_query on the calling thread. Everything a client can
+// observe must agree: the outcome, the engine's final verdict, and the
+// fingerprint the decode leaves on the instance.
+
+struct Observed {
+  DecodeOutcome outcome;
+  bool consistent = false;
+  std::shared_ptr<const QueryFingerprint> print;
+};
+
+StreamedInstance fresh_copy(const StreamedInstance& instance) {
+  return StreamedInstance(instance.design_ptr(), instance.m(), instance.results(),
+                          instance.channel(), instance.channel_threshold());
+}
+
+Observed observe(const StreamedInstance& served, DecodeOutcome outcome) {
+  Observed observed;
+  observed.consistent = served.is_consistent(outcome.estimate);
+  observed.print = served.fingerprint();
+  observed.outcome = std::move(outcome);
+  return observed;
+}
+
+Observed serial_fold_reference(const StreamedInstance& instance,
+                               const MnOptions& options, std::uint32_t batch,
+                               const DecodeContext& context) {
+  const StreamedInstance served = fresh_copy(instance);
+  const auto& y = served.results();
+  const auto available = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+      served.m(), context.query_budget > 0 ? context.query_budget : served.m()));
+  const bool linear = served.channel() == ChannelKind::Quantitative;
+  IncrementalMn mn(served.design_ptr(), options);
+  DecodeOutcome outcome;
+  outcome.estimate = Signal(served.n());
+  outcome.stop = StopReason::Exhausted;
+  std::uint32_t consumed = 0;
+  std::uint32_t round = 0;
+  bool have_estimate = false;
+  while (true) {
+    if (context.cancel_requested()) {
+      outcome.stop = StopReason::Cancelled;
+      break;
+    }
+    if (context.max_rounds > 0 && round >= context.max_rounds) {
+      outcome.stop = StopReason::RoundLimit;
+      break;
+    }
+    consumed = std::min(available, consumed + batch);
+    ++round;
+    while (mn.m() < consumed) mn.add_query(y[mn.m()]);
+    Signal estimate = mn.decode(context.k, context.thread_pool());
+    outcome.score_evals += served.n();
+    const bool stable = have_estimate && estimate == outcome.estimate;
+    outcome.estimate = std::move(estimate);
+    have_estimate = true;
+    const bool exhausted = consumed >= available;
+    if (stable || exhausted) {
+      const StreamedInstance prefix(
+          served.design_ptr(), consumed,
+          std::vector<std::uint32_t>(y.begin(), y.begin() + consumed),
+          served.channel(), served.channel_threshold());
+      if (linear ? mn.is_consistent(outcome.estimate)
+                 : prefix.is_consistent(outcome.estimate)) {
+        outcome.stop = StopReason::Converged;
+        break;
+      }
+      if (exhausted) break;
+    }
+  }
+  if (linear && mn.m() > 0) served.publish_fingerprint(mn.fingerprint());
+  outcome.rounds = round;
+  outcome.queries = consumed;
+  return observe(served, std::move(outcome));
+}
+
+std::string describe(const Observed& observed) {
+  std::ostringstream os;
+  os << describe(observed.outcome) << " consistent " << observed.consistent;
+  if (observed.print == nullptr) {
+    os << " no fingerprint";
+  } else {
+    os << " fingerprint queries " << observed.print->queries << " target "
+       << observed.print->target << " entries";
+    for (std::uint64_t entry : observed.print->entries) os << ' ' << entry;
+  }
+  return os.str();
+}
+
+TEST(AdaptiveAdapter, FoldAheadIsInvisible) {
+  const std::uint32_t n = 400, k = 5, m = 150;
+  const Signal truth = Signal::random(n, k, 71);
+  const auto design = std::make_shared<CountingDesign>(n, 1700);
+  const std::vector<std::uint32_t> sums = [&] {
+    ThreadPool pool(1);
+    return simulate_queries(*design, m, truth, pool);
+  }();
+  struct Case {
+    std::string name;
+    std::shared_ptr<const StreamedInstance> instance;
+  };
+  std::vector<Case> instances;
+  for (const auto& [channel, name] :
+       {std::pair{ChannelKind::Quantitative, "quantitative"},
+        std::pair{ChannelKind::Binary, "binary"},
+        std::pair{ChannelKind::Threshold, "threshold"}}) {
+    std::vector<std::uint32_t> y = sums;
+    for (std::uint32_t& value : y) value = apply_channel(value, channel, 2);
+    std::shared_ptr<const StreamedInstance> instance =
+        std::make_shared<StreamedInstance>(design, m, std::move(y), channel,
+                                           channel == ChannelKind::Threshold ? 2 : 1);
+    instances.push_back({name, instance});
+    instances.push_back({std::string(name) + "+noise",
+                         with_noise(instance, NoiseModel::symmetric(0.05, 9))});
+  }
+  // Results no pooled sum of this truth gives: one query in eight is
+  // near 2^32, so a delta block holding two of them (or one of them with
+  // every draw counted) could wrap, and those rounds fold serially.
+  std::vector<std::uint32_t> huge(m);
+  for (std::uint32_t q = 0; q < m; ++q) huge[q] = q % 8 == 7 ? 0xF0000000u + q : q % 5;
+  instances.push_back(
+      {"overflow", std::make_shared<StreamedInstance>(design, m, std::move(huge))});
+
+  std::atomic<bool> cancelled{true};
+  std::size_t cases = 0;
+  std::size_t speculated = 0;  // decodes that folded a round they never took
+  for (unsigned width : {1u, 2u, 4u, 7u}) {
+    ThreadPool pool(width);
+    for (const Case& instance : instances) {
+      for (const char* inner_spec : {"mn", "mn:multi-edge"}) {
+        const auto inner = std::dynamic_pointer_cast<const MnDecoder>(make_decoder(inner_spec));
+        ASSERT_NE(inner, nullptr);
+        for (std::uint32_t batch : {1u, 3u, 16u, 64u, 1024u}) {
+          const AdaptiveDecoder adaptive(inner, AdaptiveOptions{batch});
+          std::vector<DecodeContext> contexts(4, DecodeContext(k, pool));
+          contexts[1].query_budget = m / 2 + 1;  // ends inside a batch
+          contexts[2].max_rounds = 5;            // so does this cap
+          contexts[3].cancel = &cancelled;
+          for (const DecodeContext& context : contexts) {
+            const Observed want =
+                serial_fold_reference(*instance.instance, inner->options(), batch, context);
+            const StreamedInstance served = fresh_copy(*instance.instance);
+            const std::uint64_t regenerated = design->regenerated.load();
+            DecodeOutcome outcome = adaptive.decode(served, context);
+            // Only the linear channel's stop checks regenerate nothing.
+            speculated += served.channel() == ChannelKind::Quantitative &&
+                          design->regenerated.load() - regenerated > outcome.queries;
+            const Observed got = observe(served, std::move(outcome));
+            ASSERT_EQ(describe(got), describe(want))
+                << "width " << width << " instance " << instance.name << " inner "
+                << inner_spec << " L " << batch << " budget " << context.query_budget
+                << " rounds cap " << context.max_rounds << " cancelled "
+                << context.cancel_requested();
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 4u * 7 * 2 * 5 * 4);
+  // Wider pools folded rounds ahead that the loop then dropped, unless
+  // the arena budget admits no second delta block (POOLED_ARENA_BUDGET_MB
+  // = 0): then every round folded serially.
+  if (DecodeArena::delta_blocks(2, n) == 2) {
+    EXPECT_GT(speculated, 0u);
+  } else {
+    EXPECT_EQ(speculated, 0u);
+  }
 }
 
 TEST(AdaptiveAdapter, GoldenV2RequestAnswerIsPinned) {

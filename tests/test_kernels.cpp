@@ -198,11 +198,12 @@ std::vector<std::uint32_t> reference_top_k(const std::vector<double>& scores,
   return order;
 }
 
-TEST(KernelTopK, TieBreakIdenticalAcrossVariants) {
+TEST(KernelTopK, ScanMatchesTheReference) {
   std::mt19937_64 rng(31);
   const std::size_t n = 509;
-  // Heavy ties: scores drawn from a tiny value set plus all-equal and
-  // two-value extremes.
+  // Heavy ties (a tiny value set, all-equal, two values, signed zeros)
+  // and the orders that stress the scan: ascending scores make every
+  // entry enter the kept set, descending ones none after the first k.
   std::vector<std::vector<double>> cases;
   cases.push_back(std::vector<double>(n, 1.5));
   std::vector<double> two(n);
@@ -218,16 +219,20 @@ TEST(KernelTopK, TieBreakIdenticalAcrossVariants) {
     dense[i] = static_cast<double>(static_cast<std::int64_t>(rng())) * 0x1p-32;
   }
   cases.push_back(dense);
-  std::vector<double> scratch(n);
+  std::vector<double> ascending(n), descending(n), zeros(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ascending[i] = static_cast<double>(i) * 0.25 - 7.0;
+    descending[i] = -ascending[i];
+    zeros[i] = rng() % 2 == 0 ? 0.0 : -0.0;  // equal under ==: index decides
+  }
+  cases.push_back(ascending);
+  cases.push_back(descending);
+  cases.push_back(zeros);
   for (const auto& scores : cases) {
     for (const std::uint32_t k : {0u, 1u, 7u, 128u, static_cast<unsigned>(n)}) {
-      const auto want = reference_top_k(scores, k);
-      for (KernelIsa isa : available_kernel_isas()) {
-        std::vector<std::uint32_t> got(k, 0xFFFFFFFFu);
-        select_top_k_into(*kernels_for(isa), scores.data(), n, k,
-                          scratch.data(), got.data());
-        ASSERT_EQ(want, got) << kernel_isa_name(isa) << " k=" << k;
-      }
+      std::vector<std::uint32_t> got(k, 0xFFFFFFFFu);
+      select_top_k_into(scores.data(), n, k, got.data());
+      ASSERT_EQ(reference_top_k(scores, k), got) << "k=" << k;
     }
   }
 }
