@@ -37,11 +37,22 @@ void add_block(const DeltaRecord* block, std::size_t n, EntryRecord* records,
 }  // namespace
 
 IncrementalMn::IncrementalMn(std::shared_ptr<const PoolingDesign> design,
-                             MnOptions options)
+                             MnOptions options, DecodeArena* arena)
     : design_(std::move(design)), decoder_(options) {
   POOLED_REQUIRE(design_ != nullptr, "incremental MN needs a design");
-  records_.assign(n(), EntryRecord{});
-  stats_.resize(n(), decoder_.count_mode());
+  const CountMode mode = decoder_.count_mode();
+  if (arena == nullptr) {
+    own_records_.resize(n());
+    own_stats_.resize(n(), mode);
+    records_ = own_records_.data();
+    stats_ = &own_stats_;
+  } else {
+    // Borrowed slots hold the previous decode's sums: the records start
+    // over, and the pair is rewritten before its first read.
+    records_ = arena->accumulator_records(n());
+    std::fill_n(records_, n(), EntryRecord{});
+    stats_ = &arena->accumulator_stats(n(), mode);
+  }
 }
 
 void IncrementalMn::fold(std::uint32_t y) {
@@ -51,7 +62,7 @@ void IncrementalMn::fold(std::uint32_t y) {
   // weight is the one a one-shot pass folds, so the fingerprints agree.
   const std::uint64_t weight = fingerprint_weight(m_);
   accumulate_query(decoder_.count_mode(), scratch_.data(), scratch_.size(),
-                   m_ + 1, y, weight, RecordLayout{records_.data()});
+                   m_ + 1, y, weight, RecordLayout{records_});
   target_ += weight * y;
   ++m_;
   stats_stale_ = true;
@@ -186,11 +197,9 @@ void IncrementalMn::take_pieces(const std::vector<std::uint32_t>& y,
       // in the pair too.
       const DeltaRecord* block = blocks_ + (next_piece_ - 1) * block_stride_;
       if (decoder_.count_mode() == CountMode::Distinct) {
-        add_block(block, n(), records_.data(), stats_.psi.data(),
-                  stats_.delta_star.data());
+        add_block(block, n(), records_, stats_->psi.data(), stats_->delta_star.data());
       } else {
-        add_block(block, n(), records_.data(), stats_.psi_multi.data(),
-                  stats_.delta.data());
+        add_block(block, n(), records_, stats_->psi_multi.data(), stats_->delta.data());
       }
       target_ += piece.target;
       m_ = piece.end;
@@ -207,11 +216,10 @@ void IncrementalMn::take_pieces(const std::vector<std::uint32_t>& y,
 
 const EntryStats& IncrementalMn::stats() const {
   if (stats_stale_) {
-    fold_records(records_.data(), records_.size(), decoder_.count_mode(),
-                 /*add=*/false, stats_);
+    fold_records(records_, n(), decoder_.count_mode(), /*add=*/false, *stats_);
     stats_stale_ = false;
   }
-  return stats_;
+  return *stats_;
 }
 
 Signal IncrementalMn::decode(std::uint32_t k, ThreadPool& pool) const {
@@ -266,8 +274,8 @@ bool IncrementalMn::is_consistent(const Signal& candidate) const {
 
 QueryFingerprint IncrementalMn::fingerprint() const {
   QueryFingerprint print;
-  print.entries.resize(records_.size());
-  for (std::size_t i = 0; i < records_.size(); ++i) print.entries[i] = records_[i].fp;
+  print.entries.resize(n());
+  for (std::size_t i = 0; i < print.entries.size(); ++i) print.entries[i] = records_[i].fp;
   print.target = target_;
   print.queries = m_;
   return print;

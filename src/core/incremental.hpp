@@ -22,6 +22,12 @@
 // same pass; after serial folds an estimate transposes the records into
 // that pair first. The accumulator serves one thread at a time, const
 // calls included.
+//
+// A standalone accumulator owns its records and statistics. One built on
+// a DecodeArena borrows that arena's accumulator slots instead, so the
+// served decoder's jobs on one thread reuse one grow-only set of buffers
+// rather than allocating 44 bytes per entry each; at most one such
+// accumulator may live on an arena at a time.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +46,13 @@ class ThreadPool;
 
 class IncrementalMn {
  public:
-  IncrementalMn(std::shared_ptr<const PoolingDesign> design, MnOptions options = {});
+  /// Owns its buffers when `arena` is null; otherwise borrows `arena`'s
+  /// accumulator slots for its lifetime.
+  explicit IncrementalMn(std::shared_ptr<const PoolingDesign> design,
+                         MnOptions options = {}, DecodeArena* arena = nullptr);
+
+  IncrementalMn(const IncrementalMn&) = delete;
+  IncrementalMn& operator=(const IncrementalMn&) = delete;
 
   /// Folds query number m() with its observed result `y`.
   void add_query(std::uint32_t y);
@@ -117,9 +129,11 @@ class IncrementalMn {
 
   std::shared_ptr<const PoolingDesign> design_;
   MnDecoder decoder_;
-  std::vector<EntryRecord> records_;  ///< one per entry, zeroed at start
-  mutable EntryStats stats_;          ///< the count_mode() pair of records_
-  mutable bool stats_stale_ = false;  ///< records_ moved on since stats_
+  std::vector<EntryRecord> own_records_;  ///< standalone storage
+  EntryStats own_stats_;                  ///< standalone storage
+  EntryRecord* records_ = nullptr;  ///< n() records, zeroed at start
+  EntryStats* stats_ = nullptr;     ///< the count_mode() pair of records_
+  mutable bool stats_stale_ = true;  ///< records_ moved on since *stats_
   std::uint32_t m_ = 0;       ///< queries folded
   std::uint64_t target_ = 0;  ///< Σ r_q·y_q over the folded queries, wrapping
   std::vector<std::uint32_t> scratch_;

@@ -8,6 +8,7 @@
 #include "core/incremental.hpp"
 #include "core/mn.hpp"
 #include "engine/registry.hpp"
+#include "kernels/decode_arena.hpp"
 #include "support/assert.hpp"
 #include "support/timer.hpp"
 
@@ -45,10 +46,12 @@ DecodeOutcome AdaptiveDecoder::decode(const StreamedInstance& instance,
   // fold saves), so one pool batch folds the next rounds ahead instead,
   // one per task, each into its own delta block; the loop then takes them
   // in order. Rounds past the budget or the rounds cap never fold, and a
-  // round folded ahead that the loop never reaches is dropped.
+  // round folded ahead that the loop never reaches is dropped. The
+  // accumulator's records and statistics are this thread's arena slots,
+  // reused by its next decode.
   std::optional<IncrementalMn> incremental;
   if (const auto* mn = dynamic_cast<const MnDecoder*>(inner_.get())) {
-    incremental.emplace(instance.design_ptr(), mn->options());
+    incremental.emplace(instance.design_ptr(), mn->options(), &DecodeArena::local());
   }
   // The last query any round may read: the budget, or the rounds cap.
   const auto limit = static_cast<std::uint32_t>(std::min<std::uint64_t>(

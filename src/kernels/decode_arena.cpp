@@ -169,6 +169,19 @@ unsigned DecodeArena::delta_blocks(unsigned lanes, std::size_t entries) {
                              sizeof(DeltaRecord));
 }
 
+EntryStats& DecodeArena::accumulator_stats(std::size_t n, CountMode mode) {
+  EntryStats& stats = accumulator_stats_.stats;
+  stats.resize(n, mode);
+  const std::size_t bytes =
+      (stats.psi.capacity() + stats.psi_multi.capacity() + stats.delta.capacity()) *
+          sizeof(std::uint64_t) +
+      stats.delta_star.capacity() * sizeof(std::uint32_t);
+  arena_account_free(accumulator_stats_.bytes);
+  arena_account_alloc(bytes);
+  accumulator_stats_.bytes = bytes;
+  return stats;
+}
+
 LanePartials& DecodeArena::lane_partials(unsigned lanes, std::size_t entries) {
   partials_.reset(lanes, entries);
   return partials_;

@@ -1,7 +1,8 @@
 // Per-thread decode scratch: aligned buffers that grow once and are
 // reused for every subsequent decode, replacing the per-call / per-chunk
 // std::vector allocations in the hot paths (entry statistics, scoring,
-// full-sort ranking, consistency scans, rounds folded ahead).
+// full-sort ranking, consistency scans, the adaptive accumulator and the
+// rounds it folds ahead).
 //
 // Thread-affinity contract
 // ------------------------
@@ -17,17 +18,21 @@
 //  2. Lane-partial blocks (one EntryRecord per entry per lane, see
 //     kernels/entry_record.hpp) are allocated by the *calling* thread but
 //     written by pool workers, indexed by `ThreadPool::current_lane()`.
-//     The caller's run_tasks barrier is what makes that hand-off safe;
-//     the slot map tolerates foreign lane ids (a worker of a wider pool
-//     driving a narrower one inline). Delta blocks (one DeltaRecord per
+//     run_tasks returns only once no worker is left inside the caller's
+//     batch, which is what makes that hand-off safe (workers move on to
+//     other callers' batches, never back into a finished one); the slot
+//     map tolerates foreign lane ids (a worker of a wider pool driving a
+//     narrower one inline). Delta blocks (one DeltaRecord per
 //     entry per round that IncrementalMn folds ahead, past the first)
 //     follow the same hand-off, one block per task; each executing lane
 //     keeps the first-occurrence marks of its task in its *own* arena.
 //
 // Memory is bounded by the largest decode a thread has run:
-// 32 bytes/entry/lane for the record block, 16 bytes/entry for each round
-// past the first of one fold-ahead batch (at most three), 4 bytes/entry for
-// a lane's marks, plus the score and ranking vectors. POOLED_ARENA_BUDGET_MB (default
+// 32 bytes/entry/lane for the record block, 32 bytes/entry for the
+// adaptive accumulator's records plus 12 (20 for the multi-edge pair) for
+// its statistics, 16 bytes/entry for each round past the first of one
+// fold-ahead batch (at most three), 4 bytes/entry for a lane's marks, plus
+// the score and ranking vectors. POOLED_ARENA_BUDGET_MB (default
 // 1024) caps the lane-partial block by capping its lane count, and the
 // delta blocks by capping the rounds one batch folds ahead, never below
 // one: a pass whose pool is wider than the budget admits runs on fewer
@@ -144,6 +149,17 @@ class DecodeArena {
   /// thread).
   LanePartials& lane_partials(unsigned lanes, std::size_t entries);
 
+  /// `n` records for the adaptive accumulator on this thread
+  /// (IncrementalMn), contents undefined.
+  EntryRecord* accumulator_records(std::size_t n) {
+    return accumulator_records_.ensure(n);
+  }
+
+  /// The statistics that accumulator scores from: `mode`'s pair sized to
+  /// `n` entries, the other pair emptied, contents undefined. Capacity
+  /// only grows, and it counts in arena_stats().
+  EntryStats& accumulator_stats(std::size_t n, CountMode mode);
+
   /// `count` DeltaRecords for one fold-ahead batch, contents undefined.
   /// Each call starts a new claim: delta_claim() changes, so a holder of
   /// an earlier claim can tell that its blocks are gone.
@@ -181,6 +197,13 @@ class DecodeArena {
     std::size_t bytes_ = 0;
   };
 
+  /// EntryStats whose capacity counts in arena_stats().
+  struct CountedStats {
+    ~CountedStats() { arena_account_free(bytes); }
+    EntryStats stats;
+    std::size_t bytes = 0;
+  };
+
   Buffer<double> scores_;
   Buffer<std::uint32_t> order_;
   Buffer<std::uint32_t> marks_;
@@ -191,6 +214,8 @@ class DecodeArena {
   std::vector<std::uint32_t> members_;
   EntryStats stats_;
   LanePartials partials_;
+  Buffer<EntryRecord> accumulator_records_;
+  CountedStats accumulator_stats_;
 };
 
 }  // namespace pooled

@@ -1,6 +1,5 @@
 #include "parallel/thread_pool.hpp"
 
-#include "support/assert.hpp"
 #include "support/env.hpp"
 
 namespace pooled {
@@ -32,14 +31,31 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::participate(Batch& batch) {
-  // Claim and execute tasks until the batch drains.
   for (;;) {
     const std::size_t index = batch.next.fetch_add(1, std::memory_order_relaxed);
-    if (index >= batch.count) break;
-    batch.fn(index);
-    if (batch.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    if (index >= batch.count) return;
+    try {
+      (*batch.fn)(index);
+    } catch (...) {
+      // Indices already claimed still run; no further one is handed out.
+      batch.next.store(batch.count, std::memory_order_relaxed);
       const LockGuard lock(mutex_);
-      done_cv_.notify_all();
+      if (!batch.error) batch.error = std::current_exception();
+    }
+  }
+}
+
+void ThreadPool::unlist(const Batch& batch) {
+  if (first_ == &batch) {
+    first_ = batch.later;
+    if (last_ == &batch) last_ = nullptr;
+    return;
+  }
+  for (Batch* open = first_; open != nullptr; open = open->later) {
+    if (open->later == &batch) {
+      open->later = batch.later;
+      if (last_ == &batch) last_ = open;
+      return;
     }
   }
 }
@@ -47,19 +63,26 @@ void ThreadPool::participate(Batch& batch) {
 void ThreadPool::worker_loop(unsigned lane) {
   inside_task_ = true;  // nested run_tasks from a worker executes inline
   lane_ = lane;
-  std::shared_ptr<Batch> seen;
+  LockGuard lock(mutex_);
   for (;;) {
-    std::shared_ptr<Batch> batch;
-    {
-      LockGuard lock(mutex_);
-      while (!stop_ && (current_ == nullptr || current_ == seen)) {
-        cv_.wait(lock);
-      }
-      if (stop_) return;
-      batch = current_;
-      seen = batch;
+    // A batch whose every index is claimed has nothing left to help with.
+    while (first_ != nullptr &&
+           first_->next.load(std::memory_order_relaxed) >= first_->count) {
+      unlist(*first_);
     }
-    participate(*batch);
+    if (stop_) return;
+    if (first_ == nullptr) {
+      cv_.wait(lock);
+      continue;
+    }
+    // Its caller returns only once `workers` is back to zero, so the
+    // batch outlives this visit.
+    Batch& batch = *first_;
+    ++batch.workers;
+    lock.unlock();
+    participate(batch);
+    lock.lock();
+    if (--batch.workers == 0) done_cv_.notify_all();
   }
 }
 
@@ -71,28 +94,31 @@ void ThreadPool::run_tasks(std::size_t count,
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  const LockGuard batch_lock(batch_mutex_);
-  auto batch = std::make_shared<Batch>();
-  batch->fn = fn;
-  batch->count = count;
-  batch->remaining.store(count, std::memory_order_relaxed);
+  Batch batch;
+  batch.fn = &fn;
+  batch.count = count;
   {
     const LockGuard lock(mutex_);
-    POOLED_DCHECK(current_ == nullptr,
-                  "batch_mutex_ is held, so no other batch can be current");
-    current_ = batch;
+    if (last_ == nullptr) {
+      first_ = &batch;
+    } else {
+      last_->later = &batch;
+    }
+    last_ = &batch;
   }
   cv_.notify_all();
   inside_task_ = true;
-  participate(*batch);
+  participate(batch);
   inside_task_ = false;
+  std::exception_ptr error;
   {
     LockGuard lock(mutex_);
-    while (batch->remaining.load(std::memory_order_acquire) != 0) {
-      done_cv_.wait(lock);
-    }
-    current_ = nullptr;
+    // Off the list, no worker can enter; wait for those inside to leave.
+    unlist(batch);
+    while (batch.workers != 0) done_cv_.wait(lock);
+    error = batch.error;
   }
+  if (error) std::rethrow_exception(error);
 }
 
 ThreadPool& ThreadPool::global() {

@@ -1,24 +1,32 @@
 // Fixed-size worker pool executing indexed task batches.
 //
-// The pool runs one *batch* at a time: run_tasks(count, fn) executes
-// fn(0) .. fn(count-1) across the workers plus the calling thread and
-// returns when all are done. Batches from different threads are
-// serialized; nested run_tasks calls from inside a task execute inline
-// (degrading gracefully instead of deadlocking).
+// run_tasks(count, fn) executes fn(0) .. fn(count-1) across the workers
+// plus the calling thread and returns when all are done. Batches from
+// different threads run side by side: the pool keeps a FIFO list of open
+// batches, each caller claims indices only from its own batch, and an
+// idle worker joins the oldest batch that still has unclaimed indices.
+// Every caller always makes progress on its own batch, so none starves
+// and a task may wait on a task of another caller's batch. A batch
+// leaves the list once every index is claimed, and run_tasks returns
+// once no worker is still inside it. A task that throws stops its batch
+// from handing out further indices, and run_tasks rethrows the first
+// exception on the caller after every worker has left. Nested run_tasks
+// calls from inside a task execute inline (degrading gracefully instead
+// of deadlocking).
 //
 // This shape -- bulk-synchronous indexed batches -- is all the library
 // needs (queries, trials, and array chunks are all index spaces), and it
-// keeps scheduling deterministic enough to reason about. Each batch owns
-// its state via shared_ptr, so a worker that wakes late can only ever
-// drain the batch it was woken for, never a successor.
+// keeps scheduling deterministic enough to reason about. A batch lives
+// on its caller's stack and holds a pointer to the caller's fn, so
+// opening one allocates nothing.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -48,18 +56,22 @@ class ThreadPool {
 
   /// Runs fn(i) for all i in [0, count), blocking until completion.
   /// Task indices are claimed dynamically (atomic counter), so uneven
-  /// tasks load-balance automatically.
+  /// tasks load-balance automatically. Rethrows the first exception a
+  /// task threw, once no other lane is still running one of its tasks.
   void run_tasks(std::size_t count, const std::function<void(std::size_t)>& fn);
 
   /// Execution-lane id of the calling thread: workers are 1..workers(),
   /// every non-worker thread is 0. Within one run_tasks batch the set of
   /// executing threads is (some workers + the one caller), so lane ids
-  /// are unique per concurrently-executing thread -- which is what lets
-  /// per-lane scratch (kernels/decode_arena.hpp LanePartials) replace
-  /// shared atomic accumulators. A worker of pool A driving pool B runs
-  /// B's batch inline and keeps A's lane id; consumers must therefore
-  /// treat lane ids as opaque keys, not dense indices (LanePartials maps
-  /// ids to slots for exactly this reason).
+  /// are unique per concurrently-executing thread of a batch, and a
+  /// batch of `count` tasks runs on at most min(count, size()) of them --
+  /// which is what lets per-lane scratch (kernels/decode_arena.hpp
+  /// LanePartials) replace shared atomic accumulators. Callers of
+  /// concurrent batches all share lane 0, so lane ids are per batch, not
+  /// per pool. A worker of pool A driving pool B runs B's batch inline
+  /// and keeps A's lane id; consumers must therefore treat lane ids as
+  /// opaque keys, not dense indices (LanePartials maps ids to slots for
+  /// exactly this reason).
   [[nodiscard]] static unsigned current_lane() { return lane_; }
 
   /// Shared process-wide pool (width = hardware_concurrency, overridable
@@ -67,23 +79,28 @@ class ThreadPool {
   static ThreadPool& global();
 
  private:
+  /// One run_tasks call, on its caller's stack. `later`, `workers` and
+  /// `error` are read and written only under the pool's mutex_.
   struct Batch {
-    std::function<void(std::size_t)> fn;
+    const std::function<void(std::size_t)>* fn = nullptr;
     std::size_t count = 0;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> remaining{0};
+    std::atomic<std::size_t> next{0};  ///< next index to claim
+    Batch* later = nullptr;            ///< next open batch, FIFO
+    unsigned workers = 0;              ///< workers inside the batch
+    std::exception_ptr error;          ///< the first task exception
   };
 
   void worker_loop(unsigned lane);
+  /// Claims and runs the batch's tasks until every index is claimed.
   void participate(Batch& batch);
+  /// Takes the batch off the open list, if it is still on it.
+  void unlist(const Batch& batch) POOLED_REQUIRES(mutex_);
 
-  /// Serializes run_tasks callers; held across a whole batch, so it is
-  /// ordered strictly before the state mutex below.
-  AnnotatedMutex batch_mutex_ POOLED_ACQUIRED_BEFORE(mutex_);
-  AnnotatedMutex mutex_;  // protects current_/stop_ + cvs
-  std::condition_variable_any cv_;
-  std::condition_variable_any done_cv_;
-  std::shared_ptr<Batch> current_ POOLED_GUARDED_BY(mutex_);  // null when idle
+  AnnotatedMutex mutex_;  // protects the open list, stop_ + cvs
+  std::condition_variable_any cv_;       // workers: a batch opened, or stop
+  std::condition_variable_any done_cv_;  // callers: a worker left a batch
+  Batch* first_ POOLED_GUARDED_BY(mutex_) = nullptr;  // oldest open batch
+  Batch* last_ POOLED_GUARDED_BY(mutex_) = nullptr;   // newest open batch
   bool stop_ POOLED_GUARDED_BY(mutex_) = false;
   std::vector<std::thread> workers_;
   static thread_local bool inside_task_;

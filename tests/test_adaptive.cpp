@@ -8,6 +8,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "adaptive/batched.hpp"
@@ -703,6 +704,66 @@ TEST(AdaptiveAdapter, FoldAheadIsInvisible) {
   } else {
     EXPECT_EQ(speculated, 0u);
   }
+}
+
+TEST(AdaptiveAdapter, ReusedAccumulatorMatchesAFreshOne) {
+  // Every adaptive MN decode on a thread borrows that thread's arena
+  // slots for its accumulator, so each one below starts on what the one
+  // before left: n grows and shrinks, the count mode flips, and a budget
+  // ends a decode inside a fold-ahead batch. Each must answer exactly as
+  // the reference's fresh, self-owned accumulator does.
+  struct Step {
+    std::uint32_t n;
+    const char* inner;
+    std::uint32_t budget;
+  };
+  const Step steps[] = {{400, "mn", 0},          {1500, "mn:multi-edge", 0},
+                        {300, "mn", 0},          {1500, "mn", 91},
+                        {300, "mn:multi-edge", 0}, {1500, "mn:multi-edge", 91},
+                        {400, "mn", 91}};
+  const std::uint32_t k = 5, m = 180, batch = 16;
+  ThreadPool pool(4);
+  for (const Step& step : steps) {
+    const auto design = std::make_shared<RandomRegularDesign>(step.n, 300 + step.n);
+    const StreamedInstance instance(
+        design, m, simulate_queries(*design, m, Signal::random(step.n, k, step.n), pool));
+    const auto inner = std::dynamic_pointer_cast<const MnDecoder>(make_decoder(step.inner));
+    ASSERT_NE(inner, nullptr);
+    const AdaptiveDecoder adaptive(inner, AdaptiveOptions{batch});
+    DecodeContext context(k, pool);
+    context.query_budget = step.budget;
+    const Observed want = serial_fold_reference(instance, inner->options(), batch, context);
+    const StreamedInstance served = fresh_copy(instance);
+    const Observed got = observe(served, adaptive.decode(served, context));
+    ASSERT_EQ(describe(got), describe(want))
+        << "n " << step.n << " inner " << step.inner << " budget " << step.budget;
+  }
+}
+
+TEST(AdaptiveAdapter, AccumulatorSlotsAreCountedAndHoldNoDesign) {
+  // A fresh thread on a one-lane pool (no delta blocks, no lane marks):
+  // its decode grows the arena by at least the accumulator's records and
+  // Distinct pair, and once the job is gone nothing keeps its design.
+  const std::uint32_t n = 3000, k = 5, m = 200;
+  std::uint64_t grown = 0;
+  bool design_freed = false;
+  std::thread([&] {
+    ThreadPool pool(1);
+    std::weak_ptr<const PoolingDesign> watched;
+    {
+      const auto design = std::make_shared<RandomRegularDesign>(n, 41);
+      watched = design;
+      const StreamedInstance instance(
+          design, m, simulate_queries(*design, m, Signal::random(n, k, 43), pool));
+      const std::uint64_t before = arena_stats().live_bytes;
+      (void)make_decoder("adaptive:mn:L=16")->decode(instance, DecodeContext(k, pool));
+      grown = arena_stats().live_bytes - before;
+    }
+    design_freed = watched.expired();
+  }).join();
+  EXPECT_GE(grown, std::uint64_t{n} * (sizeof(EntryRecord) + sizeof(std::uint64_t) +
+                                       sizeof(std::uint32_t)));
+  EXPECT_TRUE(design_freed);
 }
 
 TEST(AdaptiveAdapter, GoldenV2RequestAnswerIsPinned) {

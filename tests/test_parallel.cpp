@@ -3,8 +3,10 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <numeric>
 #include <random>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -73,6 +75,33 @@ TEST(ThreadPool, BatchRunsOnAtMostCountLanes) {
       ASSERT_LE(static_cast<std::size_t>(std::popcount(lanes_seen.load())), count);
     }
   }
+}
+
+TEST(ThreadPool, TaskExceptionReachesTheCaller) {
+  // Only workers throw: the caller's first task holds on until one has,
+  // so the throw happens on a worker lane. run_tasks rethrows it on the
+  // caller once no worker is inside the batch.
+  ThreadPool pool(4);
+  std::atomic<bool> thrown{false};
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  EXPECT_THROW(pool.run_tasks(64,
+                              [&](std::size_t) {
+                                if (ThreadPool::current_lane() != 0) {
+                                  thrown.store(true);
+                                  throw std::runtime_error("worker task failed");
+                                }
+                                while (!thrown.load() &&
+                                       std::chrono::steady_clock::now() < give_up) {
+                                  std::this_thread::yield();
+                                }
+                              }),
+               std::runtime_error);
+  EXPECT_TRUE(thrown.load());
+  // The pool is intact: the next batch runs every task exactly once.
+  constexpr std::size_t kTasks = 1000;
+  std::vector<std::atomic<int>> hits(kTasks);
+  pool.run_tasks(kTasks, [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < kTasks; ++i) ASSERT_EQ(hits[i].load(), 1);
 }
 
 TEST(ThreadPool, GlobalPoolIsUsable) {

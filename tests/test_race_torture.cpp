@@ -3,11 +3,12 @@
 // Each test aims many threads at one of the concurrent structures and
 // keeps them colliding long enough for TSan to observe every pairing the
 // design allows: lock-free metric updates against registry snapshots,
-// cache hits against inserts and evictions, and a shard fleet losing and
-// readmitting a backend mid-traffic. The assertions are deliberately
-// coarse (monotonic counters, bounded sizes, every job answered) -- the
-// point of the test is the interleavings themselves, which the `race`
-// ctest label lets the TSan CI job select:
+// cache hits against inserts and evictions, pool batches from several
+// callers running side by side, and a shard fleet losing and readmitting
+// a backend mid-traffic. The assertions are deliberately coarse
+// (monotonic counters, bounded sizes, every job answered) -- the point
+// of the test is the interleavings themselves, which the `race` ctest
+// label lets the TSan CI job select:
 //
 //   ctest -L race        # just these batteries
 //
@@ -15,7 +16,9 @@
 // assertions still catch lost updates and broken eviction accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -27,6 +30,7 @@
 #include "core/instance.hpp"
 #include "design/random_regular.hpp"
 #include "engine/batch_engine.hpp"
+#include "engine/registry.hpp"
 #include "engine/result_cache.hpp"
 #include "engine/serve_server.hpp"
 #include "engine/shard_router.hpp"
@@ -161,8 +165,155 @@ TEST(RaceTorture, ResultCacheHitInsertEvict) {
 }
 
 // ---------------------------------------------------------------------
+// ThreadPool: batches from different callers run side by side. Each
+// caller claims only its own batch's indices and idle workers join the
+// oldest open batch, so a task may wait on a task of another caller's
+// batch; when batches take turns on the pool, that wait never ends.
+
+/// Spins until `flag` is set; false after 5 s without it.
+bool await_flag(const std::atomic<bool>& flag) {
+  const auto give_up = steady_clock::now() + std::chrono::seconds(5);
+  while (!flag.load()) {
+    if (steady_clock::now() >= give_up) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(RaceTorture, ConcurrentCallersDoNotTakeTurns) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<bool> set[2] = {false, false};
+    std::atomic<int> timeouts{0};
+    const auto caller = [&](int self) {
+      // Task 0 sets this caller's flag; the last task waits for the
+      // other caller's.
+      constexpr std::size_t kTasks = 3;
+      pool.run_tasks(kTasks, [&](std::size_t i) {
+        if (i == 0) set[self].store(true);
+        if (i + 1 == kTasks && !await_flag(set[1 - self])) timeouts.fetch_add(1);
+      });
+    };
+    std::thread other(caller, 1);
+    caller(0);
+    other.join();
+    ASSERT_EQ(timeouts.load(), 0) << "round " << round;
+  }
+}
+
+TEST(RaceTorture, ConcurrentCallersRunEveryTaskOnce) {
+  ThreadPool pool(4);
+  constexpr int kCallers = 8;
+  constexpr int kBatches = 200;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &failures, c] {
+      for (int b = 0; b < kBatches; ++b) {
+        const std::size_t count = 1 + static_cast<std::size_t>(c + b) % 9;
+        std::vector<std::atomic<int>> hits(count);
+        std::atomic<int> nested{0};
+        std::atomic<unsigned> lanes_seen{0};  // bit per lane id
+        pool.run_tasks(count, [&](std::size_t i) {
+          hits[i].fetch_add(1);
+          lanes_seen.fetch_or(1u << ThreadPool::current_lane());
+          // A nested batch runs inline on the executing lane.
+          pool.run_tasks(3, [&](std::size_t) { nested.fetch_add(1); });
+        });
+        bool ok = nested.load() == static_cast<int>(3 * count) &&
+                  static_cast<std::size_t>(std::popcount(lanes_seen.load())) <=
+                      std::min<std::size_t>(count, pool.size());
+        for (const std::atomic<int>& hit : hits) ok = ok && hit.load() == 1;
+        if (!ok) failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+// Four callers pass over distinct instances on one 4-wide pool at once:
+// the entry-statistics pass and an adaptive:mn:L=16 decode each. Every
+// statistic, fingerprint and outcome must equal the same work run
+// serially: the sums are integers merged by slot, whichever lanes ran them.
+
+struct ConcurrentRun {
+  EntryStats stats;
+  std::shared_ptr<const QueryFingerprint> pass_print;
+  DecodeOutcome outcome;
+  std::shared_ptr<const QueryFingerprint> decode_print;
+};
+
+ConcurrentRun pass_and_decode(const std::shared_ptr<const PoolingDesign>& design,
+                              std::uint32_t m, const std::vector<std::uint32_t>& y,
+                              std::uint32_t k, ThreadPool& pool) {
+  ConcurrentRun run;
+  // Fresh instances, so each run records and publishes its own prints.
+  const StreamedInstance for_pass(design, m, y);
+  for_pass.entry_stats_into(pool, run.stats);
+  run.pass_print = for_pass.fingerprint();
+  const StreamedInstance for_decode(design, m, y);
+  run.outcome = make_decoder("adaptive:mn:L=16")->decode(for_decode,
+                                                         DecodeContext(k, pool));
+  run.decode_print = for_decode.fingerprint();
+  return run;
+}
+
+void expect_same_print(const std::shared_ptr<const QueryFingerprint>& a,
+                       const std::shared_ptr<const QueryFingerprint>& b) {
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(a->entries, b->entries);
+  EXPECT_EQ(a->target, b->target);
+  EXPECT_EQ(a->queries, b->queries);
+}
+
+TEST(RaceTorture, ConcurrentDecodesMatchSerial) {
+  ThreadPool pool(4);
+  constexpr int kCallers = 4;
+  const std::uint32_t n = 2000, k = 10, m = 400;
+  std::vector<std::shared_ptr<const PoolingDesign>> designs;
+  std::vector<std::vector<std::uint32_t>> ys;
+  std::vector<ConcurrentRun> serial;
+  for (int c = 0; c < kCallers; ++c) {
+    designs.push_back(std::make_shared<RandomRegularDesign>(n, 700 + c));
+    ys.push_back(make_streamed_instance(designs.back(), m,
+                                        Signal::random(n, k, 0xB17 + c), pool)
+                     ->results());
+    serial.push_back(pass_and_decode(designs.back(), m, ys.back(), k, pool));
+  }
+  const auto deadline = steady_clock::now() + kBatteryBudget;
+  int rounds = 0;
+  while (steady_clock::now() < deadline || rounds < 2) {
+    std::vector<ConcurrentRun> runs(kCallers);
+    std::vector<std::thread> callers;
+    callers.reserve(kCallers);
+    for (int c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        runs[c] = pass_and_decode(designs[c], m, ys[c], k, pool);
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+    for (int c = 0; c < kCallers; ++c) {
+      SCOPED_TRACE("caller " + std::to_string(c) + ", round " +
+                   std::to_string(rounds));
+      EXPECT_EQ(runs[c].stats.psi, serial[c].stats.psi);
+      EXPECT_EQ(runs[c].stats.delta_star, serial[c].stats.delta_star);
+      expect_same_print(runs[c].pass_print, serial[c].pass_print);
+      EXPECT_EQ(runs[c].outcome.estimate, serial[c].outcome.estimate);
+      EXPECT_EQ(runs[c].outcome.rounds, serial[c].outcome.rounds);
+      EXPECT_EQ(runs[c].outcome.queries, serial[c].outcome.queries);
+      EXPECT_EQ(runs[c].outcome.stop, serial[c].outcome.stop);
+      expect_same_print(runs[c].decode_print, serial[c].decode_print);
+    }
+    ++rounds;
+  }
+}
+
+// ---------------------------------------------------------------------
 // Fingerprint publication: engine jobs on a 4-wide pool decode one
-// shared instance at once. The MN jobs' passes race to publish the
+// shared instance at once, submitted by several callers. The MN jobs' passes race to publish the
 // instance's fingerprint of all m queries, and the adaptive MN jobs
 // race to publish the prefix their rounds folded, a budgeted one only
 // its budget's prefix (the first publish of either wins; a full one then
@@ -202,7 +353,26 @@ TEST(RaceTorture, SharedInstanceFingerprintPublish) {
       jobs[j].decoder = decodes[j % std::size(decodes)].spec;
       jobs[j].budget = decodes[j % std::size(decodes)].budget;
     }
-    const std::vector<DecodeReport> reports = engine.run(jobs);
+    // Three callers submit five jobs each, so their batches share the
+    // pool side by side as well as running their jobs concurrently.
+    constexpr std::size_t kCallers = 3;
+    const std::size_t share = jobs.size() / kCallers;
+    std::vector<std::vector<DecodeReport>> caller_reports(kCallers);
+    std::vector<std::thread> callers;
+    callers.reserve(kCallers);
+    for (std::size_t c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        caller_reports[c] = engine.run(std::vector<DecodeJob>(
+            jobs.begin() + static_cast<std::ptrdiff_t>(c * share),
+            jobs.begin() + static_cast<std::ptrdiff_t>((c + 1) * share)));
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+    std::vector<DecodeReport> reports;
+    for (auto& part : caller_reports) {
+      reports.insert(reports.end(), part.begin(), part.end());
+    }
+    ASSERT_EQ(reports.size(), jobs.size());
     ASSERT_NE(shared->fingerprint(), nullptr);
     const StreamedInstance exact(design, m, shared->results());
     for (const DecodeReport& report : reports) {

@@ -9,6 +9,7 @@ hangs up without sending anything.
 
 Usage: socket_client_smoke.py <host> <port> <jobs-file> [<jobs-file>...]
        socket_client_smoke.py --stats-probe <host> <port> <jobs-file>
+       socket_client_smoke.py --concurrent <pooled_cli>
        socket_client_smoke.py --route <pooled_cli> <jobs-file>
        socket_client_smoke.py --rolling-restart <pooled_cli> <jobs-file>
 
@@ -18,6 +19,16 @@ half-closing (so it stays live), then connection B sends a stats frame
 and asserts the snapshot reconciles with the work -- jobs_served covers
 every job A sent and connections_active counts both connections. The
 stats frame body prints to stdout for the CI log.
+
+--concurrent exercises socket serve with two v2 clients at once: it
+simulates an instance (`pooled_cli simulate --n 500 --k 8 --seed 3
+--budget 2.5`), starts `pooled_cli serve --listen 127.0.0.1:0
+--progress`, and sends an adaptive:mn:L=16 job on one connection while
+three seeded `random` jobs ride another. The adaptive job must converge,
+seed 7 must repeat its support and seed 8 change it, every support must
+equal the same frames served over stdin with --threads 1, and SIGTERM
+must wind the server down with exit 0 and a "served 4 jobs over 2
+connections" summary.
 
 --route exercises the shard router's failover end to end: it spawns two
 `pooled_cli serve --listen` shards and one `pooled_cli route` process
@@ -38,10 +49,12 @@ deadline-capped (deadline/cancel stops are never cached).
 import os
 import re
 import shutil
+import signal
 import socket
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 
@@ -95,6 +108,20 @@ def stats_probe(host: str, port: int, jobs_path: str) -> int:
     return 0
 
 
+def exchange(host: str, port: int, payload: bytes) -> bytes:
+    """Sends `payload`, half-closes ("no more requests"), and returns
+    everything the server sends back until it closes."""
+    with socket.create_connection((host, port), timeout=60) as conn:
+        conn.sendall(payload)
+        conn.shutdown(socket.SHUT_WR)
+        received = b""
+        while True:
+            chunk = conn.recv(1 << 16)
+            if not chunk:
+                return received
+            received += chunk
+
+
 def spawn_serve(cli, extra_args=(), listen="127.0.0.1:0"):
     """Starts `pooled_cli serve --listen <listen> [extra_args...]`.
 
@@ -117,6 +144,89 @@ def spawn_serve(cli, extra_args=(), listen="127.0.0.1:0"):
             return proc, match.group(1), banner
     proc.kill()
     raise SystemExit(f"shard never came up: {banner!r}")
+
+
+def support_lines(frames: bytes) -> list:
+    return [line for line in frames.decode().splitlines()
+            if line.startswith("support")]
+
+
+def concurrent_smoke(cli: str) -> int:
+    workdir = tempfile.mkdtemp(prefix="pooled-concurrent-")
+    server = None
+    try:
+        instance_path = os.path.join(workdir, "run_v2.inst")
+        truth_path = os.path.join(workdir, "truth_v2.txt")
+        subprocess.run(
+            [cli, "simulate", "--n", "500", "--k", "8", "--seed", "3",
+             "--budget", "2.5", "--out", instance_path,
+             "--truth-out", truth_path],
+            check=True, stdout=subprocess.DEVNULL, timeout=120)
+        with open(instance_path, "rb") as f:
+            instance = f.read()
+        with open(truth_path) as f:
+            truth = " ".join(f.read().split())
+        adaptive = (f"pooled-job v2\ndecoder adaptive:mn:L=16\nk 8\n"
+                    f"truth {truth}\ninstance\n").encode() + instance + b"end\n"
+        # Seeded random jobs: the same seed must reproduce the same
+        # support over the wire, a different seed must change it.
+        seeded = b"".join(
+            f"pooled-job v2\ndecoder random\nk 8\nseed {seed}\ninstance\n"
+            .encode() + instance + b"end\n" for seed in (7, 7, 8))
+
+        server, addr, _ = spawn_serve(cli, ["--progress"])
+        # The server's remaining stderr (progress lines, then the
+        # summary) drains in the background so it never blocks on it.
+        stderr_tail = []
+        drain = threading.Thread(
+            target=lambda: stderr_tail.append(server.stderr.read()))
+        drain.start()
+        host, port = addr.rsplit(":", 1)
+        answers = {}
+        client = threading.Thread(
+            target=lambda: answers.update(
+                adaptive=exchange(host, int(port), adaptive)))
+        client.start()
+        answers["seeded"] = exchange(host, int(port), seeded)
+        client.join()
+
+        if answers["adaptive"].count(b"status ok") != 1:
+            raise SystemExit("adaptive client: expected 1 ok frame")
+        if b"stop converged" not in answers["adaptive"]:
+            raise SystemExit("adaptive client: the decode did not converge")
+        if answers["seeded"].count(b"status ok") != 3:
+            raise SystemExit("seeded client: expected 3 ok frames")
+        supports = support_lines(answers["seeded"])
+        if len(supports) != 3 or supports[0] != supports[1] \
+                or supports[0] == supports[2]:
+            raise SystemExit(f"seeded supports: seed 7 must repeat and seed "
+                             f"8 differ: {supports}")
+        # Each connection answers exactly what one thread serving the same
+        # frames over stdin does.
+        for name, frames in (("adaptive", adaptive), ("seeded", seeded)):
+            served = subprocess.run(
+                [cli, "serve", "--in", "-", "--out", "-", "--threads", "1"],
+                input=frames, capture_output=True, timeout=120)
+            if served.returncode != 0:
+                raise SystemExit(f"stdin serve of the {name} frames failed")
+            if support_lines(answers[name]) != support_lines(served.stdout):
+                raise SystemExit(f"{name} client: supports differ from "
+                                 "stdin serve with --threads 1")
+
+        # SIGTERM winds the server down cleanly (exit 0 + summary).
+        server.send_signal(signal.SIGTERM)
+        if server.wait(timeout=60) != 0:
+            raise SystemExit("server exited nonzero after SIGTERM")
+        drain.join()
+        if "served 4 jobs over 2 connections" not in "".join(stderr_tail):
+            raise SystemExit(f"no clean-shutdown summary: {stderr_tail!r}")
+    finally:
+        if server is not None and server.poll() is None:
+            server.kill()
+        shutil.rmtree(workdir, ignore_errors=True)
+    print("concurrent smoke ok: 4 jobs over 2 connections, supports match "
+          "stdin serve, clean shutdown", file=sys.stderr)
+    return 0
 
 
 def route_smoke(cli: str, jobs_path: str) -> int:
@@ -333,6 +443,11 @@ def main() -> int:
             print(__doc__, file=sys.stderr)
             return 2
         return rolling_restart(sys.argv[2], sys.argv[3])
+    if len(sys.argv) >= 2 and sys.argv[1] == "--concurrent":
+        if len(sys.argv) != 3:
+            print(__doc__, file=sys.stderr)
+            return 2
+        return concurrent_smoke(sys.argv[2])
     if len(sys.argv) >= 2 and sys.argv[1] == "--stats-probe":
         if len(sys.argv) != 5:
             print(__doc__, file=sys.stderr)
@@ -341,18 +456,11 @@ def main() -> int:
     if len(sys.argv) < 4:
         print(__doc__, file=sys.stderr)
         return 2
-    host, port = sys.argv[1], int(sys.argv[2])
-    with socket.create_connection((host, port), timeout=60) as conn:
-        for path in sys.argv[3:]:
-            with open(path, "rb") as jobs:
-                conn.sendall(jobs.read())
-        conn.shutdown(socket.SHUT_WR)  # "no more requests"
-        received = b""
-        while True:
-            chunk = conn.recv(1 << 16)
-            if not chunk:
-                break
-            received += chunk
+    payload = b""
+    for path in sys.argv[3:]:
+        with open(path, "rb") as jobs:
+            payload += jobs.read()
+    received = exchange(sys.argv[1], int(sys.argv[2]), payload)
     sys.stdout.write(received.decode())
     return 0 if b"pooled-result" in received else 1
 
