@@ -1,7 +1,7 @@
 // MICRO: the reconstruction pipeline -- entry-statistics accumulation
 // (the paper's two matrix-vector products), top-k selection vs. the full
-// parallel sort, SpMV, end-to-end MN decode, and the round loop of an
-// adaptive MN decode.
+// parallel sort, SpMV, end-to-end MN decode, and one adaptive MN job
+// (round loop and verdict).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -11,6 +11,7 @@
 #include "core/mn.hpp"
 #include "core/thresholds.hpp"
 #include "design/random_regular.hpp"
+#include "engine/batch_engine.hpp"
 #include "engine/registry.hpp"
 #include "linalg/csr_matrix.hpp"
 #include "parallel/thread_pool.hpp"
@@ -69,17 +70,22 @@ void BM_MnDecode(benchmark::State& state) {
 BENCHMARK(BM_MnDecode)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 void BM_AdaptiveMn(benchmark::State& state) {
-  // In-process adaptive:mn:L=16 at n=10^4 (m=806) on a pool of the given
-  // width: the cost of its rounds without a server in front.
+  // One adaptive:mn:L=16 job at n=10^4 (m=806) through BatchEngine::run_one
+  // on a pool of the given width, so the engine's final verdict is in the
+  // number. Each iteration serves a fresh instance of the same queries:
+  // no fingerprint carries over from the job before.
   ThreadPool pool(static_cast<unsigned>(state.range(0)));
   Fixture& f = fixture(10000);
-  const auto decoder = make_decoder("adaptive:mn:L=16");
-  const DecodeContext context(f.k, pool);
+  const BatchEngine engine(pool);
+  DecodeJob job;
+  job.decoder = "adaptive:mn:L=16";
+  job.k = f.k;
   std::uint32_t rounds = 0;
   for (auto _ : state) {
-    const DecodeOutcome outcome = decoder->decode(*f.streamed, context);
-    rounds = outcome.rounds;
-    benchmark::DoNotOptimize(outcome.estimate.k());
+    job.instance = std::make_shared<StreamedInstance>(f.design, f.m, f.streamed->results());
+    const DecodeReport report = engine.run_one(job);
+    rounds = report.rounds;
+    benchmark::DoNotOptimize(report.consistent);
   }
   state.counters["rounds"] = rounds;
 }

@@ -12,16 +12,23 @@
 // folds each round's new queries) or simulated against a truth they own
 // (the Fig. 2 loop and the round-based simulation study).
 //
-// A round of queries can also fold on the pool (fold_round): one batch
-// folds the next rounds ahead, one task per round, the first straight
-// into the records and each later one into its own delta block, and
-// later rounds are then taken from those blocks in order. That pays one
-// worker wake-up per batch instead of one per round. A round folded
-// ahead but never taken leaves no trace. Taking a round adds its block
-// to the records and writes the EntryStats pair the score reads in the
-// same pass; after serial folds an estimate transposes the records into
-// that pair first. The accumulator serves one thread at a time, const
-// calls included.
+// Rounds can also fold ahead on the pool (fold_round). The first call
+// opens a pool batch whose task r folds round r into block r % W of a
+// ring of W delta blocks in the calling thread's arena; at most W rounds
+// are folded and not yet taken, so a round becomes claimable only once
+// the round W before it is taken (ThreadPool::extend). The calling
+// thread takes rounds in order: it waits for a round a lane is folding,
+// and claims and folds itself (straight into the records) a round no
+// lane has claimed, so a decode progresses when every worker is busy
+// elsewhere. Taking a folded round adds its block to the records and
+// writes the EntryStats pair the score reads in the same pass; after
+// serial folds an estimate transposes the records into that pair first.
+// A lane never waits for ring space: with none, the round is not
+// claimable yet and the worker moves on. finish_rounds() stops the
+// ring: a fold in flight ends within one query, and no task touches a
+// block once it returns. A round folded ahead but never taken is in
+// neither m() nor the statistics; complete_fingerprint reuses its block.
+// The accumulator serves one thread at a time, const calls included.
 //
 // A standalone accumulator owns its records and statistics. One built on
 // a DecodeArena borrows that arena's accumulator slots instead, so the
@@ -30,7 +37,10 @@
 // accumulator may live on an arena at a time.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -38,18 +48,26 @@
 #include "core/signal.hpp"
 #include "design/design.hpp"
 #include "kernels/entry_record.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace pooled {
 
 class DecodeArena;
-class ThreadPool;
 
 class IncrementalMn {
  public:
+  /// Rounds folded ahead and not yet taken, at most: the width measured
+  /// end to end (a 4-lane pool). A wider ring would fold more rounds
+  /// that a converging decode then drops, and hold more blocks per thread.
+  static constexpr unsigned kRoundsAhead = 4;
+
   /// Owns its buffers when `arena` is null; otherwise borrows `arena`'s
   /// accumulator slots for its lifetime.
   explicit IncrementalMn(std::shared_ptr<const PoolingDesign> design,
                          MnOptions options = {}, DecodeArena* arena = nullptr);
+  /// Stops the rounds folding ahead if the owner did not (then a fold
+  /// task's exception is dropped: another one is unwinding the owner).
+  ~IncrementalMn();
 
   IncrementalMn(const IncrementalMn&) = delete;
   IncrementalMn& operator=(const IncrementalMn&) = delete;
@@ -63,15 +81,20 @@ class IncrementalMn {
   std::uint32_t add_simulated_query(const Signal& truth);
 
   /// Folds the next round, queries [m(), min(m() + batch, limit)) with
-  /// results y[q], exactly as add_query would. The caller's later rounds
-  /// are assumed to be the following runs of `batch` queries up to
-  /// `limit` (<= y.size()): when a pool batch from this thread runs on
-  /// more than one lane, one batch folds up to that many of them ahead
-  /// (at most four), and later calls take the folded rounds instead of
-  /// folding again. A round folded ahead is not in m(), the statistics
-  /// or the fingerprint until a call takes it.
+  /// results y[q], exactly as add_query would. The first call decides
+  /// whether later rounds fold ahead: when a pool batch from this thread
+  /// runs on more than one lane, the arena budget admits two blocks,
+  /// more than one round is left and a round's draws reach n, it opens
+  /// the ring over the runs of `batch` queries up to `limit`, and every
+  /// later call must pass the same `y`, `batch` and `limit` (`y` must
+  /// outlive finish_rounds). Otherwise every round folds serially.
   void fold_round(const std::vector<std::uint32_t>& y, std::uint32_t batch,
                   std::uint32_t limit, ThreadPool& pool);
+
+  /// Stops folding rounds ahead: folds in flight end within one query,
+  /// and no pool task touches the accumulator once it returns. Rethrows
+  /// the first exception a fold task threw. A no-op without a ring.
+  void finish_rounds();
 
   [[nodiscard]] std::uint32_t n() const { return design_->num_entries(); }
   [[nodiscard]] std::uint32_t m() const { return m_; }
@@ -99,13 +122,44 @@ class IncrementalMn {
   /// same design and results would record it (O(n) copy).
   [[nodiscard]] QueryFingerprint fingerprint() const;
 
+  /// The fingerprint of all y.size() queries, equal entry for entry to
+  /// the one a one-shot pass over `y` records: the folded prefix's, plus
+  /// the weights of queries [m(), y.size()) folded on `pool`, each lane
+  /// into the fp field of its own delta block. A round folded ahead and
+  /// never taken adds its block instead of being regenerated. Stops the
+  /// ring first; m() and the statistics do not change.
+  [[nodiscard]] QueryFingerprint complete_fingerprint(const std::vector<std::uint32_t>& y,
+                                                      ThreadPool& pool);
+
  private:
-  /// One round, queries [begin, end), folded ahead into one delta block.
-  struct Piece {
-    std::uint32_t begin = 0;
-    std::uint32_t end = 0;
-    std::uint64_t target = 0;  ///< Σ r_q·y_q over the piece
-    bool serial = false;       ///< its sums could reach 2^32: fold it serially
+  /// One ring block's round, published by the lane that folds it.
+  struct alignas(64) Slot {
+    /// round + 1 once the block holds that round (kFailed if the fold threw).
+    std::atomic<std::uint32_t> state{0};
+    std::uint64_t target = 0;  ///< Σ r_q·y_q over the round
+    bool overflow = false;     ///< its sums could reach 2^32: fold it serially
+  };
+
+  /// The rounds folding ahead, open from fold_round's first call (when it
+  /// pays) to finish_rounds. Round r is queries [first + r·batch, ...)
+  /// below `limit`, in block r % width.
+  struct Ring {
+    bool planned = false;         ///< fold_round decided whether to open it
+    ThreadPool* pool = nullptr;   ///< the pool the batch runs on while open
+    ThreadPool::Batch tasks;      ///< task r folds round r
+    const std::vector<std::uint32_t>* y = nullptr;
+    std::uint32_t first = 0;
+    std::uint32_t batch = 0;
+    std::uint32_t limit = 0;
+    std::uint32_t rounds = 0;     ///< rounds below `limit`
+    std::uint32_t taken = 0;      ///< rounds the calling thread has taken
+    std::atomic<bool> stop{false};
+    std::array<Slot, kRoundsAhead> slots;
+    // The delta blocks, held in `arena` until the accumulator dies.
+    DecodeArena* arena = nullptr;
+    DeltaRecord* blocks = nullptr;
+    unsigned width = 0;       ///< blocks held (W)
+    std::size_t stride = 0;   ///< DeltaRecords per block (n, rounded up)
   };
 
   /// Folds the draws in scratch_ as query number m() with result `y`.
@@ -114,18 +168,22 @@ class IncrementalMn {
   /// The pair the score reads, transposed from the records if stale.
   [[nodiscard]] const EntryStats& stats() const;
 
-  /// Plans the rounds of one pool batch from m() and folds them, the
-  /// first into the records and the rest into delta blocks; false (and
-  /// nothing folded) when the batch would not pay or the pool or arena
-  /// budget allows one lane only.
-  bool fold_ahead(const std::vector<std::uint32_t>& y, std::uint32_t batch,
-                  std::uint32_t limit, ThreadPool& pool);
+  /// Delta blocks a batch from this thread may use: the lanes it gets,
+  /// at most kRoundsAhead, within the arena budget.
+  [[nodiscard]] unsigned lane_blocks(const ThreadPool& pool) const;
 
-  /// Folds piece `index` >= 1 into its delta block (runs on a pool lane).
-  void fold_piece(std::size_t index, const std::vector<std::uint32_t>& y);
+  /// Holds `width` delta blocks of the calling thread's arena.
+  void hold_blocks(unsigned width);
 
-  /// Takes the folded-ahead pieces that start at m() and end by `end`.
-  void take_pieces(const std::vector<std::uint32_t>& y, std::uint32_t end);
+  /// Decides whether rounds fold ahead, and opens the ring if so.
+  void plan_rounds(const std::vector<std::uint32_t>& y, std::uint32_t batch,
+                   std::uint32_t limit, ThreadPool& pool);
+
+  /// Folds ring round `round` into its block (runs on a pool lane).
+  void fold_ahead(std::uint32_t round);
+
+  /// Takes the ring's next round, folding it here if no lane claimed it.
+  void take_round();
 
   std::shared_ptr<const PoolingDesign> design_;
   MnDecoder decoder_;
@@ -137,15 +195,8 @@ class IncrementalMn {
   std::uint32_t m_ = 0;       ///< queries folded
   std::uint64_t target_ = 0;  ///< Σ r_q·y_q over the folded queries, wrapping
   std::vector<std::uint32_t> scratch_;
-  // Folded ahead and not yet taken: pieces_[next_piece_..] in query
-  // order, piece i >= 1 in block i - 1 of the arena's claim `claim_`
-  // (piece 0 folds straight into records_).
-  std::vector<Piece> pieces_;
-  std::size_t next_piece_ = 0;
-  DeltaRecord* blocks_ = nullptr;
-  std::size_t block_stride_ = 0;  ///< DeltaRecords per block (n, rounded up)
-  const DecodeArena* arena_ = nullptr;
-  std::uint64_t claim_ = 0;
+  Ring ring_;
+  const std::function<void(std::size_t)> fold_task_;
 };
 
 }  // namespace pooled

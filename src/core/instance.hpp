@@ -101,8 +101,9 @@ struct EntryStats {
 /// inconsistent candidate has probability <= 2^(v-64), 2^v the largest
 /// power of two dividing every residual of Ax - y. Residuals are below
 /// 2^32 in magnitude, so that is <= 2^-33. A one-shot entry-statistics
-/// pass covers all m queries; an adaptive MN decode covers the prefix it
-/// folded.
+/// pass covers all m queries, and so does an adaptive MN decode, which
+/// completes the fingerprint of the prefix it folded; a cancelled one
+/// covers only that prefix.
 struct QueryFingerprint {
   std::vector<std::uint64_t> entries;
   std::uint64_t target = 0;
@@ -159,7 +160,8 @@ class StreamedInstance {
 
   /// The fingerprint of Ax = y over a query prefix, or nullptr; only the
   /// quantitative channel carries one, recorded by the entry-statistics
-  /// pass or published by an adaptive MN decode. The returned print stays
+  /// pass or published by an adaptive MN decode (all m queries, or a
+  /// cancelled decode's folded prefix). The returned print stays
   /// readable while the caller holds it, even once a longer one replaces
   /// it (see publish_fingerprint).
   [[nodiscard]] std::shared_ptr<const QueryFingerprint> fingerprint() const;

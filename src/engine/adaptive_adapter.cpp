@@ -43,12 +43,13 @@ DecodeOutcome AdaptiveDecoder::decode(const StreamedInstance& instance,
   // MN inners fold each round's new queries into one accumulator instead
   // of re-decoding the prefix. A round of L queries is too little work to
   // split over the pool (a batch's worker wake-up costs about what the
-  // fold saves), so one pool batch folds the next rounds ahead instead,
-  // one per task, each into its own delta block; the loop then takes them
-  // in order. Rounds past the budget or the rounds cap never fold, and a
-  // round folded ahead that the loop never reaches is dropped. The
-  // accumulator's records and statistics are this thread's arena slots,
-  // reused by its next decode.
+  // fold saves), so pool lanes fold the next rounds ahead instead, one
+  // per task, into a ring of delta blocks, and the loop takes them in
+  // order, folding itself any round no lane has claimed. Rounds past the
+  // budget or the rounds cap never fold, and a round folded ahead that
+  // the loop never reaches stays out of the outcome. The accumulator's
+  // records and statistics are this thread's arena slots, reused by its
+  // next decode.
   std::optional<IncrementalMn> incremental;
   if (const auto* mn = dynamic_cast<const MnDecoder*>(inner_.get())) {
     incremental.emplace(instance.design_ptr(), mn->options(), &DecodeArena::local());
@@ -134,12 +135,21 @@ DecodeOutcome AdaptiveDecoder::decode(const StreamedInstance& instance,
       }
     }
   }
-  // The folded prefix's fingerprint goes on the served instance, so the
-  // engine's final check regenerates only the queries after it. On a
-  // shared instance it replaces a shorter published prefix and leaves a
-  // longer one (publish_fingerprint).
-  if (fingerprinted && incremental->m() > 0) {
-    instance.publish_fingerprint(incremental->fingerprint());
+  if (incremental) incremental->finish_rounds();
+  // The decode completes its fingerprint to all m queries, by the one-shot
+  // pass's rule (unless one is published), so the engine's final check is
+  // O(k): the queries it did not fold are folded on the pool, the rounds
+  // folded ahead and never taken by their blocks. A cancelled decode
+  // leaves only its folded prefix, which replaces a shorter one on a
+  // shared instance (publish_fingerprint).
+  if (fingerprinted && stop == StopReason::Cancelled) {
+    if (incremental->m() > 0) instance.publish_fingerprint(incremental->fingerprint());
+  } else if (fingerprinted) {
+    const auto published = instance.fingerprint();
+    if (published == nullptr || published->queries < instance.m()) {
+      instance.publish_fingerprint(
+          incremental->complete_fingerprint(y, context.thread_pool()));
+    }
   }
   // `round` is reported as-is: an immediate cancel/deadline stops with 0
   // rounds run, matching the 0 on_round callbacks the stats sink saw.

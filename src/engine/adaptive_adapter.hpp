@@ -15,14 +15,16 @@
 // `adaptive:gt:binary:L=8` is DD over growing binary prefixes. MN inners
 // (every score variant) keep one IncrementalMn per decode and fold only
 // each round's L new queries into it; the estimate is bit-identical to
-// decoding the prefix. On a pool the accumulator folds the next rounds
-// ahead, one pool batch for as many rounds as the pool is wide (at most
-// four), and the loop takes them in order; rounds it never reaches are
-// dropped unseen, so rounds, queries and the verdict are those of the
-// serial fold. On the quantitative channel the accumulator's
-// fingerprint makes the stopping rule O(k), and the decode publishes it
-// on the instance, so the engine's final check regenerates only the
-// queries the decode did not fold. Other inners re-decode the whole
+// decoding the prefix. On a pool, lanes fold the next rounds ahead into
+// a ring of up to four delta blocks while the decoding thread takes them
+// in order, folding itself any round no lane has claimed; rounds it never
+// reaches stay out of the outcome, so rounds, queries and the verdict
+// are those of the serial fold. On the quantitative channel the
+// accumulator's fingerprint makes the stopping rule O(k), and once the
+// decode stops it completes that fingerprint to all m queries on the
+// pool and publishes it on the instance, so the engine's final check is
+// O(k) as for one-shot `mn` (a cancelled decode publishes only its
+// folded prefix). Other inners re-decode the whole
 // prefix each round and check it by the exact pass, as do MN inners on
 // the one-bit channels. The outcome reports the real trajectory: rounds
 // run, queries consumed, and why it stopped (converged / round-limit /

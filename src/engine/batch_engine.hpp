@@ -48,9 +48,10 @@ struct DecodeJob {
   std::optional<std::vector<std::uint32_t>> truth_support;
   /// Verify the estimate against every observed query result
   /// (StreamedInstance::is_consistent). O(k) for quantitative MN decodes,
-  /// whose pass or fold leaves a fingerprint on the instance; a pass over
-  /// the design (comparable to the original simulation) for the queries
-  /// no fingerprint covers, so bulk Monte-Carlo callers turn it off.
+  /// whose pass or fold leaves a fingerprint of every query on the
+  /// instance; a pass over the design (comparable to the original
+  /// simulation) for the queries no fingerprint covers, so bulk
+  /// Monte-Carlo callers turn it off.
   bool check_consistency = true;
 
   // -- decode options (protocol v2 job fields) --------------------------

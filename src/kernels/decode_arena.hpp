@@ -8,8 +8,8 @@
 // ------------------------
 // `DecodeArena::local()` returns the calling OS thread's arena. ThreadPool
 // workers are long-lived, so after the first decode at a given problem
-// size every buffer is warm and the steady state allocates nothing. Two
-// rules keep this safe:
+// size every buffer is warm and the steady state allocates nothing.
+// Three rules keep this safe:
 //
 //  1. A slot is scratch for ONE live use at a time: acquire it, use it,
 //     and stop referencing it before anything on the same thread can
@@ -22,21 +22,32 @@
 //     batch, which is what makes that hand-off safe (workers move on to
 //     other callers' batches, never back into a finished one); the slot
 //     map tolerates foreign lane ids (a worker of a wider pool driving a
-//     narrower one inline). Delta blocks (one DeltaRecord per
-//     entry per round that IncrementalMn folds ahead, past the first)
-//     follow the same hand-off, one block per task; each executing lane
-//     keeps the first-occurrence marks of its task in its *own* arena.
+//     narrower one inline).
+//  3. Delta blocks (one DeltaRecord per entry per block) are held by the
+//     decoding thread's IncrementalMn from its ring's start until the
+//     accumulator dies (hold_deltas / release_deltas; one holder per
+//     thread). Pool lanes fold rounds into them while the decoding
+//     thread runs on: a lane claims round r only once the round that
+//     last used block r % W is taken (the owner raises the batch's count
+//     with a release store that the claim's load acquires), and it
+//     publishes the folded block with a release store of its slot state
+//     that the taking thread acquires. finish_rounds() returns once no
+//     worker is inside the ring's batch, so no lane touches a block after
+//     the decode stops; the fingerprint completion then uses the blocks'
+//     fp fields as its lanes' scratch, one block per run_tasks task.
+//     Each executing lane keeps the first-occurrence marks of its round
+//     in its *own* arena.
 //
 // Memory is bounded by the largest decode a thread has run:
 // 32 bytes/entry/lane for the record block, 32 bytes/entry for the
 // adaptive accumulator's records plus 12 (20 for the multi-edge pair) for
-// its statistics, 16 bytes/entry for each round past the first of one
-// fold-ahead batch (at most three), 4 bytes/entry for a lane's marks, plus
-// the score and ranking vectors. POOLED_ARENA_BUDGET_MB (default
-// 1024) caps the lane-partial block by capping its lane count, and the
-// delta blocks by capping the rounds one batch folds ahead, never below
-// one: a pass whose pool is wider than the budget admits runs on fewer
-// lanes, and an adaptive decode folds fewer rounds ahead (one means the
+// its statistics, 16 bytes/entry for each of the W <= 4 delta blocks of
+// the adaptive ring, 4 bytes/entry for a lane's marks, plus the score and
+// ranking vectors. POOLED_ARENA_BUDGET_MB (default 1024) caps the
+// lane-partial block by capping its lane count, and the delta blocks by
+// capping W, never below one: a pass whose pool is wider than the budget
+// admits runs on fewer lanes, and an adaptive decode folds fewer rounds
+// ahead and completes its fingerprint on fewer lanes (one means the
 // serial fold, with no delta block at all), with the same results.
 #pragma once
 
@@ -48,6 +59,7 @@
 
 #include "core/instance.hpp"
 #include "kernels/entry_record.hpp"
+#include "support/assert.hpp"
 
 namespace pooled {
 
@@ -131,8 +143,9 @@ class DecodeArena {
   /// (default 1024, read once per process).
   static unsigned record_lanes(unsigned lanes, std::size_t entries);
 
-  /// The same for delta blocks of `entries` DeltaRecords: how many rounds
-  /// one batch of a `lanes`-wide pool may fold ahead.
+  /// The same for delta blocks of `entries` DeltaRecords: how many
+  /// blocks an adaptive decode on a `lanes`-wide pool may fold rounds
+  /// ahead into (and complete its fingerprint on).
   static unsigned delta_blocks(unsigned lanes, std::size_t entries);
 
   // -- named scratch slots (see the affinity contract above) -------------
@@ -160,14 +173,15 @@ class DecodeArena {
   /// only grows, and it counts in arena_stats().
   EntryStats& accumulator_stats(std::size_t n, CountMode mode);
 
-  /// `count` DeltaRecords for one fold-ahead batch, contents undefined.
-  /// Each call starts a new claim: delta_claim() changes, so a holder of
-  /// an earlier claim can tell that its blocks are gone.
-  DeltaRecord* deltas(std::size_t count) {
-    ++delta_claim_;
+  /// `count` DeltaRecords for the adaptive accumulator's delta blocks,
+  /// contents undefined, held until release_deltas(): pool lanes write
+  /// them while the holder lives, so one holder per thread at a time.
+  DeltaRecord* hold_deltas(std::size_t count) {
+    POOLED_REQUIRE(!deltas_held_, "this thread's delta blocks are held");
+    deltas_held_ = true;
     return deltas_.ensure(count);
   }
-  [[nodiscard]] std::uint64_t delta_claim() const { return delta_claim_; }
+  void release_deltas() { deltas_held_ = false; }
 
  private:
   template <typename T>
@@ -208,7 +222,7 @@ class DecodeArena {
   Buffer<std::uint32_t> order_;
   Buffer<std::uint32_t> marks_;
   Buffer<DeltaRecord> deltas_;
-  std::uint64_t delta_claim_ = 0;
+  bool deltas_held_ = false;
   Buffer<std::uint64_t> words_a_;
   Buffer<std::uint64_t> words_b_;
   std::vector<std::uint32_t> members_;

@@ -11,14 +11,16 @@
 // (fingerprint_weight), so a quantitative instance can check Ax = y in
 // O(k) afterwards (see QueryFingerprint in core/instance.hpp). Two folds
 // pass r_q: StreamedInstance's pass while it records a fingerprint (0
-// once one is published), and IncrementalMn for every query it folds.
+// once one is published), and IncrementalMn for every query it folds
+// (its fingerprint completion adds r_q alone into the blocks' fp).
 // LanePartials in kernels/decode_arena.hpp transposes the records into
 // the EntryStats pair the mode names once per pass.
 //
 // The fold has one body over two layouts: EntryRecord blocks (the
 // one-shot pass's lanes and IncrementalMn's records) and the 16-byte
-// DeltaRecord blocks that IncrementalMn folds rounds ahead into, whose
-// first-occurrence marks live apart, in the executing lane's arena.
+// DeltaRecord blocks of IncrementalMn's ring, which pool lanes fold
+// rounds ahead into, whose first-occurrence marks live apart, in the
+// executing lane's arena.
 #pragma once
 
 #include <cstddef>

@@ -1,8 +1,18 @@
 #include "parallel/thread_pool.hpp"
 
+#include <utility>
+
+#include "support/assert.hpp"
 #include "support/env.hpp"
 
 namespace pooled {
+
+namespace {
+
+/// Batch::next once the batch hands out no further index.
+constexpr std::size_t kClosed = static_cast<std::size_t>(-1);
+
+}  // namespace
 
 thread_local bool ThreadPool::inside_task_ = false;
 thread_local unsigned ThreadPool::lane_ = 0;
@@ -30,22 +40,46 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
+bool ThreadPool::claim_next(Batch& batch, std::size_t& index) {
+  std::size_t next = batch.next.load(std::memory_order_relaxed);
+  do {
+    // Acquire: an owner extends the count only once the new tasks' inputs
+    // are ready for them.
+    if (next >= batch.count.load(std::memory_order_acquire)) return false;
+  } while (!batch.next.compare_exchange_weak(next, next + 1,
+                                             std::memory_order_relaxed));
+  index = next;
+  return true;
+}
+
 void ThreadPool::participate(Batch& batch) {
-  for (;;) {
-    const std::size_t index = batch.next.fetch_add(1, std::memory_order_relaxed);
-    if (index >= batch.count) return;
+  std::size_t index = 0;
+  while (claim_next(batch, index)) {
     try {
       (*batch.fn)(index);
     } catch (...) {
       // Indices already claimed still run; no further one is handed out.
-      batch.next.store(batch.count, std::memory_order_relaxed);
+      batch.next.store(kClosed, std::memory_order_relaxed);
       const LockGuard lock(mutex_);
       if (!batch.error) batch.error = std::current_exception();
     }
   }
 }
 
-void ThreadPool::unlist(const Batch& batch) {
+void ThreadPool::list(Batch& batch) {
+  batch.later = nullptr;
+  batch.listed = true;
+  if (last_ == nullptr) {
+    first_ = &batch;
+  } else {
+    last_->later = &batch;
+  }
+  last_ = &batch;
+}
+
+void ThreadPool::unlist(Batch& batch) {
+  if (!batch.listed) return;
+  batch.listed = false;
   if (first_ == &batch) {
     first_ = batch.later;
     if (last_ == &batch) last_ = nullptr;
@@ -65,9 +99,10 @@ void ThreadPool::worker_loop(unsigned lane) {
   lane_ = lane;
   LockGuard lock(mutex_);
   for (;;) {
-    // A batch whose every index is claimed has nothing left to help with.
-    while (first_ != nullptr &&
-           first_->next.load(std::memory_order_relaxed) >= first_->count) {
+    // A batch with no claimable index has nothing left to help with
+    // (extend() lists it again).
+    while (first_ != nullptr && first_->next.load(std::memory_order_relaxed) >=
+                                    first_->count.load(std::memory_order_relaxed)) {
       unlist(*first_);
     }
     if (stop_) return;
@@ -75,7 +110,7 @@ void ThreadPool::worker_loop(unsigned lane) {
       cv_.wait(lock);
       continue;
     }
-    // Its caller returns only once `workers` is back to zero, so the
+    // Its owner finishes it only once `workers` is back to zero, so the
     // batch outlives this visit.
     Batch& batch = *first_;
     ++batch.workers;
@@ -84,6 +119,54 @@ void ThreadPool::worker_loop(unsigned lane) {
     lock.lock();
     if (--batch.workers == 0) done_cv_.notify_all();
   }
+}
+
+void ThreadPool::start(Batch& batch, std::size_t count,
+                       const std::function<void(std::size_t)>& fn) {
+  POOLED_REQUIRE(batch_width() > 1, "a batch with no worker to join it runs inline");
+  batch.fn = &fn;
+  batch.count.store(count, std::memory_order_relaxed);
+  batch.next.store(0, std::memory_order_relaxed);
+  batch.error = nullptr;
+  {
+    const LockGuard lock(mutex_);
+    list(batch);
+  }
+  cv_.notify_all();
+}
+
+void ThreadPool::extend(Batch& batch, std::size_t count) {
+  {
+    const LockGuard lock(mutex_);
+    if (count <= batch.count.load(std::memory_order_relaxed)) return;
+    batch.count.store(count, std::memory_order_release);
+    // A listed batch keeps its place; one that ran dry (and was not
+    // finished) queues again.
+    if (batch.next.load(std::memory_order_relaxed) >= count) return;
+    if (!batch.listed) list(batch);
+  }
+  // A worker that went to sleep while the batch ran dry may take the new
+  // index (a no-op when none sleeps).
+  cv_.notify_one();
+}
+
+bool ThreadPool::claim(Batch& batch, std::size_t index) {
+  if (index >= batch.count.load(std::memory_order_relaxed)) return false;
+  return batch.next.compare_exchange_strong(index, index + 1,
+                                            std::memory_order_relaxed);
+}
+
+void ThreadPool::finish(Batch& batch) {
+  batch.next.store(kClosed, std::memory_order_relaxed);
+  std::exception_ptr error;
+  {
+    LockGuard lock(mutex_);
+    // Off the list, no worker can enter; wait for those inside to leave.
+    unlist(batch);
+    while (batch.workers != 0) done_cv_.wait(lock);
+    error = std::exchange(batch.error, nullptr);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::run_tasks(std::size_t count,
@@ -95,30 +178,11 @@ void ThreadPool::run_tasks(std::size_t count,
     return;
   }
   Batch batch;
-  batch.fn = &fn;
-  batch.count = count;
-  {
-    const LockGuard lock(mutex_);
-    if (last_ == nullptr) {
-      first_ = &batch;
-    } else {
-      last_->later = &batch;
-    }
-    last_ = &batch;
-  }
-  cv_.notify_all();
+  start(batch, count, fn);
   inside_task_ = true;
   participate(batch);
   inside_task_ = false;
-  std::exception_ptr error;
-  {
-    LockGuard lock(mutex_);
-    // Off the list, no worker can enter; wait for those inside to leave.
-    unlist(batch);
-    while (batch.workers != 0) done_cv_.wait(lock);
-    error = batch.error;
-  }
-  if (error) std::rethrow_exception(error);
+  finish(batch);
 }
 
 ThreadPool& ThreadPool::global() {

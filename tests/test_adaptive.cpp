@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -375,7 +376,31 @@ TEST(AdaptiveAdapter, NonMnInnerKeepsThePrefixReplay) {
   }
 }
 
-TEST(AdaptiveAdapter, PublishesTheFoldedPrefixFingerprint) {
+/// Cancels its decode once `rounds` rounds have run.
+class CancelAfter final : public DecodeStatsSink {
+ public:
+  explicit CancelAfter(std::uint32_t rounds) : rounds_(rounds) {}
+
+  void on_round(std::uint32_t round, std::uint64_t) override {
+    if (round >= rounds_) cancel.store(true);
+  }
+
+  std::atomic<bool> cancel{false};
+
+ private:
+  std::uint32_t rounds_;
+};
+
+/// The fingerprint a one-shot pass over a fresh copy of `instance` records.
+std::shared_ptr<const QueryFingerprint> one_shot_print(const StreamedInstance& instance,
+                                                       ThreadPool& pool) {
+  const StreamedInstance copy(instance.design_ptr(), instance.m(), instance.results());
+  EntryStats stats;
+  copy.entry_stats_into(pool, stats);
+  return copy.fingerprint();
+}
+
+TEST(AdaptiveAdapter, PublishesAFingerprintOfAllQueries) {
   ThreadPool pool(2);
   const std::uint32_t n = 400, k = 5, m = 300;
   const Signal truth = Signal::random(n, k, 61);
@@ -385,8 +410,9 @@ TEST(AdaptiveAdapter, PublishesTheFoldedPrefixFingerprint) {
                             instance.channel(), instance.channel_threshold())
         .is_consistent(candidate);
   };
-  // Quantitative MN decodes leave the fingerprint of exactly the queries
-  // they folded: up to convergence, or a budget's prefix.
+  // Quantitative MN decodes complete the fingerprint of the queries they
+  // folded (up to convergence, or a budget's prefix) to all m queries:
+  // the one-shot pass's fingerprint, entry for entry.
   for (const std::uint32_t budget : {0u, 40u}) {
     const auto instance = channel_instance(n, m, truth, ChannelKind::Quantitative,
                                            1, /*noisy=*/false, pool);
@@ -396,26 +422,20 @@ TEST(AdaptiveAdapter, PublishesTheFoldedPrefixFingerprint) {
         make_decoder("adaptive:mn:L=16")->decode(*instance, context);
     const std::shared_ptr<const QueryFingerprint> print = instance->fingerprint();
     ASSERT_NE(print, nullptr);
-    EXPECT_EQ(print->queries, outcome.queries);
+    EXPECT_EQ(print->queries, m);
     EXPECT_EQ(outcome.queries, budget == 0 ? 128u : budget);
+    const auto want = one_shot_print(*instance, pool);
+    EXPECT_EQ(print->entries, want->entries);
+    EXPECT_EQ(print->target, want->target);
     EXPECT_EQ(instance->is_consistent(outcome.estimate),
               exact_verdict(*instance, outcome.estimate));
     EXPECT_TRUE(instance->is_consistent(truth));
-    // A later adaptive decode replaces the published prefix only with a
-    // longer one. A one-shot pass supersedes it with the fingerprint of
-    // all m queries, and the old print (which jobs may hold) stays
-    // unchanged and readable.
-    const DecodeOutcome fine =
-        make_decoder("adaptive:mn:L=8")->decode(*instance, DecodeContext(k, pool));
-    if (fine.queries > outcome.queries) {
-      EXPECT_EQ(instance->fingerprint()->queries, fine.queries);
-    } else {
-      EXPECT_EQ(instance->fingerprint().get(), print.get());
-    }
+    // Nothing replaces a fingerprint of all m queries: not a later
+    // adaptive decode, not a one-shot pass.
+    (void)make_decoder("adaptive:mn:L=8")->decode(*instance, DecodeContext(k, pool));
+    EXPECT_EQ(instance->fingerprint().get(), print.get());
     (void)MnDecoder().decode(*instance, k, pool);
-    ASSERT_NE(instance->fingerprint(), nullptr);
-    EXPECT_EQ(instance->fingerprint()->queries, m);
-    EXPECT_EQ(print->queries, outcome.queries);
+    EXPECT_EQ(instance->fingerprint().get(), print.get());
     EXPECT_EQ(print->entries.size(), n);
     EXPECT_TRUE(instance->is_consistent(truth));
   }
@@ -429,6 +449,25 @@ TEST(AdaptiveAdapter, PublishesTheFoldedPrefixFingerprint) {
     (void)make_decoder("adaptive:mn:L=16")->decode(*instance, DecodeContext(k, pool));
     EXPECT_EQ(instance->fingerprint().get(), print);
     EXPECT_EQ(print->queries, m);
+  }
+  // A cancelled decode skips the completion: it leaves the prefix it
+  // folded, and the verdict regenerates the rest.
+  {
+    const auto instance = channel_instance(n, m, truth, ChannelKind::Quantitative,
+                                           1, /*noisy=*/false, pool);
+    CancelAfter sink(3);
+    DecodeContext context(k, pool);
+    context.stats = &sink;
+    context.cancel = &sink.cancel;
+    const DecodeOutcome outcome =
+        make_decoder("adaptive:mn:L=16")->decode(*instance, context);
+    EXPECT_EQ(outcome.stop, StopReason::Cancelled);
+    EXPECT_EQ(outcome.queries, 48u);
+    ASSERT_NE(instance->fingerprint(), nullptr);
+    EXPECT_EQ(instance->fingerprint()->queries, 48u);
+    EXPECT_EQ(instance->is_consistent(outcome.estimate),
+              exact_verdict(*instance, outcome.estimate));
+    EXPECT_TRUE(instance->is_consistent(truth));
   }
   // One-bit channels are not linear, and non-MN inners fold nothing:
   // neither publishes, so the verdict stays the exact pass.
@@ -453,7 +492,8 @@ TEST(AdaptiveAdapter, PublishesTheFoldedPrefixFingerprint) {
   EXPECT_THROW(quantitative->publish_fingerprint(print), ContractError);
 }
 
-/// A random-regular design that counts its query regenerations.
+/// A random-regular design that counts its query regenerations, and
+/// those that ran on a pool worker.
 class CountingDesign final : public PoolingDesign {
  public:
   CountingDesign(std::uint32_t n, std::uint64_t seed) : inner_(n, seed) {}
@@ -464,6 +504,9 @@ class CountingDesign final : public PoolingDesign {
   void query_members(std::uint32_t query,
                      std::vector<std::uint32_t>& out) const override {
     regenerated.fetch_add(1, std::memory_order_relaxed);
+    if (ThreadPool::current_lane() != 0) {
+      on_workers.fetch_add(1, std::memory_order_relaxed);
+    }
     inner_.query_members(query, out);
   }
   [[nodiscard]] double expected_pool_size() const override {
@@ -472,15 +515,24 @@ class CountingDesign final : public PoolingDesign {
   [[nodiscard]] std::string name() const override { return inner_.name(); }
 
   mutable std::atomic<std::uint64_t> regenerated{0};
+  mutable std::atomic<std::uint64_t> on_workers{0};
 
  private:
   RandomRegularDesign inner_;
 };
 
+/// The fingerprint of `instance`'s first `queries` queries, folded by a
+/// standalone accumulator.
+QueryFingerprint prefix_print(const StreamedInstance& instance, std::uint32_t queries) {
+  IncrementalMn mn(instance.design_ptr());
+  while (mn.m() < queries) mn.add_query(instance.results()[mn.m()]);
+  return mn.fingerprint();
+}
+
 TEST(AdaptiveAdapter, OneShotPassSupersedesABudgetPrefixFingerprint) {
-  // One instance, shared in process: a budgeted adaptive decode publishes
-  // its prefix first, and the later one-shot pass still leaves a
-  // fingerprint of all m queries, so the verdict regenerates nothing.
+  // One instance, shared in process: a budgeted adaptive decode folds 40
+  // queries and publishes a fingerprint of all 300, so its verdict
+  // regenerates nothing, and a later one-shot pass leaves that print.
   ThreadPool pool(2);
   const std::uint32_t n = 400, k = 5, m = 300;
   const Signal truth = Signal::random(n, k, 61);
@@ -488,58 +540,91 @@ TEST(AdaptiveAdapter, OneShotPassSupersedesABudgetPrefixFingerprint) {
   const StreamedInstance instance(design, m, simulate_queries(*design, m, truth, pool));
   DecodeContext context(k, pool);
   context.query_budget = 40;
-  (void)make_decoder("adaptive:mn:L=16")->decode(instance, context);
-  const std::shared_ptr<const QueryFingerprint> prefix = instance.fingerprint();
+  const DecodeOutcome outcome = make_decoder("adaptive:mn:L=16")->decode(instance, context);
+  EXPECT_EQ(outcome.queries, 40u);
+  const std::shared_ptr<const QueryFingerprint> print = instance.fingerprint();
+  ASSERT_NE(print, nullptr);
+  EXPECT_EQ(print->queries, m);
+  std::uint64_t regenerated = design->regenerated.load();
+  EXPECT_TRUE(instance.is_consistent(truth));
+  (void)instance.is_consistent(outcome.estimate);
+  EXPECT_EQ(design->regenerated.load(), regenerated);
+  const Signal estimate = MnDecoder().decode(instance, k, pool);
+  EXPECT_EQ(instance.fingerprint().get(), print.get());
+  // A budget prefix published directly (as a cancelled decode leaves
+  // one) is superseded by the one-shot pass's fingerprint of all m
+  // queries, so that verdict regenerates nothing either.
+  const StreamedInstance shared(design, m, instance.results());
+  shared.publish_fingerprint(prefix_print(shared, 40));
+  const std::shared_ptr<const QueryFingerprint> prefix = shared.fingerprint();
   ASSERT_NE(prefix, nullptr);
   EXPECT_EQ(prefix->queries, 40u);
-  const Signal estimate = MnDecoder().decode(instance, k, pool);
-  ASSERT_NE(instance.fingerprint(), nullptr);
-  EXPECT_EQ(instance.fingerprint()->queries, m);
+  EXPECT_EQ(MnDecoder().decode(shared, k, pool), estimate);
+  ASSERT_NE(shared.fingerprint(), nullptr);
+  EXPECT_EQ(shared.fingerprint()->queries, m);
+  EXPECT_EQ(shared.fingerprint()->entries, print->entries);
   EXPECT_EQ(prefix->queries, 40u);
-  const std::uint64_t regenerated = design->regenerated.load();
-  EXPECT_TRUE(instance.is_consistent(truth));
-  (void)instance.is_consistent(estimate);
+  regenerated = design->regenerated.load();
+  EXPECT_TRUE(shared.is_consistent(truth));
+  (void)shared.is_consistent(estimate);
   EXPECT_EQ(design->regenerated.load(), regenerated);
 }
 
 TEST(AdaptiveAdapter, LongerPrefixSupersedesAShorterOne) {
-  // One instance, shared in process: a budgeted adaptive decode publishes
-  // its 40-query prefix, and a later unbudgeted one that folds 128
-  // queries replaces it, so the second verdict regenerates only the 172
-  // queries after that prefix, not the 260 after the first.
+  // One instance, shared in process: a decode cancelled after 3 rounds
+  // publishes its 48-query prefix, and one cancelled after 7 rounds
+  // replaces it with 112 queries, so the verdict regenerates only the
+  // 188 queries after that prefix, not the 252 after the first. A shorter
+  // prefix never replaces a longer one, and a decode that runs to its
+  // stop completes the fingerprint to all 300 queries.
   ThreadPool pool(2);
   const std::uint32_t n = 400, k = 5, m = 300;
   const Signal truth = Signal::random(n, k, 61);
   const auto design = std::make_shared<CountingDesign>(n, 1400);
   const StreamedInstance instance(design, m, simulate_queries(*design, m, truth, pool));
   const auto decoder = make_decoder("adaptive:mn:L=16");
-  DecodeContext budgeted(k, pool);
-  budgeted.query_budget = 40;
-  (void)decoder->decode(instance, budgeted);
+  const auto cancelled_after = [&](std::uint32_t rounds) {
+    CancelAfter sink(rounds);
+    DecodeContext context(k, pool);
+    context.stats = &sink;
+    context.cancel = &sink.cancel;
+    return decoder->decode(instance, context);
+  };
+  EXPECT_EQ(cancelled_after(3).queries, 48u);
   const std::shared_ptr<const QueryFingerprint> prefix = instance.fingerprint();
   ASSERT_NE(prefix, nullptr);
-  EXPECT_EQ(prefix->queries, 40u);
-  const DecodeOutcome outcome = decoder->decode(instance, DecodeContext(k, pool));
-  ASSERT_EQ(outcome.stop, StopReason::Converged);
-  EXPECT_EQ(outcome.queries, 128u);
+  EXPECT_EQ(prefix->queries, 48u);
+  const DecodeOutcome outcome = cancelled_after(7);
+  ASSERT_EQ(outcome.stop, StopReason::Cancelled);
+  EXPECT_EQ(outcome.queries, 112u);
   ASSERT_NE(instance.fingerprint(), nullptr);
-  EXPECT_EQ(instance.fingerprint()->queries, 128u);
-  EXPECT_EQ(prefix->queries, 40u);  // the replaced print stays readable
-  const std::uint64_t regenerated = design->regenerated.load();
-  EXPECT_TRUE(instance.is_consistent(outcome.estimate));
-  EXPECT_EQ(design->regenerated.load() - regenerated, 172u);
+  EXPECT_EQ(instance.fingerprint()->queries, 112u);
+  EXPECT_EQ(prefix->queries, 48u);  // the replaced print stays readable
+  std::uint64_t regenerated = design->regenerated.load();
+  EXPECT_TRUE(instance.is_consistent(truth));
+  EXPECT_EQ(design->regenerated.load() - regenerated, 188u);
   // A shorter prefix never replaces a longer one.
-  (void)decoder->decode(instance, budgeted);
-  EXPECT_EQ(instance.fingerprint()->queries, 128u);
+  (void)cancelled_after(3);
+  instance.publish_fingerprint(prefix_print(instance, 40));
+  EXPECT_EQ(instance.fingerprint()->queries, 112u);
+  // A completed decode replaces the prefix with all m queries.
+  EXPECT_EQ(decoder->decode(instance, DecodeContext(k, pool)).stop, StopReason::Converged);
+  ASSERT_NE(instance.fingerprint(), nullptr);
+  EXPECT_EQ(instance.fingerprint()->queries, m);
+  regenerated = design->regenerated.load();
+  EXPECT_TRUE(instance.is_consistent(truth));
+  EXPECT_EQ(design->regenerated.load(), regenerated);
 }
 
 // ---- fold-ahead vs the serial fold --------------------------------------
 //
 // A pool wider than one lane folds rounds ahead; the reference runs the
 // adapter's round loop with every query folded through
-// IncrementalMn::add_query on the calling thread. Everything a client can
-// observe must agree: the outcome, the engine's final verdict, and the
-// fingerprint the decode leaves on the instance.
+// IncrementalMn::add_query on the calling thread, and leaves the
+// fingerprint a one-shot pass records (a cancelled decode: its folded
+// prefix). Everything a client can observe must agree: the outcome, the
+// engine's final verdict, and the fingerprint the decode leaves on the
+// instance.
 
 struct Observed {
   DecodeOutcome outcome;
@@ -606,7 +691,12 @@ Observed serial_fold_reference(const StreamedInstance& instance,
       if (exhausted) break;
     }
   }
-  if (linear && mn.m() > 0) served.publish_fingerprint(mn.fingerprint());
+  if (linear && outcome.stop == StopReason::Cancelled) {
+    if (mn.m() > 0) served.publish_fingerprint(mn.fingerprint());
+  } else if (linear) {
+    EntryStats stats;
+    served.entry_stats_into(context.thread_pool(), stats);
+  }
   outcome.rounds = round;
   outcome.queries = consumed;
   return observe(served, std::move(outcome));
@@ -661,7 +751,7 @@ TEST(AdaptiveAdapter, FoldAheadIsInvisible) {
 
   std::atomic<bool> cancelled{true};
   std::size_t cases = 0;
-  std::size_t speculated = 0;  // decodes that folded a round they never took
+  std::size_t folded_ahead = 0;  // one-bit decodes with a round folded on a worker
   for (unsigned width : {1u, 2u, 4u, 7u}) {
     ThreadPool pool(width);
     for (const Case& instance : instances) {
@@ -678,11 +768,12 @@ TEST(AdaptiveAdapter, FoldAheadIsInvisible) {
             const Observed want =
                 serial_fold_reference(*instance.instance, inner->options(), batch, context);
             const StreamedInstance served = fresh_copy(*instance.instance);
-            const std::uint64_t regenerated = design->regenerated.load();
+            const std::uint64_t on_workers = design->on_workers.load();
             DecodeOutcome outcome = adaptive.decode(served, context);
-            // Only the linear channel's stop checks regenerate nothing.
-            speculated += served.channel() == ChannelKind::Quantitative &&
-                          design->regenerated.load() - regenerated > outcome.queries;
+            // One-bit decodes complete no fingerprint, so a query a worker
+            // regenerated was folded ahead.
+            folded_ahead += served.channel() != ChannelKind::Quantitative &&
+                            design->on_workers.load() > on_workers;
             const Observed got = observe(served, std::move(outcome));
             ASSERT_EQ(describe(got), describe(want))
                 << "width " << width << " instance " << instance.name << " inner "
@@ -696,13 +787,89 @@ TEST(AdaptiveAdapter, FoldAheadIsInvisible) {
     }
   }
   EXPECT_EQ(cases, 4u * 7 * 2 * 5 * 4);
-  // Wider pools folded rounds ahead that the loop then dropped, unless
-  // the arena budget admits no second delta block (POOLED_ARENA_BUDGET_MB
-  // = 0): then every round folded serially.
+  // Workers of wider pools folded rounds ahead, unless the arena budget
+  // admits no second delta block (POOLED_ARENA_BUDGET_MB = 0): then every
+  // round folded serially on the decoding thread.
   if (DecodeArena::delta_blocks(2, n) == 2) {
-    EXPECT_GT(speculated, 0u);
+    EXPECT_GT(folded_ahead, 0u);
   } else {
-    EXPECT_EQ(speculated, 0u);
+    EXPECT_EQ(folded_ahead, 0u);
+  }
+}
+
+TEST(AdaptiveAdapter, DecodesWhileAnotherCallerHoldsEveryWorker) {
+  // Another caller's batch holds every worker until the decodes below
+  // are done (its tasks give up after 5 s). The rounds the ring opens
+  // find no lane, so the decoding thread claims and folds each one
+  // itself, and the completion runs its lanes' tasks itself too: the
+  // outcomes, verdicts and fingerprints are the serial fold's.
+  ThreadPool pool(4);
+  const std::uint32_t n = 2000, k = 10, m = 400;
+  const auto design = std::make_shared<RandomRegularDesign>(n, 2024);
+  const StreamedInstance instance(
+      design, m, simulate_queries(*design, m, Signal::random(n, k, 2025), pool));
+  std::atomic<unsigned> holding{0};
+  std::atomic<bool> release{false};
+  std::atomic<int> gave_up{0};
+  std::thread other([&] {
+    pool.run_tasks(pool.size(), [&](std::size_t) {
+      holding.fetch_add(1);
+      const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!release.load()) {
+        if (std::chrono::steady_clock::now() >= give_up) {
+          gave_up.fetch_add(1);
+          return;
+        }
+        std::this_thread::yield();
+      }
+    });
+  });
+  while (holding.load() < pool.size()) std::this_thread::yield();
+  std::vector<std::string> got;
+  std::vector<std::string> want;
+  for (const char* inner_spec : {"mn", "mn:multi-edge"}) {
+    const auto inner = std::dynamic_pointer_cast<const MnDecoder>(make_decoder(inner_spec));
+    ASSERT_NE(inner, nullptr);
+    for (const std::uint32_t budget : {0u, 201u}) {
+      DecodeContext context(k, pool);
+      context.query_budget = budget;
+      const StreamedInstance served = fresh_copy(instance);
+      got.push_back(describe(
+          observe(served, AdaptiveDecoder(inner, AdaptiveOptions{16}).decode(served, context))));
+      want.push_back(describe(serial_fold_reference(instance, inner->options(), 16, context)));
+    }
+  }
+  release.store(true);
+  other.join();
+  EXPECT_EQ(gave_up.load(), 0);
+  EXPECT_EQ(got, want);
+}
+
+TEST(AdaptiveAdapter, DecodesInsideAPoolTask) {
+  // A decode that runs inside a pool task gets one lane (batch_width()
+  // 1): every round and the completion fold serially, with the serial
+  // fold's outcome, verdict and fingerprint.
+  ThreadPool pool(4);
+  const std::uint32_t n = 2000, k = 10, m = 400;
+  const auto design = std::make_shared<RandomRegularDesign>(n, 2026);
+  const StreamedInstance instance(
+      design, m, simulate_queries(*design, m, Signal::random(n, k, 2027), pool));
+  const auto inner = std::dynamic_pointer_cast<const MnDecoder>(make_decoder("mn"));
+  ASSERT_NE(inner, nullptr);
+  const DecodeContext context(k, pool);
+  const std::string want =
+      describe(serial_fold_reference(instance, inner->options(), 16, context));
+  std::vector<std::string> got(4);
+  std::vector<unsigned> widths(4);
+  pool.run_tasks(got.size(), [&](std::size_t task) {
+    widths[task] = pool.batch_width();
+    const StreamedInstance served = fresh_copy(instance);
+    got[task] = describe(
+        observe(served, AdaptiveDecoder(inner, AdaptiveOptions{16}).decode(served, context)));
+  });
+  for (std::size_t task = 0; task < got.size(); ++task) {
+    EXPECT_EQ(widths[task], 1u);
+    EXPECT_EQ(got[task], want) << "task " << task;
   }
 }
 

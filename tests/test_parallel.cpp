@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <functional>
 #include <numeric>
 #include <random>
 #include <stdexcept>
@@ -14,6 +15,7 @@
 #include "parallel/parallel_sort.hpp"
 #include "parallel/prefix_sum.hpp"
 #include "parallel/thread_pool.hpp"
+#include "support/assert.hpp"
 
 namespace pooled {
 namespace {
@@ -102,6 +104,151 @@ TEST(ThreadPool, TaskExceptionReachesTheCaller) {
   std::vector<std::atomic<int>> hits(kTasks);
   pool.run_tasks(kTasks, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < kTasks; ++i) ASSERT_EQ(hits[i].load(), 1);
+}
+
+// ---- batches an owner keeps open (start / extend / claim / finish) -------
+
+/// Claims, in order, every index of `batch` below `count` that no worker
+/// has claimed, and runs it on the calling thread.
+void drain(ThreadPool& pool, ThreadPool::Batch& batch, std::size_t count,
+           const std::function<void(std::size_t)>& fn) {
+  for (std::size_t i = 0; i < count; ++i) {
+    if (pool.claim(batch, i)) fn(i);
+  }
+}
+
+TEST(ThreadPool, StartedBatchRunsEveryTaskOnce) {
+  // The owner opens ten tasks, then makes ten more claimable at a time
+  // and claims whatever no worker has taken: every task runs exactly
+  // once, workers included, and none runs past finish().
+  for (const unsigned width : {2u, 4u, 7u}) {
+    ThreadPool pool(width);
+    for (int round = 0; round < 50; ++round) {
+      constexpr std::size_t kTasks = 200;
+      std::vector<std::atomic<int>> hits(kTasks);
+      std::atomic<bool> finished{false};
+      std::atomic<int> late{0};
+      const std::function<void(std::size_t)> fn = [&](std::size_t i) {
+        if (finished.load()) late.fetch_add(1);
+        hits[i].fetch_add(1);
+      };
+      ThreadPool::Batch batch;
+      pool.start(batch, 10, fn);
+      for (std::size_t count = 10; count <= kTasks; count += 10) {
+        pool.extend(batch, count);
+        pool.extend(batch, count - 5);  // never lowers the count
+        if (count % 30 == 0) drain(pool, batch, count, fn);
+      }
+      drain(pool, batch, kTasks, fn);
+      pool.finish(batch);
+      finished.store(true);
+      for (std::size_t i = 0; i < kTasks; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
+      EXPECT_EQ(late.load(), 0);
+    }
+  }
+}
+
+TEST(ThreadPool, FinishedBatchHandsOutNothingMore) {
+  // finish() closes the batch: indices never claimed never run, and
+  // neither extend() nor claim() reopens it.
+  ThreadPool pool(4);
+  std::atomic<int> hits{0};
+  const std::function<void(std::size_t)> fn = [&](std::size_t) { hits.fetch_add(1); };
+  ThreadPool::Batch batch;
+  pool.start(batch, 0, fn);
+  pool.finish(batch);
+  pool.extend(batch, 100);
+  EXPECT_FALSE(pool.claim(batch, 0));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(hits.load(), 0);
+}
+
+TEST(ThreadPool, StartedBatchNestsInline) {
+  // Workers run a started batch's tasks (the owner claims none), and
+  // their nested run_tasks calls run inline on their own lane. A batch
+  // cannot be started where no worker could join it: inside a task, or
+  // on a one-thread pool.
+  ThreadPool pool(4);
+  constexpr int kTasks = 16;
+  std::atomic<int> done{0};
+  std::atomic<int> nested{0};
+  std::atomic<int> moved{0};
+  std::atomic<int> refused{0};
+  const std::function<void(std::size_t)> fn = [&](std::size_t) {
+    const unsigned lane = ThreadPool::current_lane();
+    pool.run_tasks(8, [&](std::size_t) {
+      nested.fetch_add(1);
+      if (ThreadPool::current_lane() != lane) moved.fetch_add(1);
+    });
+    ThreadPool::Batch inner;
+    try {
+      pool.start(inner, 1, fn);
+      pool.finish(inner);
+    } catch (const ContractError&) {
+      refused.fetch_add(1);
+    }
+    done.fetch_add(1);
+  };
+  ThreadPool::Batch batch;
+  pool.start(batch, kTasks, fn);
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (done.load() < kTasks && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+  pool.finish(batch);
+  EXPECT_EQ(done.load(), kTasks);
+  EXPECT_EQ(nested.load(), kTasks * 8);
+  EXPECT_EQ(moved.load(), 0);
+  EXPECT_EQ(refused.load(), kTasks);
+  ThreadPool single(1);
+  ThreadPool::Batch lone;
+  EXPECT_THROW(single.start(lone, 1, fn), ContractError);
+}
+
+TEST(ThreadPool, StartedBatchExceptionReachesFinish) {
+  // Only workers throw; the owner claims nothing, waits until one has
+  // thrown, and finish() rethrows it. The pool stays intact.
+  ThreadPool pool(4);
+  std::atomic<bool> thrown{false};
+  const std::function<void(std::size_t)> fn = [&](std::size_t) {
+    thrown.store(true);
+    throw std::runtime_error("worker task failed");
+  };
+  ThreadPool::Batch batch;
+  pool.start(batch, 64, fn);
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!thrown.load() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(thrown.load());
+  EXPECT_THROW(pool.finish(batch), std::runtime_error);
+  constexpr std::size_t kTasks = 1000;
+  std::vector<std::atomic<int>> hits(kTasks);
+  pool.run_tasks(kTasks, [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < kTasks; ++i) ASSERT_EQ(hits[i].load(), 1);
+}
+
+TEST(ThreadPool, OwnerRunsBatchesWhileHoldingOne) {
+  // The owner of an open batch calls run_tasks meanwhile: its own batches
+  // complete (the owner runs their tasks itself if workers are busy in
+  // the open batch), and the open batch still runs every task once.
+  ThreadPool pool(4);
+  constexpr std::size_t kSlow = 12;
+  std::vector<std::atomic<int>> hits(kSlow);
+  const std::function<void(std::size_t)> slow = [&](std::size_t i) {
+    hits[i].fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  };
+  ThreadPool::Batch batch;
+  pool.start(batch, kSlow, slow);
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<std::size_t> sum{0};
+    pool.run_tasks(100, [&](std::size_t i) { sum.fetch_add(i); });
+    ASSERT_EQ(sum.load(), 100u * 99 / 2);
+  }
+  drain(pool, batch, kSlow, slow);
+  pool.finish(batch);
+  for (std::size_t i = 0; i < kSlow; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(ThreadPool, GlobalPoolIsUsable) {

@@ -4,8 +4,9 @@
 // keeps them colliding long enough for TSan to observe every pairing the
 // design allows: lock-free metric updates against registry snapshots,
 // cache hits against inserts and evictions, pool batches from several
-// callers running side by side, and a shard fleet losing and readmitting
-// a backend mid-traffic. The assertions are deliberately coarse
+// callers running side by side, adaptive decodes stopped while pool lanes
+// fold their rounds ahead, and a shard fleet losing and readmitting a
+// backend mid-traffic. The assertions are deliberately coarse
 // (monotonic counters, bounded sizes, every job answered) -- the point
 // of the test is the interleavings themselves, which the `race` ctest
 // label lets the TSan CI job select:
@@ -27,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/decoder.hpp"
 #include "core/instance.hpp"
 #include "design/random_regular.hpp"
 #include "engine/batch_engine.hpp"
@@ -312,16 +314,128 @@ TEST(RaceTorture, ConcurrentDecodesMatchSerial) {
 }
 
 // ---------------------------------------------------------------------
+// Adaptive MN decodes stopped anywhere: four callers decode distinct
+// instances with adaptive:mn:L=16 on one 4-wide pool, each cancelled
+// after a random number of rounds or stopped by a random deadline, so
+// pool lanes are mid-fold in the ring at every kind of stop. Each outcome
+// must equal the serial fold stopped after the same round (the decode on
+// a one-thread pool under that rounds cap), and the verdict the exact
+// pass on a fresh copy. No lane may touch a ring block once the decode
+// returns (ASan and TSan see the blocks reused by the next decode).
+
+/// Cancels its decode once `rounds` rounds have run.
+class CancelAfter final : public DecodeStatsSink {
+ public:
+  explicit CancelAfter(std::uint32_t rounds) : rounds_(rounds) {
+    if (rounds_ == 0) cancel.store(true);
+  }
+  void on_round(std::uint32_t round, std::uint64_t) override {
+    if (round >= rounds_) cancel.store(true);
+  }
+  std::atomic<bool> cancel{false};
+
+ private:
+  std::uint32_t rounds_;
+};
+
+std::string trajectory(const DecodeOutcome& outcome, bool with_stop) {
+  std::string text = "support";
+  for (std::uint32_t i : outcome.estimate.support()) text += ' ' + std::to_string(i);
+  text += " rounds " + std::to_string(outcome.rounds) + " queries " +
+          std::to_string(outcome.queries) + " score_evals " +
+          std::to_string(outcome.score_evals);
+  if (with_stop) text += std::string(" stop ") + stop_reason_name(outcome.stop);
+  return text;
+}
+
+TEST(RaceTorture, StoppedAdaptiveDecodesMatchTheSerialFold) {
+  ThreadPool pool(4);
+  ThreadPool serial_pool(1);
+  constexpr int kCallers = 4;
+  const std::uint32_t n = 2000, k = 10, m = 400;
+  const auto decoder = make_decoder("adaptive:mn:L=16");
+  struct Reference {
+    std::shared_ptr<const StreamedInstance> instance;
+    std::string full;                  // the unstopped decode
+    std::vector<std::string> stopped;  // stopped after round r (r >= 1)
+  };
+  std::vector<Reference> references(kCallers);
+  for (int c = 0; c < kCallers; ++c) {
+    Reference& reference = references[c];
+    auto design = std::make_shared<RandomRegularDesign>(n, 900 + c);
+    reference.instance =
+        make_streamed_instance(design, m, Signal::random(n, k, 0x5709 + c), pool);
+    const StreamedInstance full_copy(design, m, reference.instance->results());
+    const DecodeOutcome full =
+        decoder->decode(full_copy, DecodeContext(k, serial_pool));
+    reference.full = trajectory(full, true);
+    reference.stopped.resize(full.rounds + 1);
+    for (std::uint32_t r = 1; r <= full.rounds; ++r) {
+      const StreamedInstance copy(design, m, reference.instance->results());
+      DecodeContext capped(k, serial_pool);
+      capped.max_rounds = r;
+      reference.stopped[r] = trajectory(decoder->decode(copy, capped), false);
+    }
+  }
+  std::atomic<int> failures{0};
+  std::atomic<int> stops{0};
+  const auto deadline = steady_clock::now() + kBatteryBudget;
+  int rounds = 0;
+  while (steady_clock::now() < deadline || rounds < 2) {
+    std::vector<std::thread> callers;
+    callers.reserve(kCallers);
+    for (int c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        const Reference& reference = references[c];
+        std::mt19937 rng(static_cast<std::uint32_t>(rounds * kCallers + c));
+        const auto last = static_cast<std::uint32_t>(reference.stopped.size() - 1);
+        for (int j = 0; j < 4; ++j) {
+          const StreamedInstance served(reference.instance->design_ptr(), m,
+                                        reference.instance->results());
+          CancelAfter sink(std::uniform_int_distribution<std::uint32_t>(0, last)(rng));
+          DecodeContext context(k, pool);
+          if (rng() % 2 == 0) {
+            context.stats = &sink;
+            context.cancel = &sink.cancel;
+          } else {
+            context.deadline_seconds =
+                std::uniform_real_distribution<double>(0.0, 0.003)(rng);
+          }
+          const DecodeOutcome outcome = decoder->decode(served, context);
+          bool ok = true;
+          if (outcome.stop == StopReason::Cancelled || outcome.stop == StopReason::Deadline) {
+            stops.fetch_add(1);
+            ok = outcome.rounds == 0
+                     ? outcome.queries == 0 && outcome.estimate.k() == 0
+                     : outcome.rounds <= last &&
+                           trajectory(outcome, false) == reference.stopped[outcome.rounds];
+          } else {
+            ok = trajectory(outcome, true) == reference.full;
+          }
+          const StreamedInstance exact(served.design_ptr(), m, served.results());
+          ok = ok && served.is_consistent(outcome.estimate) ==
+                         exact.is_consistent(outcome.estimate);
+          if (!ok) failures.fetch_add(1);
+        }
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+    ++rounds;
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(stops.load(), 0);
+}
+
+// ---------------------------------------------------------------------
 // Fingerprint publication: engine jobs on a 4-wide pool decode one
-// shared instance at once, submitted by several callers. The MN jobs' passes race to publish the
-// instance's fingerprint of all m queries, and the adaptive MN jobs
-// race to publish the prefix their rounds folded, a budgeted one only
-// its budget's prefix (the first publish of either wins; a full one then
-// supersedes a partial one once, the rest keep their own) while other
-// jobs already read it for their verdict: the prefix in O(k), the rest
-// by the exact pass. omp jobs never accumulate and check through
-// whatever the instance holds. Every verdict must equal the exact pass
-// on a fresh copy.
+// shared instance at once, submitted by several callers. The MN jobs'
+// passes and the adaptive MN jobs' completions (a budgeted one's too)
+// race to publish the instance's fingerprint of all m queries (the
+// first publish wins, the rest keep their own) while other jobs already
+// read it for their O(k) verdict, or find none yet and check by the
+// exact pass. omp jobs never accumulate and check through whatever the
+// instance holds. Every verdict must equal the exact pass on a fresh
+// copy.
 
 TEST(RaceTorture, SharedInstanceFingerprintPublish) {
   ThreadPool pool(4);

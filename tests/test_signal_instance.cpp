@@ -312,6 +312,40 @@ void expect_partial_fingerprints(const StreamedInstance& instance,
   }
 }
 
+/// Adaptive MN decodes of fresh copies of `instance`, with and without a
+/// budget and a rounds cap: each completes its fingerprint to all m
+/// queries, equal entry for entry to the one-shot pass's `one_shot`, and
+/// its verdicts on `candidates` and on the decode's own estimate equal
+/// the exact pass.
+void expect_completed_fingerprints(const StreamedInstance& instance,
+                                   const QueryFingerprint& one_shot,
+                                   const StreamedInstance& exact,
+                                   const MnOptions& options, std::uint32_t k,
+                                   const std::vector<Signal>& candidates,
+                                   ThreadPool& pool, Verdicts& verdicts) {
+  const AdaptiveDecoder adaptive(std::make_shared<MnDecoder>(options), AdaptiveOptions{16});
+  for (const std::uint32_t budget : {0u, instance.m() / 2 + 1}) {
+    for (const std::uint32_t rounds : {0u, 3u}) {
+      SCOPED_TRACE("budget " + std::to_string(budget) + ", rounds cap " +
+                   std::to_string(rounds));
+      const StreamedInstance served = fresh_copy(instance);
+      DecodeContext context(k, pool);
+      context.query_budget = budget;
+      context.max_rounds = rounds;
+      const DecodeOutcome outcome = adaptive.decode(served, context);
+      const std::shared_ptr<const QueryFingerprint> print = served.fingerprint();
+      ASSERT_NE(print, nullptr);
+      EXPECT_EQ(print->queries, instance.m());
+      EXPECT_EQ(print->target, one_shot.target);
+      EXPECT_EQ(print->entries, one_shot.entries);
+      for (const Signal& candidate : candidates) {
+        verdicts.expect_equal(served, exact, candidate);
+      }
+      verdicts.expect_equal(served, exact, outcome.estimate);
+    }
+  }
+}
+
 TEST(Consistency, FingerprintMatchesExactCheck) {
   Verdicts verdicts;
   // Every weight-k support of tiny instances. Few queries leave many
@@ -336,9 +370,10 @@ TEST(Consistency, FingerprintMatchesExactCheck) {
       }
     }
   }
-  // Seeded MN decodes around the MN threshold: every score, with and
-  // without noise, on one lane and on four. The decode's own pass records
-  // the fingerprint of the (noisy) observations it decoded.
+  // Seeded MN decodes around the MN threshold: every score (both count
+  // modes), with and without noise, on one lane and on four. The decode's
+  // own pass records the fingerprint of the (noisy) observations it
+  // decoded, and adaptive MN decodes complete theirs to the same one.
   for (const unsigned width : {1u, 4u}) {
     ThreadPool pool(width);
     for (const std::uint32_t n : {60u, 400u, 2000u}) {
@@ -366,6 +401,8 @@ TEST(Consistency, FingerprintMatchesExactCheck) {
               verdicts.expect_equal(*noisy, exact, candidate);
             }
             expect_partial_fingerprints(*noisy, exact, options, candidates, verdicts);
+            expect_completed_fingerprints(*noisy, *noisy->fingerprint(), exact, options,
+                                          k, candidates, pool, verdicts);
           }
         }
       }

@@ -10,6 +10,7 @@ hangs up without sending anything.
 Usage: socket_client_smoke.py <host> <port> <jobs-file> [<jobs-file>...]
        socket_client_smoke.py --stats-probe <host> <port> <jobs-file>
        socket_client_smoke.py --concurrent <pooled_cli>
+       socket_client_smoke.py --decode-v2 <pooled_cli>
        socket_client_smoke.py --route <pooled_cli> <jobs-file>
        socket_client_smoke.py --rolling-restart <pooled_cli> <jobs-file>
 
@@ -29,6 +30,15 @@ seed 7 must repeat its support and seed 8 change it, every support must
 equal the same frames served over stdin with --threads 1, and SIGTERM
 must wind the server down with exit 0 and a "served 4 jobs over 2
 connections" summary.
+
+--decode-v2 exercises decode API v2 over stdin serve and the CLI: it
+simulates its own instances (`run_v2.inst` with `--budget 2.5`, the
+plain `run.inst`, and a binary `gt.inst`), serves an adaptive:mn:L=16 job
+that must report its converged trajectory, then pins the `consistent
+rounds queries stop` line of ten jobs (one-shot MN scores, noise, a
+budget, multi-edge adaptive, adaptive MN on the binary channel). It also
+checks a noisy CLI decode, the decoder listing, and that unknown
+POOLED_KERNELS tiers fall back to auto dispatch with the same answer.
 
 --route exercises the shard router's failover end to end: it spawns two
 `pooled_cli serve --listen` shards and one `pooled_cli route` process
@@ -226,6 +236,148 @@ def concurrent_smoke(cli: str) -> int:
         shutil.rmtree(workdir, ignore_errors=True)
     print("concurrent smoke ok: 4 jobs over 2 connections, supports match "
           "stdin serve, clean shutdown", file=sys.stderr)
+    return 0
+
+
+def job_frame(decoder: str, instance: bytes, options=(), version=2) -> bytes:
+    """One `pooled-job` frame around an instance file's bytes."""
+    head = f"pooled-job v{version}\ndecoder {decoder}\nk 8\n"
+    head += "".join(f"{option}\n" for option in options)
+    return (head + "instance\n").encode() + instance + b"end\n"
+
+
+def serve_stdin(cli: str, frames: bytes, threads: int) -> str:
+    """Serves `frames` over stdin with `threads` lanes; returns stdout."""
+    served = subprocess.run(
+        [cli, "serve", "--in", "-", "--out", "-", "--threads", str(threads)],
+        input=frames, capture_output=True, timeout=120)
+    if served.returncode != 0:
+        raise SystemExit(f"stdin serve failed: {served.stderr.decode()}")
+    return served.stdout.decode()
+
+
+# The served `consistent` flag, pinned both ways, with each job's
+# trajectory. One-shot MN jobs answer through the fingerprint their own
+# pass recorded. Adaptive MN jobs on the quantitative run_v2.inst (520
+# queries) fold 384 queries before converging, all 520, and 40 under
+# `budget 40`, and each completes its fingerprint to all 520 queries, so
+# every verdict is O(k). On the binary gt.inst the check is the exact pass.
+DECODE_V2_JOBS = (
+    ("mn", "run_v2", ()),
+    ("mn:raw", "run_v2", ()),
+    ("mn:normalized", "run_v2", ()),
+    ("mn:multi-edge", "run_v2", ()),
+    ("mn", "run_v2", ("noise sym 0.2 7",)),
+    ("adaptive:mn:L=16", "run_v2", ()),
+    ("adaptive:mn:L=16", "run_v2", ("noise sym 0.2 7",)),
+    ("adaptive:mn:L=16", "run_v2", ("budget 40",)),
+    ("adaptive:mn:multi-edge:L=4", "run_v2", ()),
+    ("adaptive:mn:L=16", "gt", ()),
+)
+DECODE_V2_WANT = [
+    "consistent 1 rounds 1 queries 520 stop completed",
+    "consistent 0 rounds 1 queries 520 stop completed",
+    "consistent 1 rounds 1 queries 520 stop completed",
+    "consistent 1 rounds 1 queries 520 stop completed",
+    "consistent 0 rounds 1 queries 520 stop completed",
+    "consistent 1 rounds 24 queries 384 stop converged",
+    "consistent 0 rounds 33 queries 520 stop exhausted",
+    "consistent 0 rounds 3 queries 40 stop exhausted",
+    "consistent 1 rounds 46 queries 184 stop converged",
+    "consistent 0 rounds 44 queries 700 stop exhausted",
+]
+
+
+def decode_v2_smoke(cli: str) -> int:
+    workdir = tempfile.mkdtemp(prefix="pooled-decode-v2-")
+    try:
+        def path(name):
+            return os.path.join(workdir, name)
+
+        def simulate(name, *extra):
+            subprocess.run(
+                [cli, "simulate", "--n", "500", "--k", "8", "--seed", "3",
+                 *extra, "--out", path(name + ".inst"),
+                 "--truth-out", path(name + ".truth")],
+                check=True, stdout=subprocess.DEVNULL, timeout=120)
+            with open(path(name + ".inst"), "rb") as f:
+                return f.read()
+
+        instances = {
+            "run_v2": simulate("run_v2", "--budget", "2.5"),
+            "run": simulate("run"),
+            "gt": simulate("gt", "--channel", "binary", "--gamma", "43",
+                           "--m", "700"),
+        }
+        with open(path("run_v2.truth")) as f:
+            truth = " ".join(f.read().split())
+
+        # A v2 frame with an adaptive decoder reports its round trajectory;
+        # the 2.5x budget leaves room for early stopping to converge.
+        adaptive = serve_stdin(cli, job_frame(
+            "adaptive:mn:L=16", instances["run_v2"], (f"truth {truth}",)), 1)
+        for want in ("status ok", "decoder adaptive-mn-L16", "stop converged"):
+            if want not in adaptive:
+                raise SystemExit(f"adaptive v2 job: no '{want}' in {adaptive!r}")
+        for field in ("rounds", "queries"):
+            if not re.search(rf"^{field} [0-9]+$", adaptive, re.MULTILINE):
+                raise SystemExit(f"adaptive v2 job reports no {field}")
+
+        frames = b"".join(job_frame(decoder, instances[name], options)
+                          for decoder, name, options in DECODE_V2_JOBS)
+        results = serve_stdin(cli, frames, 2)
+        if results.count("status ok") != len(DECODE_V2_JOBS):
+            raise SystemExit(f"not every pinned job succeeded: {results!r}")
+        fields = [line for line in results.splitlines()
+                  if re.match(r"(consistent|rounds|queries|stop)\b", line)]
+        got = [" ".join(fields[i:i + 4]) for i in range(0, len(fields), 4)]
+        if got != DECODE_V2_WANT:
+            raise SystemExit("pinned verdicts and trajectories moved:\n" +
+                             "\n".join(f"want {w}\n got {g}" for w, g in
+                                        zip(DECODE_V2_WANT, got) if w != g) +
+                             f"\n({len(got)} of {len(DECODE_V2_WANT)} jobs)")
+
+        # A noisy decode of the archived instance, via the engine.
+        noisy = subprocess.run(
+            [cli, "decode", "--in", path("run.inst"), "--k", "8",
+             "--noise", "sym:0.05:7", "--truth", path("run.truth")],
+            capture_output=True, text=True, timeout=120)
+        if noisy.returncode != 0 or "stop=completed" not in noisy.stdout:
+            raise SystemExit(f"noisy decode: {noisy.stdout!r} {noisy.stderr!r}")
+        listing = subprocess.run([cli, "decoders"], capture_output=True,
+                                 text=True, timeout=60)
+        if "adaptive:<inner>" not in listing.stdout:
+            raise SystemExit("`decoders` does not list adaptive:<inner>")
+
+        # Kernel tiers the library no longer ships take the unknown-name
+        # path: a note on stderr, then auto dispatch, and the answer of an
+        # unset POOLED_KERNELS.
+        def decode_lines(tier):
+            env = dict(os.environ)
+            env.pop("POOLED_KERNELS", None)
+            if tier is not None:
+                env["POOLED_KERNELS"] = tier
+            run = subprocess.run(
+                [cli, "decode", "--in", path("run_v2.inst"), "--k", "8"],
+                capture_output=True, text=True, env=env, timeout=120)
+            lines = [line for line in run.stdout.splitlines()
+                     if re.match(r"(decoded|consistent)", line)]
+            return lines, run.stderr
+
+        auto, _ = decode_lines(None)
+        if len(auto) != 2:
+            raise SystemExit(f"auto-dispatch decode printed {auto!r}")
+        for tier in ("sse42", "neon"):
+            lines, err = decode_lines(tier)
+            if f"unknown POOLED_KERNELS={tier}" not in err \
+                    or "using auto dispatch" not in err:
+                raise SystemExit(f"POOLED_KERNELS={tier}: stderr {err!r}")
+            if lines != auto:
+                raise SystemExit(f"POOLED_KERNELS={tier} answered {lines!r}")
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    print(f"decode v2 smoke ok: {len(DECODE_V2_JOBS)} pinned jobs, noisy "
+          "decode, decoder listing, kernel fallback", file=sys.stderr)
     return 0
 
 
@@ -443,6 +595,11 @@ def main() -> int:
             print(__doc__, file=sys.stderr)
             return 2
         return rolling_restart(sys.argv[2], sys.argv[3])
+    if len(sys.argv) >= 2 and sys.argv[1] == "--decode-v2":
+        if len(sys.argv) != 3:
+            print(__doc__, file=sys.stderr)
+            return 2
+        return decode_v2_smoke(sys.argv[2])
     if len(sys.argv) >= 2 and sys.argv[1] == "--concurrent":
         if len(sys.argv) != 3:
             print(__doc__, file=sys.stderr)
